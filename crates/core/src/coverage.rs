@@ -48,21 +48,31 @@ impl SnapshotCoverage {
         expected_windows: u64,
         expected_detailed: u64,
     ) -> SnapshotCoverage {
-        let present_windows = snapshots.len() as u64;
-        let detailed: Vec<&MempoolSnapshot> =
-            snapshots.iter().filter(|s| s.is_detailed()).collect();
-        let truncated_detailed = detailed.iter().filter(|s| s.is_truncated()).count() as u64;
-        let degraded_windows = snapshots.iter().filter(|s| s.is_degraded()).count() as u64;
-        let observed: FastSet<_> =
-            detailed.iter().flat_map(|s| s.entries.iter().map(|e| e.txid)).collect();
+        let observed: FastSet<_> = snapshots.iter().flat_map(|s| s.observed_txids()).collect();
+        SnapshotCoverage {
+            txs_observed: observed.len(),
+            ..SnapshotCoverage::tally(snapshots, expected_windows, expected_detailed)
+        }
+    }
+
+    /// The row-free part of [`SnapshotCoverage::assess`]: window, detail,
+    /// truncation and degradation counts, with `txs_observed` left zero
+    /// for a caller that already knows the distinct-txid count (fleet
+    /// reconciliation reads it off its first-seen maps).
+    pub(crate) fn tally(
+        snapshots: &[MempoolSnapshot],
+        expected_windows: u64,
+        expected_detailed: u64,
+    ) -> SnapshotCoverage {
+        let detailed = snapshots.iter().filter(|s| s.is_detailed());
         SnapshotCoverage {
             expected_windows,
-            present_windows,
+            present_windows: snapshots.len() as u64,
             expected_detailed,
-            present_detailed: detailed.len() as u64,
-            truncated_detailed,
-            degraded_windows,
-            txs_observed: observed.len(),
+            present_detailed: detailed.clone().count() as u64,
+            truncated_detailed: detailed.filter(|s| s.is_truncated()).count() as u64,
+            degraded_windows: snapshots.iter().filter(|s| s.is_degraded()).count() as u64,
+            txs_observed: 0,
             txs_confirmed: 0,
             confirmed_observed: 0,
         }

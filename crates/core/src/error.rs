@@ -6,6 +6,7 @@
 //! [`AuditError`] instead of panicking, so a pipeline over degraded data
 //! fails (or degrades) deliberately.
 
+use cn_chain::Timestamp;
 use std::fmt;
 
 /// Why an audit over a snapshot stream could not produce a result.
@@ -38,6 +39,13 @@ pub enum AuditError {
         /// Height of the offending block.
         height: u64,
     },
+    /// A detailed snapshot handed to fleet reconciliation holds rows out
+    /// of txid order. The fused window is a merge of txid-sorted rows, so
+    /// such rows would fuse into duplicated or misordered output.
+    UnsortedSnapshotRows {
+        /// Time of the snapshot window whose rows could not be merged.
+        time: Timestamp,
+    },
 }
 
 impl fmt::Display for AuditError {
@@ -61,6 +69,9 @@ impl fmt::Display for AuditError {
             AuditError::UnreplayableBlock { height } => {
                 write!(f, "block at height {height} does not replay against the UTXO view")
             }
+            AuditError::UnsortedSnapshotRows { time } => {
+                write!(f, "snapshot rows of the window at time {time} are not sorted by txid")
+            }
         }
     }
 }
@@ -78,6 +89,7 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("42.0%") && s.contains("50.0%"), "{s}");
         assert!(AuditError::NonFiniteStatistic { context: "ppe" }.to_string().contains("ppe"));
+        assert!(AuditError::UnsortedSnapshotRows { time: 4_200 }.to_string().contains("4200"));
     }
 
     #[test]

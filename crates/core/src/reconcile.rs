@@ -38,6 +38,7 @@ use cn_chain::{Chain, FastMap, Timestamp, Txid};
 use cn_mempool::{MempoolSnapshot, SnapshotEntry};
 use cn_stats::Pool;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One observer's contribution to the fleet: its label, its snapshot
 /// stream, and what that stream was scheduled to contain.
@@ -135,16 +136,25 @@ impl FleetView {
 ///
 /// Errors with [`AuditError::EmptySnapshotStream`] only when **every**
 /// observer recorded nothing; any single surviving vantage point keeps
-/// the fleet auditable (graceful degradation).
+/// the fleet auditable (graceful degradation). Rows out of txid order
+/// refuse with [`AuditError::UnsortedSnapshotRows`]; see
+/// [`reconcile_with_pool`].
 pub fn reconcile(views: &[ObserverView]) -> Result<FleetView, AuditError> {
     reconcile_with_pool(views, Pool::auto())
 }
 
-/// [`reconcile`] with an explicit fork-join width for the per-observer
-/// folds. The reconciliation is byte-identical at any width (the pool's
-/// order-preserving join); the parameter only moves wall time, and exists
-/// so the serial-vs-parallel identity property can be tested without
-/// touching process-global state.
+/// [`reconcile`] with an explicit fork-join width for the per-window
+/// fusions and the per-observer first-seen maps. The reconciliation is
+/// byte-identical at any width (the pool's order-preserving join); the
+/// parameter only moves wall time, and exists so the serial-vs-parallel
+/// identity property can be tested without touching process-global state.
+///
+/// Detailed rows must be in txid order, as every [`MempoolSnapshot`]
+/// constructor leaves them: fusion merges them rather than re-sorting.
+/// A fused window whose contributors break that order refuses with
+/// [`AuditError::UnsortedSnapshotRows`] instead of emitting duplicated
+/// rows. A one-observer fleet shares its stream verbatim and merges
+/// nothing, so its rows are passed through unchecked.
 pub fn reconcile_with_pool(views: &[ObserverView], pool: Pool) -> Result<FleetView, AuditError> {
     let (live, dead): (Vec<&ObserverView>, Vec<&ObserverView>) =
         views.iter().partition(|v| !v.snapshots.is_empty());
@@ -153,11 +163,6 @@ pub fn reconcile_with_pool(views: &[ObserverView], pool: Pool) -> Result<FleetVi
     }
     let labels: Vec<String> = live.iter().map(|v| v.label.clone()).collect();
     let dropped: Vec<String> = dead.iter().map(|v| v.label.clone()).collect();
-    // Each observer's coverage assessment reads only its own stream: fan
-    // out per observer, join in roster order.
-    let per_observer: Vec<SnapshotCoverage> = pool.map(&live, |v| {
-        SnapshotCoverage::assess(&v.snapshots, v.expectation.windows, v.expectation.detailed)
-    });
 
     // The fused stream promises the widest schedule any live observer
     // promised; min_coverage is the strictest floor among them.
@@ -167,9 +172,25 @@ pub fn reconcile_with_pool(views: &[ObserverView], pool: Pool) -> Result<FleetVi
         min_coverage: live.iter().map(|v| v.expectation.min_coverage).fold(0.0, f64::max),
     };
 
-    let fused = fuse_streams(&live, pool);
-    let coverage = SnapshotCoverage::assess(&fused, expectation.windows, expectation.detailed);
-    let first_seen = first_seen_stats(&live, pool);
+    let fused = fuse_streams(&live, pool)?;
+    // An observer's first-seen map is keyed by exactly the distinct txids
+    // of its detailed snapshots, and the fused stream's detailed windows
+    // hold the union of those, so coverage takes its `txs_observed` counts
+    // from the maps instead of hashing the rows again.
+    let first_seen_maps = pool.map(&live, |view| first_seen_map(view));
+    let per_observer: Vec<SnapshotCoverage> = live
+        .iter()
+        .zip(&first_seen_maps)
+        .map(|(v, first)| SnapshotCoverage {
+            txs_observed: first.len(),
+            ..SnapshotCoverage::tally(&v.snapshots, v.expectation.windows, v.expectation.detailed)
+        })
+        .collect();
+    let first_seen = first_seen_stats(&first_seen_maps);
+    let coverage = SnapshotCoverage {
+        txs_observed: first_seen.txs_union,
+        ..SnapshotCoverage::tally(&fused, expectation.windows, expectation.detailed)
+    };
 
     Ok(FleetView { labels, dropped, per_observer, fused, coverage, first_seen, expectation })
 }
@@ -189,17 +210,18 @@ pub fn audit_with_fleet(
     Ok((report, fleet))
 }
 
-/// Unions the live observers' streams window by window.
+/// Fuses the live observers' streams window by window.
 ///
-/// Window membership is decided serially (a cheap time-keyed bucketing);
-/// the per-window unions — where the row merging actually costs — are
-/// independent of one another and fan out across the pool, joined back in
-/// ascending window order.
-fn fuse_streams(live: &[&ObserverView], pool: Pool) -> Vec<MempoolSnapshot> {
+/// Window membership is decided serially (a cheap time-keyed bucketing,
+/// roster order within a window); the per-window fusions are independent
+/// of one another and fan out across the pool, joined back in ascending
+/// window order. The first window that refuses (see [`merge_rows`]) is
+/// the error, at any width.
+fn fuse_streams(live: &[&ObserverView], pool: Pool) -> Result<Vec<MempoolSnapshot>, AuditError> {
     if let [solo] = live {
         // A one-eyed fleet *is* its observer: share the rows (Arc clones)
-        // instead of re-sorting every window's union of one.
-        return solo.snapshots.clone();
+        // instead of merging every window's union of one.
+        return Ok(solo.snapshots.clone());
     }
     let mut by_time: BTreeMap<Timestamp, Vec<&MempoolSnapshot>> = BTreeMap::new();
     for view in live {
@@ -208,71 +230,107 @@ fn fuse_streams(live: &[&ObserverView], pool: Pool) -> Vec<MempoolSnapshot> {
         }
     }
     let windows: Vec<(Timestamp, Vec<&MempoolSnapshot>)> = by_time.into_iter().collect();
-    pool.map(&windows, |(time, contributors)| {
-        let time = *time;
-            // One healthy contributor heals the window: stamps survive
-            // fusion only when unanimous.
-            let all_degraded = contributors.iter().all(|s| s.is_degraded());
-            let detailed: Vec<&&MempoolSnapshot> =
-                contributors.iter().filter(|s| s.is_detailed()).collect();
-            let mut snap = if detailed.is_empty() {
-                // Light window: the biggest backlog anyone saw is the
-                // least-censored aggregate available.
-                let count = contributors.iter().map(|s| s.len()).max().unwrap_or(0);
-                let vsize = contributors.iter().map(|s| s.total_vsize()).max().unwrap_or(0);
-                MempoolSnapshot::light(time, count, vsize)
-            } else {
-                let mut rows: FastMap<Txid, SnapshotEntry> = FastMap::default();
-                for s in &detailed {
-                    for e in s.entries.iter() {
-                        rows.entry(e.txid)
-                            .and_modify(|kept| {
-                                // Earliest sighting wins; CPFP candidacy
-                                // stays flagged if anyone saw the parent
-                                // unconfirmed (conservative for §4.2.1).
-                                kept.received = kept.received.min(e.received);
-                                kept.has_unconfirmed_parent |= e.has_unconfirmed_parent;
-                            })
-                            .or_insert(*e);
-                    }
-                }
-                let merged =
-                    MempoolSnapshot::from_entries(time, rows.into_values().collect());
-                if detailed.iter().all(|s| s.is_truncated()) {
-                    // Every dump was cut off, so the union is still a cut
-                    // view; a full-keep truncation applies the stamp.
-                    merged.truncate_detail(1.0)
-                } else {
-                    merged
-                }
-            };
-            if all_degraded {
-                snap = snap.mark_degraded();
-            }
-            snap
-        })
+    pool.map(&windows, |(time, contributors)| fuse_window(*time, contributors))
+        .into_iter()
+        .collect()
 }
 
-/// Computes the cross-observer first-seen agreement statistics.
-fn first_seen_stats(live: &[&ObserverView], pool: Pool) -> FirstSeenStats {
-    // Per-observer earliest sighting per txid: each map reads only its own
-    // observer's stream, so the builds fan out; the cross-observer merge
-    // below stays serial in roster order.
-    let per_obs: Vec<FastMap<Txid, Timestamp>> = pool.map(live, |view| {
-        let mut first: FastMap<Txid, Timestamp> = FastMap::default();
-        for snap in view.snapshots.iter().filter(|s| s.is_detailed()) {
-            for e in snap.entries.iter() {
-                first
-                    .entry(e.txid)
-                    .and_modify(|t| *t = (*t).min(e.received))
-                    .or_insert(e.received);
+/// Fuses one window's contributors, given in roster order. One healthy
+/// contributor heals the window: stamps survive fusion only when
+/// unanimous.
+fn fuse_window(
+    time: Timestamp,
+    contributors: &[&MempoolSnapshot],
+) -> Result<MempoolSnapshot, AuditError> {
+    let detailed: Vec<&MempoolSnapshot> =
+        contributors.iter().copied().filter(|s| s.is_detailed()).collect();
+    let snap = if detailed.is_empty() {
+        // Light window: the biggest backlog anyone saw is the
+        // least-censored aggregate available.
+        let count = contributors.iter().map(|s| s.len()).max().unwrap_or(0);
+        let vsize = contributors.iter().map(|s| s.total_vsize()).max().unwrap_or(0);
+        MempoolSnapshot::light(time, count, vsize)
+    } else {
+        let runs: Vec<&[SnapshotEntry]> = detailed.iter().map(|s| s.entries.as_slice()).collect();
+        let (rows, vsize) = merge_rows(runs).ok_or(AuditError::UnsortedSnapshotRows { time })?;
+        let merged = MempoolSnapshot::from_shared(time, Arc::new(rows), vsize);
+        if detailed.iter().all(|s| s.is_truncated()) {
+            // Every dump was cut off, so the union is still a cut view.
+            merged.mark_truncated()
+        } else {
+            merged
+        }
+    };
+    Ok(if contributors.iter().all(|s| s.is_degraded()) { snap.mark_degraded() } else { snap })
+}
+
+/// K-way merge of txid-sorted row runs (roster order) into one strictly
+/// ascending run, returned with its summed vsize.
+///
+/// All rows carrying a txid fold into one: the first run holding it, and
+/// that run's first such row, supply fee and vsize; `received` is the
+/// minimum over the rows (the earliest sighting is the best bound on
+/// broadcast time) and `has_unconfirmed_parent` their OR (CPFP candidacy
+/// stays flagged if anyone saw the parent unconfirmed, conservative for
+/// §4.2.1). Returns `None` when the output would not strictly ascend,
+/// which happens exactly when some run has a descent.
+fn merge_rows(mut heads: Vec<&[SnapshotEntry]>) -> Option<(Vec<SnapshotEntry>, u64)> {
+    // Every fused row consumes at least one input row, so the union is no
+    // longer than the runs together. Contributors mostly share their rows,
+    // so twice the longest run bounds it in practice without reserving for
+    // a run repeated many times over; what the union leaves unused is
+    // handed back at the end.
+    let total: usize = heads.iter().map(|r| r.len()).sum();
+    let longest = heads.iter().map(|r| r.len()).max().unwrap_or(0);
+    let mut rows: Vec<SnapshotEntry> = Vec::with_capacity(total.min(2 * longest));
+    let mut vsize = 0;
+    loop {
+        let mut lead: Option<(usize, &SnapshotEntry)> = None;
+        for (i, run) in heads.iter().enumerate() {
+            if let Some(head) = run.first() {
+                if lead.is_none_or(|(_, best)| head.txid < best.txid) {
+                    lead = Some((i, head));
+                }
             }
         }
-        first
-    });
+        let Some((first, &head)) = lead else { break };
+        if rows.last().is_some_and(|last| last.txid >= head.txid) {
+            return None;
+        }
+        let mut row = head;
+        for run in &mut heads[first..] {
+            while let Some((e, rest)) = run.split_first() {
+                if e.txid != row.txid {
+                    break;
+                }
+                row.received = row.received.min(e.received);
+                row.has_unconfirmed_parent |= e.has_unconfirmed_parent;
+                *run = rest;
+            }
+        }
+        vsize += row.vsize;
+        rows.push(row);
+    }
+    rows.shrink_to_fit();
+    Some((rows, vsize))
+}
 
+/// One observer's earliest sighting per txid over its detailed snapshots.
+fn first_seen_map(view: &ObserverView) -> FastMap<Txid, Timestamp> {
+    let mut first: FastMap<Txid, Timestamp> = FastMap::default();
+    for snap in view.snapshots.iter().filter(|s| s.is_detailed()) {
+        for e in snap.entries.iter() {
+            first.entry(e.txid).and_modify(|t| *t = (*t).min(e.received)).or_insert(e.received);
+        }
+    }
+    first
+}
+
+/// Computes the cross-observer first-seen agreement statistics from the
+/// live observers' first-seen maps, merged serially in roster order.
+fn first_seen_stats(per_obs: &[FastMap<Txid, Timestamp>]) -> FirstSeenStats {
     let mut sightings: FastMap<Txid, (Timestamp, Timestamp, usize)> = FastMap::default();
-    for first in &per_obs {
+    for first in per_obs {
         for (&txid, &t) in first {
             sightings
                 .entry(txid)
@@ -286,7 +344,7 @@ fn first_seen_stats(live: &[&ObserverView], pool: Pool) -> FirstSeenStats {
     }
 
     let txs_union = sightings.len();
-    let txs_all = sightings.values().filter(|(_, _, n)| *n == live.len()).count();
+    let txs_all = sightings.values().filter(|(_, _, n)| *n == per_obs.len()).count();
     let mut spreads: Vec<u64> =
         sightings.values().filter(|(_, _, n)| *n >= 2).map(|(min, max, _)| max - min).collect();
     spreads.sort_unstable();

@@ -1,15 +1,19 @@
 //! Edge cases of cross-observer reconciliation: unanimity rules over
 //! fully degraded windows, the single-observer fast path against the
-//! general fusion path, and windows with nothing in them.
+//! general fusion path, windows with nothing in them, and rows handed
+//! over out of txid order.
 
 use cn_chain::{
     Address, Amount, Block, Chain, CoinbaseBuilder, Params, PoolMarker, Transaction, Txid,
 };
 use cn_core::{
-    audit_with_fleet, audit_with_snapshots, reconcile, AuditConfig, ChainIndex, StreamExpectation,
+    audit_with_fleet, audit_with_snapshots, reconcile, reconcile_with_pool, AuditConfig,
+    AuditError, ChainIndex, StreamExpectation,
 };
 use cn_core::reconcile::ObserverView;
 use cn_mempool::{MempoolSnapshot, SnapshotEntry};
+use cn_stats::Pool;
+use std::sync::Arc;
 
 fn entry(seed: u8, received: u64) -> SnapshotEntry {
     SnapshotEntry {
@@ -246,4 +250,65 @@ fn empty_window_stream_still_audits_the_chain() {
     assert_eq!(cov.confirmed_observed, 0);
     assert!(cov.confidence() < 1.0, "saw none of the confirmed txs");
     assert_eq!(fleet.first_seen.txs_union, 0);
+}
+
+// ---- rows out of txid order ----
+
+/// A detailed snapshot whose public `entries` were overwritten with rows
+/// in the given order, bypassing the sort every constructor performs.
+fn scrambled(time: u64, seeds: &[u8]) -> MempoolSnapshot {
+    let mut snap = MempoolSnapshot::from_entries(time, Vec::new());
+    snap.entries = Arc::new(seeds.iter().map(|&s| entry(s, time - 5)).collect());
+    snap
+}
+
+#[test]
+fn unsorted_rows_refuse_with_the_window_time() {
+    let a = vec![
+        MempoolSnapshot::from_entries(15, vec![entry(1, 5), entry(2, 6)]),
+        scrambled(30, &[3, 1, 2]),
+        scrambled(45, &[4, 2]),
+    ];
+    let b = vec![
+        MempoolSnapshot::from_entries(15, vec![entry(2, 7)]),
+        MempoolSnapshot::from_entries(30, vec![entry(2, 20), entry(3, 21)]),
+        MempoolSnapshot::light(45, 2, 200),
+    ];
+    let views = [view("a", a, 3), view("b", b, 3)];
+    // The earliest offending window is named at every width, and the
+    // refusal is an error value, not a panic.
+    for workers in 1..=4 {
+        let err = reconcile_with_pool(&views, Pool::with_workers(workers))
+            .expect_err("unsorted rows refuse");
+        assert_eq!(err, AuditError::UnsortedSnapshotRows { time: 30 }, "workers={workers}");
+    }
+    assert!(reconcile(&views).expect_err("refuses").to_string().contains("30"));
+
+    // A descent in a run that is the window's only detailed contributor
+    // (the other observer only counted) is caught too.
+    let a = vec![scrambled(45, &[4, 2])];
+    let b = vec![MempoolSnapshot::light(45, 2, 200)];
+    let err = reconcile(&[view("a", a, 1), view("b", b, 1)]).expect_err("refuses");
+    assert_eq!(err, AuditError::UnsortedSnapshotRows { time: 45 });
+
+    // Equal txids in a row are sorted, not scrambled: they fold together.
+    let a = vec![scrambled(15, &[1, 1, 2])];
+    let b = vec![MempoolSnapshot::from_entries(15, vec![entry(2, 3)])];
+    let fleet = reconcile(&[view("a", a, 1), view("b", b, 1)]).expect("sorted with repeats");
+    assert_eq!(fleet.fused[0].len(), 2);
+    assert_eq!(fleet.fused[0].entries[1].received, 3, "earliest sighting of tx2");
+}
+
+#[test]
+fn unsorted_rows_refuse_the_fleet_audit() {
+    let (chain, snapshots) = sample_world();
+    let index = ChainIndex::build(&chain);
+    let mut damaged = snapshots.clone();
+    let mut rows = damaged[2].entries.as_ref().clone();
+    rows.reverse();
+    damaged[2].entries = Arc::new(rows);
+    let views = [view("healthy", snapshots, 6), view("damaged", damaged.clone(), 6)];
+    let err = audit_with_fleet(&chain, &index, &views, AuditConfig::default())
+        .expect_err("unsorted rows refuse");
+    assert_eq!(err, AuditError::UnsortedSnapshotRows { time: damaged[2].time });
 }

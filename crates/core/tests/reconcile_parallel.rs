@@ -1,86 +1,277 @@
-//! Byte-identity of parallel observer folding: `reconcile_with_pool`
-//! must produce the same fleet view at any worker count. Per-observer
-//! coverage assessment and per-window fusion run on the fork-join pool;
-//! the deterministic join keeps every field identical to the serial
-//! fold (DESIGN.md §8).
+//! Fleet fusion against its reference, at every fork-join width.
+//!
+//! `reconcile_with_pool` fuses each window with a k-way merge over the
+//! contributors' txid-sorted rows and reads `txs_observed` off its
+//! first-seen maps. The reference below is the straightforward version:
+//! a hash union of every window's rows re-sorted by txid, a full
+//! row-hashing coverage assessment per stream, and per-observer
+//! first-seen maps merged in roster order. The property asserts the two
+//! agree field for field at widths 1–8 (DESIGN.md §8), over fleets with
+//! light, truncated and degraded windows, repeated window times within
+//! one observer, and duplicate txids with differing fees inside one
+//! snapshot.
 
-use cn_chain::{Amount, Txid};
-use cn_core::reconcile::{reconcile_with_pool, FleetView, ObserverView};
-use cn_core::StreamExpectation;
+use cn_chain::{Amount, FastMap, FastSet, Timestamp, Txid};
+use cn_core::reconcile::{reconcile_with_pool, FirstSeenStats, FleetView, ObserverView};
+use cn_core::{AuditError, SnapshotCoverage, StreamExpectation};
 use cn_mempool::{MempoolSnapshot, SnapshotEntry};
 use cn_stats::Pool;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
-fn entry(seed: u8, received: u64, fee: u64) -> SnapshotEntry {
-    SnapshotEntry {
-        txid: Txid::from([seed; 32]),
-        received,
-        fee: Amount::from_sat(fee),
-        vsize: 100 + (seed as u64 % 7) * 30,
-        has_unconfirmed_parent: seed.is_multiple_of(5),
+// ---- the reference ----
+
+/// Coverage by hashing every detailed row of the stream.
+fn reference_assess(
+    snapshots: &[MempoolSnapshot],
+    expected_windows: u64,
+    expected_detailed: u64,
+) -> SnapshotCoverage {
+    let detailed: Vec<&MempoolSnapshot> = snapshots.iter().filter(|s| s.is_detailed()).collect();
+    let observed: FastSet<Txid> =
+        detailed.iter().flat_map(|s| s.entries.iter().map(|e| e.txid)).collect();
+    SnapshotCoverage {
+        expected_windows,
+        present_windows: snapshots.len() as u64,
+        expected_detailed,
+        present_detailed: detailed.len() as u64,
+        truncated_detailed: detailed.iter().filter(|s| s.is_truncated()).count() as u64,
+        degraded_windows: snapshots.iter().filter(|s| s.is_degraded()).count() as u64,
+        txs_observed: observed.len(),
+        txs_confirmed: 0,
+        confirmed_observed: 0,
     }
 }
 
-fn assert_views_identical(a: &FleetView, b: &FleetView, workers: usize) {
-    assert_eq!(a.labels, b.labels, "workers={workers}");
-    assert_eq!(a.dropped, b.dropped, "workers={workers}");
-    assert_eq!(a.fused, b.fused, "workers={workers}");
-    assert_eq!(a.first_seen, b.first_seen, "workers={workers}");
-    assert_eq!(a.expectation, b.expectation, "workers={workers}");
-    assert_eq!(a.per_observer.len(), b.per_observer.len(), "workers={workers}");
-    for (ca, cb) in a.per_observer.iter().zip(&b.per_observer) {
-        assert_eq!(ca.confidence(), cb.confidence(), "workers={workers}");
-        assert_eq!(ca.degraded_windows, cb.degraded_windows, "workers={workers}");
+/// Window-by-window union. Contributors are bucketed by time in roster
+/// order (then stream order), and rows are folded in that order: the
+/// first row of a txid supplies fee and vsize, later rows lower
+/// `received` to their minimum and OR `has_unconfirmed_parent` in.
+fn reference_fuse(live: &[&ObserverView]) -> Vec<MempoolSnapshot> {
+    if let [solo] = live {
+        return solo.snapshots.clone();
     }
-    assert_eq!(a.coverage.confidence(), b.coverage.confidence(), "workers={workers}");
-    assert_eq!(a.render(), b.render(), "workers={workers}");
+    let mut by_time: BTreeMap<Timestamp, Vec<&MempoolSnapshot>> = BTreeMap::new();
+    for view in live {
+        for snap in &view.snapshots {
+            by_time.entry(snap.time).or_default().push(snap);
+        }
+    }
+    by_time
+        .into_iter()
+        .map(|(time, contributors)| {
+            let detailed: Vec<&&MempoolSnapshot> =
+                contributors.iter().filter(|s| s.is_detailed()).collect();
+            let snap = if detailed.is_empty() {
+                let count = contributors.iter().map(|s| s.len()).max().unwrap_or(0);
+                let vsize = contributors.iter().map(|s| s.total_vsize()).max().unwrap_or(0);
+                MempoolSnapshot::light(time, count, vsize)
+            } else {
+                let mut rows: FastMap<Txid, SnapshotEntry> = FastMap::default();
+                for s in &detailed {
+                    for e in s.entries.iter() {
+                        rows.entry(e.txid)
+                            .and_modify(|kept| {
+                                kept.received = kept.received.min(e.received);
+                                kept.has_unconfirmed_parent |= e.has_unconfirmed_parent;
+                            })
+                            .or_insert(*e);
+                    }
+                }
+                let merged = MempoolSnapshot::from_entries(time, rows.into_values().collect());
+                if detailed.iter().all(|s| s.is_truncated()) {
+                    merged.truncate_detail(1.0)
+                } else {
+                    merged
+                }
+            };
+            if contributors.iter().all(|s| s.is_degraded()) {
+                snap.mark_degraded()
+            } else {
+                snap
+            }
+        })
+        .collect()
 }
 
-/// Strategy: a fleet of 1–4 observers, each with 0–8 snapshot windows of
-/// 0–5 rows; some rows shared across observers (same seed byte) with
-/// differing first-seen stamps, some windows degraded.
-fn fleet_strategy() -> impl Strategy<Value = Vec<ObserverView>> {
-    let entry_s = (0u8..40, 0u64..5_000, 1_000u64..300_000)
-        .prop_map(|(seed, received, fee)| entry(seed, received, fee));
-    let window_s = (0u64..8, proptest::collection::vec(entry_s, 0..5), any::<bool>()).prop_map(
-        |(w, entries, degraded)| {
-            let snap = MempoolSnapshot::from_entries(w * 600 + 300, entries);
+/// Cross-observer first-seen statistics from per-observer maps.
+fn reference_first_seen(live: &[&ObserverView]) -> FirstSeenStats {
+    let mut sightings: FastMap<Txid, (Timestamp, Timestamp, usize)> = FastMap::default();
+    for view in live {
+        let mut first: FastMap<Txid, Timestamp> = FastMap::default();
+        for snap in view.snapshots.iter().filter(|s| s.is_detailed()) {
+            for e in snap.entries.iter() {
+                first
+                    .entry(e.txid)
+                    .and_modify(|t| *t = (*t).min(e.received))
+                    .or_insert(e.received);
+            }
+        }
+        for (txid, t) in first {
+            sightings
+                .entry(txid)
+                .and_modify(|(min, max, n)| {
+                    *min = (*min).min(t);
+                    *max = (*max).max(t);
+                    *n += 1;
+                })
+                .or_insert((t, t, 1));
+        }
+    }
+    let mut spreads: Vec<u64> =
+        sightings.values().filter(|(_, _, n)| *n >= 2).map(|(min, max, _)| max - min).collect();
+    spreads.sort_unstable();
+    let n = spreads.len();
+    FirstSeenStats {
+        txs_union: sightings.len(),
+        txs_all: sightings.values().filter(|(_, _, n)| *n == live.len()).count(),
+        disagreements: spreads.iter().filter(|s| **s > 0).count(),
+        mean_spread_secs: if n == 0 { 0.0 } else { spreads.iter().sum::<u64>() as f64 / n as f64 },
+        median_spread_secs: match n {
+            0 => 0.0,
+            n if n.is_multiple_of(2) => (spreads[n / 2 - 1] + spreads[n / 2]) as f64 / 2.0,
+            n => spreads[n / 2] as f64,
+        },
+        max_spread_secs: spreads.last().copied().unwrap_or(0),
+    }
+}
+
+fn reference_reconcile(views: &[ObserverView]) -> Result<FleetView, AuditError> {
+    let (live, dead): (Vec<&ObserverView>, Vec<&ObserverView>) =
+        views.iter().partition(|v| !v.snapshots.is_empty());
+    if live.is_empty() {
+        return Err(AuditError::EmptySnapshotStream);
+    }
+    let expectation = StreamExpectation {
+        windows: live.iter().map(|v| v.expectation.windows).max().unwrap_or(0),
+        detailed: live.iter().map(|v| v.expectation.detailed).max().unwrap_or(0),
+        min_coverage: live.iter().map(|v| v.expectation.min_coverage).fold(0.0, f64::max),
+    };
+    let fused = reference_fuse(&live);
+    Ok(FleetView {
+        labels: live.iter().map(|v| v.label.clone()).collect(),
+        dropped: dead.iter().map(|v| v.label.clone()).collect(),
+        per_observer: live
+            .iter()
+            .map(|v| reference_assess(&v.snapshots, v.expectation.windows, v.expectation.detailed))
+            .collect(),
+        coverage: reference_assess(&fused, expectation.windows, expectation.detailed),
+        fused,
+        first_seen: reference_first_seen(&live),
+        expectation,
+    })
+}
+
+fn assert_matches_reference(got: &FleetView, want: &FleetView, workers: usize) {
+    assert_eq!(got.labels, want.labels, "workers={workers}");
+    assert_eq!(got.dropped, want.dropped, "workers={workers}");
+    assert_eq!(got.per_observer, want.per_observer, "workers={workers}");
+    assert_eq!(got.fused, want.fused, "workers={workers}");
+    assert_eq!(got.coverage, want.coverage, "workers={workers}");
+    assert_eq!(got.first_seen, want.first_seen, "workers={workers}");
+    assert_eq!(got.expectation, want.expectation, "workers={workers}");
+    assert_eq!(got.render(), want.render(), "workers={workers}");
+}
+
+// ---- the fleets ----
+
+/// A row over a 64-txid space. Fee, vsize and the parent flag are drawn
+/// per row, so a txid repeated within a snapshot or across observers
+/// carries differing values and every fold rule is visible.
+fn entry_strategy() -> impl Strategy<Value = SnapshotEntry> {
+    (0u8..64, 0u64..5_000, 1_000u64..300_000, 60u64..400, any::<bool>()).prop_map(
+        |(seed, received, fee, vsize, parent)| SnapshotEntry {
+            txid: Txid::from([seed; 32]),
+            received,
+            fee: Amount::from_sat(fee),
+            vsize,
+            has_unconfirmed_parent: parent,
+        },
+    )
+}
+
+/// One snapshot at one of 8 window times (so an observer can repeat a
+/// time): detailed with 0–40 rows, light, or detailed and then cut by
+/// `truncate_detail` at 0, ¼, ½, ¾ or all of its rows; any of them
+/// possibly degraded.
+fn snapshot_strategy() -> impl Strategy<Value = MempoolSnapshot> {
+    (
+        0u64..8,
+        proptest::collection::vec(entry_strategy(), 0..40),
+        0u8..7,
+        0usize..60,
+        any::<bool>(),
+    )
+        .prop_map(|(w, rows, kind, light_count, degraded)| {
+            let time = w * 600 + 300;
+            let snap = match kind {
+                0 => MempoolSnapshot::light(time, light_count, light_count as u64 * 150),
+                1 => MempoolSnapshot::from_entries(time, rows),
+                cut => MempoolSnapshot::from_entries(time, rows)
+                    .truncate_detail(f64::from(cut - 2) / 4.0),
+            };
             if degraded {
                 snap.mark_degraded()
             } else {
                 snap
             }
-        },
+        })
+}
+
+/// A fleet of 1–6 observers, each with 0–8 snapshots and its own
+/// expectation; an observer with no snapshots is dropped.
+fn fleet_strategy() -> impl Strategy<Value = Vec<ObserverView>> {
+    let view_s = (
+        proptest::collection::vec(snapshot_strategy(), 0..8),
+        0u64..12,
+        0u64..12,
+        0u8..3,
     );
-    let view_s = proptest::collection::vec(window_s, 0..8);
-    proptest::collection::vec(view_s, 1..4).prop_map(|fleets| {
-        fleets
+    proptest::collection::vec(view_s, 1..=6).prop_map(|views| {
+        views
             .into_iter()
             .enumerate()
-            .map(|(i, snapshots)| ObserverView {
+            .map(|(i, (snapshots, windows, detailed, floor))| ObserverView {
                 label: format!("obs-{i}"),
                 snapshots,
-                expectation: StreamExpectation { windows: 8, detailed: 8, min_coverage: 0.0 },
+                expectation: StreamExpectation {
+                    windows,
+                    detailed: detailed.min(windows),
+                    min_coverage: f64::from(floor) / 4.0,
+                },
             })
             .collect()
     })
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn folding_is_worker_invariant(views in fleet_strategy(), workers in 2usize..=8) {
-        let serial = reconcile_with_pool(&views, Pool::with_workers(1));
-        let parallel = reconcile_with_pool(&views, Pool::with_workers(workers));
-        match (serial, parallel) {
-            (Ok(a), Ok(b)) => assert_views_identical(&a, &b, workers),
-            (Err(a), Err(b)) => prop_assert_eq!(format!("{a}"), format!("{b}")),
-            (a, b) => panic!(
-                "worker count changed the outcome: serial ok={}, parallel ok={}",
-                a.is_ok(),
-                b.is_ok()
-            ),
+    fn fusion_matches_the_reference_at_every_width(views in fleet_strategy()) {
+        let want = reference_reconcile(&views);
+        for workers in 1..=8 {
+            match (reconcile_with_pool(&views, Pool::with_workers(workers)), &want) {
+                (Ok(got), Ok(want)) => assert_matches_reference(&got, want, workers),
+                (Err(got), Err(want)) => prop_assert_eq!(&got, want),
+                (got, want) => panic!(
+                    "workers={workers}: library ok={}, reference ok={}",
+                    got.is_ok(),
+                    want.is_ok()
+                ),
+            }
         }
+    }
+
+    #[test]
+    fn assess_matches_the_reference(
+        snapshots in proptest::collection::vec(snapshot_strategy(), 0..8),
+        windows in 0u64..12,
+        detailed in 0u64..12,
+    ) {
+        prop_assert_eq!(
+            SnapshotCoverage::assess(&snapshots, windows, detailed),
+            reference_assess(&snapshots, windows, detailed)
+        );
     }
 }
