@@ -1,25 +1,20 @@
-//! Ablation: cross-block pair-counting kernels.
+//! Ablation: the cross-block pair-counting kernel against its oracle.
 //!
 //! The streaming auditor charges every sealed block against up to W
-//! window partners. This bench compares the three ways to count one
+//! window partners. This bench compares two ways to count one
 //! sealed-vs-partner pair of blocks:
 //!
-//! * `reference_quadratic` — the literal per-pair probe the kernels
+//! * `reference_quadratic` — the literal per-pair probe the kernel
 //!   replaced (every (later, earlier) row pair compared);
-//! * `sorted_merge` — arrival two-pointer + Fenwick over fee slots,
-//!   O((n+m) log n);
-//! * `bitset` — fee-descending sweep + arrival-rank bitset prefix
-//!   popcount, O(m·n/64) with a tiny constant.
+//! * `bitset` — [`count_cross_block`]: fee-descending sweep +
+//!   arrival-rank bitset prefix popcount, O(m·n/64) with a tiny constant.
 //!
 //! Regimes: block size (rows per side) × arrival overlap. `disjoint`
-//! separates the two blocks' arrival ranges (the merge kernel's Fenwick
-//! fills before most queries), `interleaved` fully mixes them (the
-//! worst case for eligibility prefixes).
+//! separates the two blocks' arrival ranges, `interleaved` fully mixes
+//! them (the worst case for eligibility prefixes).
 
 use cn_chain::{FeeRate, Timestamp};
-use cn_core::pairs::{
-    count_cross_block_bitset, count_cross_block_merge, count_cross_block_reference, BlockPairSet,
-};
+use cn_core::pairs::{count_cross_block, count_cross_block_reference, BlockPairSet};
 use cn_stats::SimRng;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -52,6 +47,11 @@ fn bench_kernels(c: &mut Criterion) {
             let earlier = BlockPairSet::new(earlier_rows.iter().copied());
             let later = BlockPairSet::new(later_rows.iter().copied());
             let label = |kernel: &str| format!("{kernel}/{overlap}");
+            assert_eq!(
+                count_cross_block(&later, &earlier, EPSILON),
+                count_cross_block_reference(&later_rows, &earlier_rows, EPSILON),
+                "kernel disagrees with the reference at n={n}/{overlap}"
+            );
 
             // The quadratic probe at n=4096 is 16.7M pair comparisons per
             // direction — keep it, that *is* the ablation.
@@ -61,14 +61,9 @@ fn bench_kernels(c: &mut Criterion) {
                 |b, (l, e)| b.iter(|| black_box(count_cross_block_reference(l, e, EPSILON))),
             );
             group.bench_with_input(
-                BenchmarkId::new(label("sorted_merge"), n),
-                &(&later, &earlier),
-                |b, (l, e)| b.iter(|| black_box(count_cross_block_merge(l, e, EPSILON))),
-            );
-            group.bench_with_input(
                 BenchmarkId::new(label("bitset"), n),
                 &(&later, &earlier),
-                |b, (l, e)| b.iter(|| black_box(count_cross_block_bitset(l, e, EPSILON))),
+                |b, (l, e)| b.iter(|| black_box(count_cross_block(l, e, EPSILON))),
             );
         }
     }

@@ -1,7 +1,7 @@
 //! Ablation: O(n²) reference vs O(n log² n) CDQ violation-pair counting.
 
 use cn_chain::FeeRate;
-use cn_core::pairs::{count_violations_cdq, count_violations_reference, PairObservation};
+use cn_core::pairs::{count_violations, count_violations_reference, PairObservation};
 use cn_stats::SimRng;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -27,7 +27,7 @@ fn bench_pairs(c: &mut Criterion) {
             b.iter(|| black_box(count_violations_reference(black_box(obs), 10)))
         });
         group.bench_with_input(BenchmarkId::new("cdq", n), &obs, |b, obs| {
-            b.iter(|| black_box(count_violations_cdq(black_box(obs), 10)))
+            b.iter(|| black_box(count_violations(black_box(obs), 10)))
         });
     }
     group.finish();

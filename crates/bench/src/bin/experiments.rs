@@ -19,18 +19,21 @@
 //! through the incremental `StreamingAuditor` the way a live auditing
 //! daemon would, printing rolling verdicts as blocks arrive and the exact
 //! on-demand verdict at the end, then records ingestion throughput and
-//! peak-RSS counters into `BENCH_pipeline.json`.
+//! peak-RSS counters into the run's performance record.
 //!
-//! Experiments run on a worker pool (one thread per available core, capped
-//! at the number of ids); output is buffered per experiment and printed in
-//! presentation order, so parallel runs are byte-identical to `--serial`
-//! runs modulo the wall-clock figures in `[... took ...]` lines. On a box
-//! with fewer than two workers the pool is skipped entirely — a plain
-//! in-thread loop produces the same bytes without paying for the queue and
-//! condvar machinery; `BENCH_pipeline.json` records which mode ran. Each
-//! run also writes `BENCH_pipeline.json` with per-dataset simulation
-//! times, per-experiment times, and total wall time — the perf trajectory
-//! every future change is measured against.
+//! Experiments run on a `cn_stats::Pool` (one worker per available core,
+//! capped at the number of ids; one worker under `--serial` or on a
+//! one-core box, which is the plain in-thread loop). Reports are joined in
+//! presentation order and printed after the join, so parallel runs are
+//! byte-identical to `--serial` runs modulo the wall-clock figures in
+//! `[... took ...]` lines; the record states which mode ran.
+//!
+//! Every run writes a performance record with per-dataset simulation
+//! times, per-experiment times, and total wall time. Only a full-suite
+//! (`all`) run writes the canonical `BENCH_pipeline.json` — the perf
+//! trajectory every future change is measured against. Named ids and
+//! `--stream` write `BENCH_pipeline.partial.json` instead, so a partial run
+//! can never overwrite the trajectory.
 //!
 //! Output is printed and mirrored to `results/<id>.txt`. With `--verify`,
 //! each freshly generated report is first compared byte-for-byte against
@@ -43,10 +46,9 @@ use cn_bench::{run_experiment, Lab, MegasimTier, StreamingBench, ALL_IDS, DATASE
 use cn_data::Scale;
 use cn_core::streaming::{interleave, StreamEvent, StreamingAuditor, StreamingConfig};
 use cn_core::StreamExpectation;
+use cn_stats::Pool;
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Serial wall time of `experiments --quick all` on the reference machine,
@@ -82,7 +84,13 @@ fn checked_in_baseline_secs() -> Option<f64> {
         .filter(|b| *b > 0.0)
 }
 
-/// One experiment's outcome, produced by a worker thread.
+/// The canonical performance record, written only by a full-suite run.
+const BENCH_RECORD: &str = "BENCH_pipeline.json";
+
+/// Where runs of named ids and `--stream` write their record.
+const BENCH_PARTIAL_RECORD: &str = "BENCH_pipeline.partial.json";
+
+/// One experiment's outcome, produced by a pool worker.
 struct Slot {
     /// `None` for an unknown id.
     report: Option<String>,
@@ -136,8 +144,9 @@ fn main() {
         let wall_started = Instant::now();
         run_stream_service(&lab);
         let total_wall = wall_started.elapsed().as_secs_f64();
-        if let Err(e) = write_bench_json(&lab, scale, "stream", 1, 1, &[], total_wall) {
-            eprintln!("warning: could not write BENCH_pipeline.json: {e}");
+        let json = bench_json(&lab, scale, "stream", 1, 1, &[], total_wall);
+        if let Err(e) = std::fs::write(BENCH_PARTIAL_RECORD, json) {
+            eprintln!("warning: could not write {BENCH_PARTIAL_RECORD}: {e}");
         }
         return;
     }
@@ -149,93 +158,37 @@ fn main() {
     let _ = std::fs::create_dir_all("results");
 
     let wall_started = Instant::now();
-    // Detected once, recorded in BENCH_pipeline.json next to the count
-    // actually used — a 1-worker record on a 16-core box is a probe bug,
-    // not a measurement.
+    // Detected once, recorded next to the width actually used — a
+    // 1-worker record on a 16-core box is a probe bug, not a measurement.
     let detected = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    // Adaptive pool: with fewer than two workers the pool's shared
-    // counter, slot mutex, and condvar buy nothing, so fall back to the
-    // plain loop a `--serial` run uses. The JSON records "serial-auto" so
-    // a trajectory reader can tell a constrained box from a deliberate
-    // serial measurement.
-    let auto_serial = !serial_flag && detected < 2;
-    let serial = serial_flag || auto_serial;
-    let mode = if serial_flag {
-        "serial"
-    } else if auto_serial {
-        "serial-auto"
-    } else {
-        "parallel"
-    };
+    let width = if serial_flag || detected < 2 { 1 } else { detected.min(ids.len()).max(1) };
+    let mode = if width == 1 { "serial" } else { "parallel" };
     // Warm all three datasets concurrently when the whole suite runs (it
     // touches all of them anyway); targeted invocations stay lazy so e.g.
     // `experiments fig1` never pays for dataset 𝒞.
-    if run_all && !serial {
+    if run_all && width > 1 {
         lab.prewarm();
     }
-    let workers = if serial { 1 } else { detected.min(ids.len()).max(1) };
 
+    // The pool joins in id order, so the reports print in presentation
+    // order whichever worker finished first.
+    let slots = Pool::with_workers(width).map(&ids, |id| {
+        let started = Instant::now();
+        let report = run_experiment(id, &lab);
+        Slot { report, elapsed: started.elapsed() }
+    });
     let mut failed = false;
     let mut verify_failures: Vec<String> = Vec::new();
     let mut experiment_secs: Vec<(String, f64)> = Vec::with_capacity(ids.len());
-    if serial {
-        // In-thread loop: same ids, same order, same bytes as the pool.
-        for id in &ids {
-            let started = Instant::now();
-            let report = run_experiment(id, &lab);
-            let slot = Slot { report, elapsed: started.elapsed() };
-            emit_report(id, slot, verify, &mut failed, &mut verify_failures, &mut experiment_secs);
-        }
-    } else {
-        // Worker pool with order-preserving output: workers claim ids
-        // from a shared counter and park finished reports in `slots`; the
-        // main thread prints slot i only after slots 0..i, so stdout
-        // matches a serial run.
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Slot>>> = Mutex::new((0..ids.len()).map(|_| None).collect());
-        let ready = Condvar::new();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= ids.len() {
-                        break;
-                    }
-                    let started = Instant::now();
-                    let report = run_experiment(&ids[i], &lab);
-                    let slot = Slot { report, elapsed: started.elapsed() };
-                    let mut guard = slots.lock().expect("slot mutex");
-                    guard[i] = Some(slot);
-                    ready.notify_all();
-                });
-            }
-            for (i, id) in ids.iter().enumerate() {
-                let slot = {
-                    let mut guard = slots.lock().expect("slot mutex");
-                    loop {
-                        if let Some(slot) = guard[i].take() {
-                            break slot;
-                        }
-                        guard = ready.wait(guard).expect("slot mutex");
-                    }
-                };
-                emit_report(
-                    id,
-                    slot,
-                    verify,
-                    &mut failed,
-                    &mut verify_failures,
-                    &mut experiment_secs,
-                );
-            }
-        });
+    for (id, slot) in ids.iter().zip(slots) {
+        emit_report(id, slot, verify, &mut failed, &mut verify_failures, &mut experiment_secs);
     }
 
     let total_wall = wall_started.elapsed().as_secs_f64();
-    if let Err(e) =
-        write_bench_json(&lab, scale, mode, detected, workers, &experiment_secs, total_wall)
-    {
-        eprintln!("warning: could not write BENCH_pipeline.json: {e}");
+    let record = if run_all { BENCH_RECORD } else { BENCH_PARTIAL_RECORD };
+    let json = bench_json(&lab, scale, mode, detected, width, &experiment_secs, total_wall);
+    if let Err(e) = std::fs::write(record, json) {
+        eprintln!("warning: could not write {record}: {e}");
     }
     if failed {
         std::process::exit(2);
@@ -295,7 +248,7 @@ fn emit_report(
 /// in arrival order, printing a rolling verdict every few blocks the way
 /// a live auditing daemon would, then takes the exact on-demand verdict
 /// (bit-identical to the batch audit) and records ingestion, throughput,
-/// and peak-RSS counters for `BENCH_pipeline.json`.
+/// and peak-RSS counters for the run's performance record.
 fn run_stream_service(lab: &Lab) {
     /// Rolling-verdict cadence, in ingested blocks.
     const REPORT_EVERY_BLOCKS: u64 = 25;
@@ -345,8 +298,9 @@ fn run_stream_service(lab: &Lab) {
     });
 }
 
-/// Emits `BENCH_pipeline.json` by hand (no JSON dependency in-tree).
-fn write_bench_json(
+/// Renders the run's performance record by hand (no JSON dependency
+/// in-tree).
+fn bench_json(
     lab: &Lab,
     scale: Scale,
     mode: &str,
@@ -354,7 +308,7 @@ fn write_bench_json(
     workers_used: usize,
     experiment_secs: &[(String, f64)],
     total_wall: f64,
-) -> std::io::Result<()> {
+) -> String {
     let mut json = String::new();
     json.push_str("{\n");
     // Schema 7: adds the `megasim` block (the scale tier's per-tier
@@ -372,9 +326,8 @@ fn write_bench_json(
     // `streaming` block (ingestion counters, replay throughput, peak
     // RSS) and the "stream" mode. Schema 3 added per-observer
     // snapshot/degraded counters, the fleet subsystem-seconds slot, and
-    // the tri-state mode (serial/serial-auto/parallel). Bump on any key
-    // change so trajectory tooling can tell versions apart without
-    // sniffing.
+    // the `mode` key (serial/parallel). Bump on any key change so
+    // trajectory tooling can tell versions apart without sniffing.
     json.push_str("  \"schema\": 7,\n");
     let scale_name = match scale {
         Scale::Quick => "quick",
@@ -592,5 +545,5 @@ fn write_bench_json(
         }
     }
     json.push_str("}\n");
-    std::fs::write("BENCH_pipeline.json", json)
+    json
 }

@@ -120,7 +120,7 @@ pub fn fig3(lab: &Lab) -> String {
     }
 
     let _ = writeln!(out, "\nFigure 3(c) — Mempool size over time (dataset A, sampled)");
-    let series = size_series(&out_a.snapshots);
+    let series = size_series(&out_a.snapshots).unwrap_or_default();
     let stride = (series.len() / 20).max(1);
     let mut table = Table::new(&["t (h)", "mempool vB", "x capacity"]);
     for (t, v) in series.iter().step_by(stride) {
@@ -135,7 +135,7 @@ pub fn fig3(lab: &Lab) -> String {
 }
 
 fn delay_records(sim: &SimOutput, index: &ChainIndex) -> Vec<DelayRecord> {
-    let first = first_seen_times(&sim.snapshots);
+    let first = first_seen_times(&sim.snapshots).unwrap_or_default();
     commit_delays(index, &first)
 }
 
@@ -270,7 +270,7 @@ pub fn fig9(lab: &Lab) -> String {
     let (out_b, _) = lab.b();
     let mut out = String::new();
     let _ = writeln!(out, "Figure 9 — Mempool size over time (dataset B, sampled)");
-    let series = size_series(&out_b.snapshots);
+    let series = size_series(&out_b.snapshots).unwrap_or_default();
     let stride = (series.len() / 20).max(1);
     let mut table = Table::new(&["t (h)", "mempool vB", "x capacity"]);
     for (t, v) in series.iter().step_by(stride) {

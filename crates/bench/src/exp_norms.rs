@@ -1,7 +1,7 @@
 //! Norm-adherence experiments: Figures 1, 6, and 7.
 
 use crate::lab::Lab;
-use cn_core::pairs::{count_violations_cdq, PairObservation};
+use cn_core::pairs::{count_violations, PairObservation};
 use cn_core::ppe::{block_ppe, chain_ppe, ppe_by_miner};
 use cn_core::report::{fmt_cdf, Table};
 use cn_core::{attribute, ChainIndex};
@@ -93,7 +93,8 @@ pub fn fig6(lab: &Lab) -> String {
                 .iter()
                 .map(|s| {
                     let obs = snapshot_observations(s, index, exclude_cpfp);
-                    count_violations_cdq(&obs, eps).fraction_of_all()
+                    // A snapshot with no eligible observations plots as 0.
+                    count_violations(&obs, eps).map_or(0.0, |stats| stats.fraction_of_all())
                 })
                 .collect();
             let e = Ecdf::new(fracs);

@@ -7,7 +7,7 @@
 //! standard audit.
 
 use crate::attribution::{attribute, Attribution};
-use crate::coverage::{SnapshotCoverage, StreamExpectation};
+use crate::coverage::{observed_txids, SnapshotCoverage, StreamExpectation};
 use crate::darkfee::miner_tx_sppes;
 use crate::error::AuditError;
 use crate::index::ChainIndex;
@@ -281,18 +281,8 @@ pub fn audit_with_snapshots(
     expectation: StreamExpectation,
     config: AuditConfig,
 ) -> Result<AuditReport, AuditError> {
-    if snapshots.is_empty() {
-        return Err(AuditError::EmptySnapshotStream);
-    }
-    let coverage = SnapshotCoverage::assess(snapshots, expectation.windows, expectation.detailed)
-        .with_chain(snapshots, index);
-    let confidence = coverage.confidence();
-    if confidence < expectation.min_coverage {
-        return Err(AuditError::InsufficientCoverage {
-            coverage: confidence,
-            required: expectation.min_coverage,
-        });
-    }
+    let coverage = SnapshotCoverage::tally(snapshots, expectation.windows, expectation.detailed)
+        .admit(&observed_txids(snapshots), index, &expectation)?;
     let mut report = audit_chain(chain, index, config);
     report.coverage = Some(coverage);
     Ok(report)

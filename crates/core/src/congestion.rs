@@ -6,20 +6,15 @@ use cn_chain::{FastMap, Timestamp, Txid};
 use cn_mempool::MempoolSnapshot;
 
 /// The Mempool-size time series in vbytes (Figures 3c and 9).
-pub fn size_series(snapshots: &[MempoolSnapshot]) -> Vec<(Timestamp, u64)> {
-    snapshots.iter().map(|s| (s.time, s.total_vsize())).collect()
-}
-
-/// Checked variant of [`size_series`]: an empty stream is an error, not
-/// an empty series — a congestion analysis over zero windows says
-/// nothing, and downstream means over it would be 0/0.
-pub fn size_series_checked(
-    snapshots: &[MempoolSnapshot],
-) -> Result<Vec<(Timestamp, u64)>, AuditError> {
+///
+/// An empty stream is an error, not an empty series: a congestion
+/// analysis over zero windows says nothing, and downstream means over it
+/// would be 0/0.
+pub fn size_series(snapshots: &[MempoolSnapshot]) -> Result<Vec<(Timestamp, u64)>, AuditError> {
     if snapshots.is_empty() {
         return Err(AuditError::EmptySnapshotStream);
     }
-    Ok(size_series(snapshots))
+    Ok(snapshots.iter().map(|s| (s.time, s.total_vsize())).collect())
 }
 
 /// Fraction of snapshots whose backlog exceeds one block capacity — the
@@ -39,7 +34,8 @@ pub fn fee_rates_by_congestion(
     snapshots: &[MempoolSnapshot],
     block_capacity: u64,
 ) -> [Vec<f64>; 4] {
-    let first = first_seen_times(snapshots);
+    // A stream without detailed rows has no first sightings to bin.
+    let Ok(first) = first_seen_times(snapshots) else { return Default::default() };
     let mut assigned: FastMap<Txid, (usize, f64)> = FastMap::default();
     for snap in snapshots {
         let bin = snap.congestion_bin(block_capacity);
@@ -81,7 +77,8 @@ mod tests {
             MempoolSnapshot::from_entries(15, vec![entry(1, 10, 400, 800)]),
             MempoolSnapshot::from_entries(30, vec![]),
         ];
-        assert_eq!(size_series(&snaps), vec![(15, 400), (30, 0)]);
+        assert_eq!(size_series(&snaps), Ok(vec![(15, 400), (30, 0)]));
+        assert_eq!(size_series(&[]), Err(AuditError::EmptySnapshotStream));
     }
 
     #[test]

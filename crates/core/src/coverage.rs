@@ -7,10 +7,21 @@
 //! a gappy stream as complete understates violation counts and commit
 //! delays without any visible warning. Coverage makes the damage a
 //! first-class, reportable number.
+//!
+//! This module is the only place that counts snapshot windows and decides
+//! whether a snapshot audit may report. The batch audit
+//! ([`crate::auditor::audit_with_snapshots`]) folds a whole stream with
+//! `tally`; the streaming auditor ([`crate::streaming::StreamingAuditor`])
+//! applies the same per-snapshot `count` as each snapshot arrives. Both
+//! then pass one gate, `admit`, which joins the observed txids to the
+//! chain and refuses an empty stream or a stream below the coverage
+//! floor, so batch and streaming audits cannot disagree on a count or a
+//! refusal.
 
+use crate::error::AuditError;
 use crate::index::ChainIndex;
+use cn_chain::{FastSet, Txid};
 use cn_mempool::MempoolSnapshot;
-use cn_chain::FastSet;
 
 /// How complete a snapshot stream is relative to what the observer was
 /// supposed to record, plus how much of the confirmed chain it saw.
@@ -48,9 +59,8 @@ impl SnapshotCoverage {
         expected_windows: u64,
         expected_detailed: u64,
     ) -> SnapshotCoverage {
-        let observed: FastSet<_> = snapshots.iter().flat_map(|s| s.observed_txids()).collect();
         SnapshotCoverage {
-            txs_observed: observed.len(),
+            txs_observed: observed_txids(snapshots).len(),
             ..SnapshotCoverage::tally(snapshots, expected_windows, expected_detailed)
         }
     }
@@ -64,31 +74,71 @@ impl SnapshotCoverage {
         expected_windows: u64,
         expected_detailed: u64,
     ) -> SnapshotCoverage {
-        let detailed = snapshots.iter().filter(|s| s.is_detailed());
-        SnapshotCoverage {
+        let mut coverage = SnapshotCoverage {
             expected_windows,
-            present_windows: snapshots.len() as u64,
+            present_windows: 0,
             expected_detailed,
-            present_detailed: detailed.clone().count() as u64,
-            truncated_detailed: detailed.filter(|s| s.is_truncated()).count() as u64,
-            degraded_windows: snapshots.iter().filter(|s| s.is_degraded()).count() as u64,
+            present_detailed: 0,
+            truncated_detailed: 0,
+            degraded_windows: 0,
             txs_observed: 0,
             txs_confirmed: 0,
             confirmed_observed: 0,
+        };
+        for snap in snapshots {
+            coverage.count(snap);
         }
+        coverage
+    }
+
+    /// Counts one arrived snapshot window: present, detailed, truncated
+    /// (detailed only) and degraded.
+    pub(crate) fn count(&mut self, snap: &MempoolSnapshot) {
+        self.present_windows += 1;
+        if snap.is_detailed() {
+            self.present_detailed += 1;
+            self.truncated_detailed += u64::from(snap.is_truncated());
+        }
+        self.degraded_windows += u64::from(snap.is_degraded());
     }
 
     /// Fills the chain-side fields: how many confirmed transactions the
     /// stream saw pending before they committed.
-    pub fn with_chain(mut self, snapshots: &[MempoolSnapshot], index: &ChainIndex) -> Self {
-        let observed: FastSet<_> = snapshots
-            .iter()
-            .filter(|s| s.is_detailed())
-            .flat_map(|s| s.entries.iter().map(|e| e.txid))
-            .collect();
+    pub fn with_chain(self, snapshots: &[MempoolSnapshot], index: &ChainIndex) -> Self {
+        self.join_chain(&observed_txids(snapshots), index)
+    }
+
+    fn join_chain(mut self, observed: &FastSet<Txid>, index: &ChainIndex) -> Self {
         self.txs_confirmed = index.tx_count();
         self.confirmed_observed = observed.iter().filter(|t| index.record(t).is_some()).count();
         self
+    }
+
+    /// The refusal gate of every snapshot audit. Completes the counted
+    /// windows with the distinct `observed` txids joined against the
+    /// chain, then refuses with [`AuditError::EmptySnapshotStream`] when
+    /// no window arrived at all, or with
+    /// [`AuditError::InsufficientCoverage`] when confidence falls below
+    /// the expectation's floor. Otherwise returns the finished block.
+    pub(crate) fn admit(
+        self,
+        observed: &FastSet<Txid>,
+        index: &ChainIndex,
+        expectation: &StreamExpectation,
+    ) -> Result<SnapshotCoverage, AuditError> {
+        if self.present_windows == 0 {
+            return Err(AuditError::EmptySnapshotStream);
+        }
+        let coverage =
+            SnapshotCoverage { txs_observed: observed.len(), ..self }.join_chain(observed, index);
+        let confidence = coverage.confidence();
+        if confidence < expectation.min_coverage {
+            return Err(AuditError::InsufficientCoverage {
+                coverage: confidence,
+                required: expectation.min_coverage,
+            });
+        }
+        Ok(coverage)
     }
 
     /// Fraction of expected snapshot windows present, in `[0, 1]`.
@@ -204,6 +254,11 @@ impl StreamExpectation {
         self.min_coverage = floor;
         self
     }
+}
+
+/// The distinct txids listed by a stream's detailed snapshots.
+pub(crate) fn observed_txids(snapshots: &[MempoolSnapshot]) -> FastSet<Txid> {
+    snapshots.iter().flat_map(|s| s.observed_txids()).collect()
 }
 
 fn ratio(num: u64, den: u64) -> f64 {

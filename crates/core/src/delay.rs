@@ -11,11 +11,13 @@ use cn_chain::{FastMap, FeeRate, Timestamp, Txid};
 use cn_mempool::MempoolSnapshot;
 use std::collections::HashMap;
 
-/// Checked variant of [`first_seen_times`] for pipelines over possibly
-/// degraded streams: distinguishes "nothing was recorded" and "only
-/// aggregates were recorded" — both of which the unchecked variant
-/// silently maps to an empty join — from a genuinely empty result.
-pub fn first_seen_times_checked(
+/// First time each transaction was observed across a snapshot stream.
+///
+/// Refuses a stream where nothing was recorded
+/// ([`AuditError::EmptySnapshotStream`]) or only aggregates were
+/// ([`AuditError::NoDetailedSnapshots`]), so a damaged stream is not
+/// mistaken for one where no transaction was pending.
+pub fn first_seen_times(
     snapshots: &[MempoolSnapshot],
 ) -> Result<FastMap<Txid, Timestamp>, AuditError> {
     if snapshots.is_empty() {
@@ -24,11 +26,6 @@ pub fn first_seen_times_checked(
     if !snapshots.iter().any(|s| s.is_detailed()) {
         return Err(AuditError::NoDetailedSnapshots);
     }
-    Ok(first_seen_times(snapshots))
-}
-
-/// First time each transaction was observed across a snapshot stream.
-pub fn first_seen_times(snapshots: &[MempoolSnapshot]) -> FastMap<Txid, Timestamp> {
     let mut map: FastMap<Txid, Timestamp> = FastMap::default();
     for snap in snapshots {
         for entry in snap.entries.iter() {
@@ -37,7 +34,7 @@ pub fn first_seen_times(snapshots: &[MempoolSnapshot]) -> FastMap<Txid, Timestam
                 .or_insert(entry.received);
         }
     }
-    map
+    Ok(map)
 }
 
 /// One transaction's delay record.
@@ -136,9 +133,12 @@ mod tests {
     fn first_seen_takes_minimum() {
         let a = Txid::from([1; 32]);
         let snaps = vec![snapshot(30, &[(a, 25)]), snapshot(45, &[(a, 25)])];
-        let seen = first_seen_times(&snaps);
+        let seen = first_seen_times(&snaps).expect("detailed snapshots");
         assert_eq!(seen[&a], 25);
         assert_eq!(seen.len(), 1);
+        assert_eq!(first_seen_times(&[]), Err(AuditError::EmptySnapshotStream));
+        let light = [MempoolSnapshot::light(15, 3, 600)];
+        assert_eq!(first_seen_times(&light), Err(AuditError::NoDetailedSnapshots));
     }
 
     /// Chain with block times 600, 1200, 1800; one tx per block.

@@ -89,9 +89,8 @@ pub use error::AuditError;
 pub use darkfee::{sppe_threshold_table, SppeThresholdRow};
 pub use index::{BlockInfo, ChainIndex, TxRecord};
 pub use pairs::{
-    count_cross_block, count_cross_block_bitset, count_cross_block_merge,
-    count_cross_block_reference, count_violations_cdq, count_violations_reference, BlockPairSet,
-    PairObservation, PairStats,
+    count_cross_block, count_cross_block_reference, count_violations, count_violations_reference,
+    BlockPairSet, PairObservation, PairStats,
 };
 pub use ppe::{block_ppe, chain_ppe, ppe_by_miner};
 pub use prioritization::{differential_prioritization, windowed_prioritization, DifferentialTest};
@@ -101,6 +100,6 @@ pub use reconcile::{
 pub use sppe::{sppe_for_miner, tx_sppe};
 pub use spill::{SpillError, SpilledAuditor};
 pub use streaming::{
-    interleave, DigestSegment, RollingMiner, RollingVerdict, StreamCounters, StreamEvent,
-    StreamingAuditor, StreamingConfig,
+    interleave, RollingMiner, RollingVerdict, StreamCounters, StreamEvent, StreamingAuditor,
+    StreamingConfig,
 };

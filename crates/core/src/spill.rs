@@ -6,25 +6,29 @@
 //! txid set, the address→txid log) necessarily grows with run length —
 //! the one O(chain) term its module docs concede. [`SpilledAuditor`] moves
 //! that term to disk: every `epoch_blocks` sealed heights it drains the
-//! settled digest slice ([`StreamingAuditor::drain_digest`]) and appends
-//! it, serialized with the chain's own wire primitives, to a seekable
-//! store. Push-path memory is then O(window + epoch).
+//! settled digest slice out of the wrapped auditor and appends it,
+//! serialized with the chain's own wire primitives, to a seekable store.
+//! Push-path memory is then O(window + epoch).
+//!
+//! The drain and restore hooks (`drain_digest`, `digest_view`,
+//! `verdict_with_digest` and the `DigestSegment` they exchange) are
+//! private to this crate: this module is their only user. The wrapped
+//! auditor keeps its coverage counts, its refusal gate and its poisoning,
+//! so spilling never changes what a verdict says.
 //!
 //! The exact verdict still needs the whole digest, so
 //! [`SpilledAuditor::verdict`] replays the spilled segments, rebuilds the
-//! full index/sets *transiently*, and runs
-//! [`StreamingAuditor::verdict_with_digest`] — bit-identical to an
-//! unspilled auditor's [`StreamingAuditor::verdict`] over the same events.
-//! The peak is paid once at verdict time instead of held for the whole
-//! run, and [`StreamingAuditor::rolling`] stays available throughout at
-//! its usual O(window) cost.
+//! full index/sets *transiently*, and hands them to the wrapped auditor's
+//! verdict — bit-identical to an unspilled auditor's
+//! [`StreamingAuditor::verdict`] over the same events. The peak is paid
+//! once at verdict time instead of held for the whole run, and
+//! [`StreamingAuditor::rolling`] stays available throughout at its usual
+//! O(window) cost.
 
 use crate::auditor::AuditReport;
 use crate::error::AuditError;
 use crate::index::{BlockInfo, ChainIndex, TxRecord};
-use crate::streaming::{
-    DigestSegment, RollingVerdict, StreamCounters, StreamEvent, StreamingAuditor,
-};
+use crate::streaming::{DigestSegment, RollingVerdict, StreamEvent, StreamingAuditor};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cn_chain::encode::{
     ensure_remaining, read_compact_size, read_var_bytes, write_compact_size, write_var_bytes,
@@ -114,19 +118,9 @@ impl<S: Read + Write + Seek> SpilledAuditor<S> {
         }
     }
 
-    /// The wrapped auditor (rolling state, counters, config).
+    /// The wrapped auditor (rolling state, counters, tip).
     pub fn auditor(&self) -> &StreamingAuditor {
         &self.auditor
-    }
-
-    /// Ingestion/state counters of the wrapped auditor.
-    pub fn counters(&self) -> StreamCounters {
-        self.auditor.counters()
-    }
-
-    /// Blocks ingested so far.
-    pub fn tip_blocks(&self) -> u64 {
-        self.auditor.tip_blocks()
     }
 
     /// Digest segments checkpointed so far.

@@ -7,13 +7,14 @@
 //! * [`StreamingAuditor::verdict`] — the **exact** audit. It maintains the
 //!   same digested facts the batch pipeline derives — a [`ChainIndex`]
 //!   grown block-by-block, a live UTXO view for fees and self-interest
-//!   classification, and the coverage counters of
-//!   [`SnapshotCoverage::assess`] — and then runs the *same* downstream
-//!   code ([`crate::auditor::audit_attributed`]). The result is
-//!   bit-identical to [`crate::auditor::audit_with_snapshots`] over the
-//!   final chain and snapshot set, including the refusal behavior: an
-//!   empty stream errors, and coverage below the expectation floor refuses
-//!   with [`AuditError::InsufficientCoverage`].
+//!   classification, and one [`SnapshotCoverage`] counted snapshot by
+//!   snapshot with the batch tally's own per-window step — and then runs
+//!   the *same* downstream code ([`crate::auditor::audit_attributed`])
+//!   behind the *same* coverage gate. The result is bit-identical to
+//!   [`crate::auditor::audit_with_snapshots`] over the final chain and
+//!   snapshot set, including the refusal behavior: an empty stream errors,
+//!   and coverage below the expectation floor refuses with
+//!   [`AuditError::InsufficientCoverage`].
 //! * [`StreamingAuditor::rolling`] — the **windowed** telemetry: per-miner
 //!   [`MinerAccumulator`] shards keyed by confirmation height, sealed and
 //!   merged epoch-by-epoch (the associative merge law of
@@ -191,7 +192,7 @@ struct WindowBlock {
     time: Timestamp,
     miner: Option<String>,
     rows: Vec<WindowRow>,
-    /// Eligible rows pre-sorted for the cross-block pair kernels, built
+    /// Eligible rows pre-sorted for the cross-block pair kernel, built
     /// once when this height seals and reused by every later seal that
     /// pairs against it.
     pairs: Option<BlockPairSet>,
@@ -298,11 +299,9 @@ pub struct StreamingAuditor {
     addr_txids: FastMap<Address, Vec<Txid>>,
     /// Distinct txids seen in any detailed snapshot.
     observed: FastSet<Txid>,
-    // Coverage counters, mirroring `SnapshotCoverage::assess`.
-    present_windows: u64,
-    present_detailed: u64,
-    truncated_detailed: u64,
-    degraded_windows: u64,
+    /// Window counters so far; the chain-side fields are filled at
+    /// verdict time.
+    coverage: SnapshotCoverage,
     /// Set when a pushed block failed to replay; all later verdicts refuse.
     poisoned: Option<u64>,
 
@@ -329,16 +328,14 @@ impl StreamingAuditor {
     /// A streaming auditor over a chain seeded with `seed_utxos` (the
     /// pre-genesis outputs, [`cn_chain::Chain::initial_utxos`]).
     pub fn new(seed_utxos: UtxoSet, config: StreamingConfig) -> StreamingAuditor {
+        let expectation = config.expectation;
         StreamingAuditor {
             config,
             index: ChainIndex::default(),
             utxos: seed_utxos,
             addr_txids: FastMap::default(),
             observed: FastSet::default(),
-            present_windows: 0,
-            present_detailed: 0,
-            truncated_detailed: 0,
-            degraded_windows: 0,
+            coverage: SnapshotCoverage::tally(&[], expectation.windows, expectation.detailed),
             poisoned: None,
             first_seen: FastMap::default(),
             window: BTreeMap::new(),
@@ -362,11 +359,6 @@ impl StreamingAuditor {
         self
     }
 
-    /// The configured parameters.
-    pub fn config(&self) -> &StreamingConfig {
-        &self.config
-    }
-
     /// Ingestion/state counters.
     pub fn counters(&self) -> StreamCounters {
         self.counters
@@ -378,7 +370,7 @@ impl StreamingAuditor {
     }
 
     /// Heights whose rolling state has sealed — everything below this is
-    /// settled and eligible for [`StreamingAuditor::drain_digest`].
+    /// settled and eligible for a digest drain (see [`crate::spill`]).
     pub fn sealed_blocks(&self) -> u64 {
         self.seal_frontier
     }
@@ -387,7 +379,7 @@ impl StreamingAuditor {
     /// observed-txid set, and the address→txid log. A digest-checkpointing
     /// caller appends these to its restored segments when rebuilding the
     /// full digest for [`StreamingAuditor::verdict_with_digest`].
-    pub fn digest_view(
+    pub(crate) fn digest_view(
         &self,
     ) -> (&[crate::index::BlockInfo], &FastSet<Txid>, &FastMap<Address, Vec<Txid>>) {
         (self.index.blocks(), &self.observed, &self.addr_txids)
@@ -410,16 +402,7 @@ impl StreamingAuditor {
     pub fn push_snapshot(&mut self, snap: &MempoolSnapshot) {
         self.counters.events += 1;
         self.counters.snapshots += 1;
-        self.present_windows += 1;
-        if snap.is_detailed() {
-            self.present_detailed += 1;
-            if snap.is_truncated() {
-                self.truncated_detailed += 1;
-            }
-        }
-        if snap.is_degraded() {
-            self.degraded_windows += 1;
-        }
+        self.coverage.count(snap);
         for row in snap.rows() {
             self.counters.rows_processed += 1;
             self.observed.insert(row.txid);
@@ -568,8 +551,8 @@ impl StreamingAuditor {
         // pair is a candidate when one side was seen ≥ ε earlier at a
         // strictly higher fee rate, and violating when that side
         // nevertheless confirmed later — exactly the nested scan
-        // `count_cross_block_reference` spells out; the kernels are
-        // integer-exact replacements.
+        // `count_cross_block_reference` spells out; the kernel is an
+        // integer-exact replacement.
         let sealed_set = BlockPairSet::new(
             sealed_block
                 .rows
@@ -586,7 +569,7 @@ impl StreamingAuditor {
             })
             .collect();
         // Each window comparison is independent; fan out only when the
-        // kernels have real work, otherwise thread spawn dominates.
+        // kernel has real work, otherwise thread spawn dominates.
         let work: usize =
             sealed_set.len() * partners.iter().map(|(_, p)| p.len()).sum::<usize>();
         let pool =
@@ -695,7 +678,7 @@ impl StreamingAuditor {
     /// [`StreamingAuditor::verdict`] would have produced had nothing been
     /// drained. Coverage counters, refusal semantics, and poisoning are
     /// still this auditor's own.
-    pub fn verdict_with_digest(
+    pub(crate) fn verdict_with_digest(
         &self,
         index: &ChainIndex,
         observed: &FastSet<Txid>,
@@ -704,27 +687,7 @@ impl StreamingAuditor {
         if let Some(height) = self.poisoned {
             return Err(AuditError::UnreplayableBlock { height });
         }
-        if self.counters.snapshots == 0 {
-            return Err(AuditError::EmptySnapshotStream);
-        }
-        let coverage = SnapshotCoverage {
-            expected_windows: self.config.expectation.windows,
-            present_windows: self.present_windows,
-            expected_detailed: self.config.expectation.detailed,
-            present_detailed: self.present_detailed,
-            truncated_detailed: self.truncated_detailed,
-            degraded_windows: self.degraded_windows,
-            txs_observed: observed.len(),
-            txs_confirmed: index.tx_count(),
-            confirmed_observed: observed.iter().filter(|t| index.record(t).is_some()).count(),
-        };
-        let confidence = coverage.confidence();
-        if confidence < self.config.expectation.min_coverage {
-            return Err(AuditError::InsufficientCoverage {
-                coverage: confidence,
-                required: self.config.expectation.min_coverage,
-            });
-        }
+        let coverage = self.coverage.admit(observed, index, &self.config.expectation)?;
         let attribution = attribute(index);
         // Rebuild the self-interest map from the address log: pool wallet
         // inventories are only known now (attribution is retroactive), and
@@ -766,7 +729,7 @@ impl StreamingAuditor {
     /// [`StreamingAuditor::verdict`] after a drain audits only the
     /// retained remainder. Segment contents are sorted (observed txids,
     /// address keys) so checkpoint bytes are deterministic.
-    pub fn drain_digest(&mut self) -> DigestSegment {
+    pub(crate) fn drain_digest(&mut self) -> DigestSegment {
         let blocks = self.index.drain_below(self.seal_frontier);
         let mut observed: Vec<Txid> = std::mem::take(&mut self.observed).into_iter().collect();
         observed.sort_unstable();
@@ -780,14 +743,14 @@ impl StreamingAuditor {
 /// One checkpointed slice of the chain-digest state; see
 /// [`StreamingAuditor::drain_digest`].
 #[derive(Clone, Debug, Default)]
-pub struct DigestSegment {
+pub(crate) struct DigestSegment {
     /// Indexed blocks below the seal frontier, in height order.
-    pub blocks: Vec<BlockInfo>,
+    pub(crate) blocks: Vec<BlockInfo>,
     /// Txids observed in detailed snapshots since the last drain, sorted.
-    pub observed: Vec<Txid>,
+    pub(crate) observed: Vec<Txid>,
     /// Address→confirmed-txid log entries since the last drain, sorted by
     /// address; each list is in confirmation order.
-    pub addr_txids: Vec<(Address, Vec<Txid>)>,
+    pub(crate) addr_txids: Vec<(Address, Vec<Txid>)>,
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ fn main() {
     let capacity = out.scenario.params.max_block_vsize();
 
     // Backlog over time.
-    let series = size_series(&out.snapshots);
+    let series = size_series(&out.snapshots).unwrap_or_default();
     println!(
         "\nMempool backlog: {} snapshots, congested {:.1}% of the time (paper: ~75%)",
         series.len(),
@@ -41,7 +41,7 @@ fn main() {
     }
 
     // Does bidding more help? (Figure 5.)
-    let first = first_seen_times(&out.snapshots);
+    let first = first_seen_times(&out.snapshots).unwrap_or_default();
     let records = commit_delays(&index, &first);
     let by_band = delays_by_fee_band(&records);
     println!("\ncommit delays by fee band:");

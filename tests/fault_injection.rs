@@ -2,11 +2,11 @@
 //! when disabled, must actually damage observation when enabled, and the
 //! audit pipeline must degrade — never panic — on the damaged streams.
 
-use chain_neutrality::audit::congestion::{congested_fraction, size_series, size_series_checked};
+use chain_neutrality::audit::congestion::{congested_fraction, size_series};
 use chain_neutrality::audit::coverage::{SnapshotCoverage, StreamExpectation};
-use chain_neutrality::audit::delay::{first_seen_times, first_seen_times_checked};
+use chain_neutrality::audit::delay::first_seen_times;
 use chain_neutrality::audit::error::AuditError;
-use chain_neutrality::audit::pairs::count_violations_checked;
+use chain_neutrality::audit::pairs::count_violations;
 use chain_neutrality::audit::{audit_with_snapshots, AuditConfig, ChainIndex};
 use chain_neutrality::net::FaultPlan;
 use chain_neutrality::prelude::*;
@@ -127,26 +127,23 @@ fn metric_entry_points_survive_damaged_streams() {
     scenario.faults = FaultPlan::scaled(0.9);
     let out = World::new(scenario).run();
 
-    // Unchecked paths: total functions, no panics on gapped input.
-    let _ = first_seen_times(&out.snapshots);
-    let series = size_series(&out.snapshots);
+    // Ok on the damaged-but-nonempty stream, no panics on gapped input.
+    assert!(first_seen_times(&out.snapshots).is_ok());
+    let series = size_series(&out.snapshots).expect("the damaged stream is not empty");
     assert_eq!(series.len(), out.snapshots.len());
     let frac = congested_fraction(&out.snapshots, 100_000);
     assert!((0.0..=1.0).contains(&frac));
 
-    // Checked paths: Ok on the damaged-but-nonempty stream, typed errors
-    // on the hopeless ones.
-    assert!(first_seen_times_checked(&out.snapshots).is_ok());
-    assert!(size_series_checked(&out.snapshots).is_ok());
-    assert_eq!(size_series_checked(&[]), Err(AuditError::EmptySnapshotStream));
-    assert_eq!(first_seen_times_checked(&[]).unwrap_err(), AuditError::EmptySnapshotStream);
-    assert_eq!(count_violations_checked(&[], 30).unwrap_err(), AuditError::NoDetailedSnapshots);
+    // Typed errors on the hopeless streams.
+    assert_eq!(size_series(&[]), Err(AuditError::EmptySnapshotStream));
+    assert_eq!(first_seen_times(&[]).unwrap_err(), AuditError::EmptySnapshotStream);
+    assert_eq!(count_violations(&[], 30).unwrap_err(), AuditError::NoDetailedSnapshots);
 
     // A stream of only aggregate (light) snapshots has no per-tx rows.
     let lights: Vec<MempoolSnapshot> =
         out.snapshots.iter().filter(|s| !s.is_detailed()).cloned().collect();
     assert!(!lights.is_empty());
-    assert_eq!(first_seen_times_checked(&lights).unwrap_err(), AuditError::NoDetailedSnapshots);
+    assert_eq!(first_seen_times(&lights).unwrap_err(), AuditError::NoDetailedSnapshots);
 
     // Coverage on the damaged stream stays within [0, 1] everywhere.
     let expectation = StreamExpectation::from_run(

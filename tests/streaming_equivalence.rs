@@ -5,12 +5,13 @@
 
 use chain_neutrality::audit::streaming::{interleave, StreamEvent, StreamingAuditor, StreamingConfig};
 use chain_neutrality::audit::{audit_with_snapshots, AuditError, StreamExpectation};
+use chain_neutrality::net::{AdversaryPlan, EclipseWindow};
 use chain_neutrality::prelude::*;
 use chain_neutrality::sim::congestion::CongestionProfile;
 
 /// A congested two-pool world with a self-accelerating pool, so the batch
 /// report carries real findings for the equivalence check to pin.
-fn world(seed: u64) -> SimOutput {
+fn scenario(seed: u64) -> Scenario {
     let mut scenario = Scenario::base("stream-eq", seed);
     scenario.duration = 6 * 3_600;
     scenario.params.max_block_weight = 400_000;
@@ -20,7 +21,11 @@ fn world(seed: u64) -> SimOutput {
         PoolConfig::honest("Honest", 0.6, 2),
         PoolConfig::honest("Greedy", 0.4, 2).with_behavior(PoolBehavior::SelfInterest),
     ];
-    World::new(scenario).run()
+    scenario
+}
+
+fn world(seed: u64) -> SimOutput {
+    World::new(scenario(seed)).run()
 }
 
 fn expectation(out: &SimOutput) -> StreamExpectation {
@@ -178,6 +183,59 @@ fn refusal_parity_with_batch() {
         audit_with_snapshots(&out.chain, &index, &kept, strict, AuditConfig::default());
     assert!(matches!(batch, Err(AuditError::InsufficientCoverage { .. })));
     assert_eq!(auditor.verdict(), batch);
+}
+
+#[test]
+fn faulted_stream_matches_batch_with_and_without_refusal() {
+    // Observer downtime gaps the stream, truncated dumps cut detailed
+    // snapshots short, and an eclipse stamps an hour of windows degraded;
+    // light snapshots stay in between. Batch and streaming audits must
+    // count every kind of damage the same way, down to the coverage block.
+    let mut faulted = scenario(46);
+    faulted.faults.observer.downtime_frac = 0.2;
+    faulted.faults.observer.downtime_spells = 2;
+    faulted.faults.observer.truncate_prob = 0.5;
+    faulted.faults.observer.truncate_keep_frac = 0.6;
+    faulted.adversaries = AdversaryPlan {
+        eclipses: vec![EclipseWindow { observer: 0, start_secs: 3_600, end_secs: 7_200 }],
+        ..AdversaryPlan::none()
+    };
+    let out = World::new(faulted).run();
+    assert!(out.snapshots.iter().any(|s| s.is_detailed() && s.is_truncated()));
+    assert!(out.snapshots.iter().any(|s| s.is_degraded()));
+    assert!(out.snapshots.iter().any(|s| !s.is_detailed()));
+
+    let index = ChainIndex::build(&out.chain);
+    let exp = expectation(&out);
+    let batch =
+        audit_with_snapshots(&out.chain, &index, &out.snapshots, exp, AuditConfig::default())
+            .expect("degrades without a floor");
+    let coverage = batch.coverage.expect("coverage block present");
+    assert!(coverage.present_windows < coverage.expected_windows, "downtime must gap the stream");
+    assert!(coverage.truncated_detailed > 0);
+    assert!(coverage.degraded_windows > 0);
+
+    let mut auditor = fresh_auditor(&out, exp);
+    for ev in interleave(out.chain.blocks(), &out.snapshots) {
+        auditor.push_event(&ev).expect("replays");
+    }
+    assert_eq!(auditor.verdict(), Ok(batch));
+
+    // A floor above the measured confidence: both refuse, with the same
+    // measured coverage in the error.
+    assert!(coverage.confidence() < 0.99);
+    let strict = exp.with_min_coverage(0.99);
+    let refused =
+        audit_with_snapshots(&out.chain, &index, &out.snapshots, strict, AuditConfig::default());
+    assert_eq!(
+        refused,
+        Err(AuditError::InsufficientCoverage { coverage: coverage.confidence(), required: 0.99 })
+    );
+    let mut auditor = fresh_auditor(&out, strict);
+    for ev in interleave(out.chain.blocks(), &out.snapshots) {
+        auditor.push_event(&ev).expect("replays");
+    }
+    assert_eq!(auditor.verdict(), refused);
 }
 
 #[test]
