@@ -1,4 +1,4 @@
-//! Mempool operation costs: admission, block connect, snapshotting, and
+//! Mempool operation costs: admission per node role, snapshotting, and
 //! the fee-rate-index ablation (maintained index vs re-sorting on demand).
 
 use cn_chain::{Address, Amount, Transaction, TxOut};
@@ -26,8 +26,30 @@ fn transactions(n: usize, seed: u64) -> Vec<(Transaction, Amount)> {
         .collect()
 }
 
-fn filled_pool(txs: &[(Transaction, Amount)]) -> Mempool {
+/// Primes a fresh pool the way one node role does before admission.
+type Prime = fn(&mut Mempool);
+
+/// The priming of each node role, which fixes the derived indexes every
+/// admission then keeps current: a relay reads none, a miner hub walks the
+/// ancestor-score order, an observer snapshots, and a capped observer also
+/// enforces its size limit.
+const ROLES: [(&str, Prime); 4] = [
+    ("plain", |_| {}),
+    ("miner", |pool| {
+        let _ = pool.anc_score_iter();
+    }),
+    ("observer", |pool| {
+        pool.snapshot(0);
+    }),
+    ("capped", |pool| {
+        pool.snapshot(0);
+        pool.limit_size(u64::MAX);
+    }),
+];
+
+fn filled_pool(prime: Prime, txs: &[(Transaction, Amount)]) -> Mempool {
     let mut pool = Mempool::new(MempoolPolicy::default());
+    prime(&mut pool);
     for (i, (tx, fee)) in txs.iter().enumerate() {
         pool.add(tx.clone(), *fee, i as u64).expect("distinct inputs");
     }
@@ -40,10 +62,13 @@ fn bench_mempool(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(8));
     for n in [1_000usize, 10_000] {
         let txs = transactions(n, 7);
-        group.bench_with_input(BenchmarkId::new("add_n", n), &txs, |b, txs| {
-            b.iter(|| black_box(filled_pool(txs)))
-        });
-        let pool = filled_pool(&txs);
+        for (role, prime) in ROLES {
+            let id = BenchmarkId::new(format!("add_n/{role}"), n);
+            group.bench_with_input(id, &txs, |b, txs| {
+                b.iter(|| black_box(filled_pool(prime, txs)))
+            });
+        }
+        let pool = filled_pool(|_| {}, &txs);
         group.bench_with_input(BenchmarkId::new("snapshot", n), &pool, |b, pool| {
             let mut pool = pool.clone();
             let mut t = 0u64;

@@ -7,9 +7,10 @@
 //! baseline here re-implements just that admission *bookkeeping* the way
 //! the pre-intern mempool did it: `Txid`-keyed std `HashMap`s and
 //! `HashSet` closures, hashing 32-byte keys at every hop. The interned
-//! column is the complete admission (entry allocation, fee-rate and
-//! ancestor-score index maintenance included), so the baseline is a
-//! floor for the old graph cost, not a full-system rival — the figure to
+//! column is the complete admission of a pool that has built no derived
+//! index (entry allocation and cached package scores included; the
+//! `mempool` bench's `add_n/*` rows price each index), so the baseline is
+//! a floor for the old graph cost, not a full-system rival — the figure to
 //! watch is how the two *scale* with pool size and chain depth, where
 //! the per-hop handle-vs-txid difference compounds. The workload is
 //! CPFP-heavy (≈ a third of transactions chain off a resident parent) so

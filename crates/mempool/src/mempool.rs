@@ -7,6 +7,13 @@
 //! remain (`lookup`, `spent`) use the digest-prefix hasher from
 //! [`cn_chain::fasthash`], the same trick as Bitcoin Core's
 //! `SaltedTxidHasher`.
+//!
+//! Each entry caches its ancestor and descendant package scores in every
+//! pool. The three sorted indexes derived from them (ancestor-score order,
+//! eviction order, snapshot rows) each have one reader, which builds the
+//! index on its first call; from then on every mutation keeps it current.
+//! A pool view that never assembles, evicts or snapshots never pays for
+//! the matching index.
 
 use crate::entry::{AdmissionPrecheck, MempoolEntry};
 use crate::policy::MempoolPolicy;
@@ -15,7 +22,7 @@ use cn_chain::{Amount, Block, FastMap, FeeRate, OutPoint, Timestamp, Transaction
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Why a transaction was refused admission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,8 +87,8 @@ impl TxHandle {
 
 /// Ancestor-package score key, ordered exactly like the assembler ranks
 /// candidates: cross-multiplied package fee rate, then smaller package,
-/// then earlier arrival, then txid. Iterating the pool's maintained index
-/// in reverse therefore yields candidates best-first — the order
+/// then earlier arrival, then txid. Iterating the pool's ancestor-score
+/// index in reverse therefore yields candidates best-first — the order
 /// `GetBlockTemplate`'s selection loop wants them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AncKey {
@@ -162,28 +169,30 @@ pub struct Mempool {
     free: Vec<u32>,
     /// In-pool spends, for conflict detection and confirmed-conflict eviction.
     spent: FastMap<OutPoint, u32>,
-    /// Ancestor-package score index, maintained on every add/remove/confirm
-    /// so the assembler's selection loop can walk residents best-first
-    /// without rebuilding a heap per block.
-    anc_index: BTreeSet<AncKey>,
-    /// Descendant-package fee rate index — the `-maxmempool` eviction order.
-    /// Maintained only once [`Mempool::activate_index`] has run.
-    by_desc_rate: BTreeSet<(FeeRate, Txid)>,
+    /// Ancestor-package score index, so the assembler's selection loop
+    /// walks residents best-first without rebuilding a heap per block.
+    /// Built from the cached ancestor scores by the first
+    /// [`Mempool::anc_score_iter`], kept sorted by every mutation after.
+    anc_index: OnceLock<BTreeSet<AncKey>>,
+    /// Descendant-package fee rate index — the `-maxmempool` eviction
+    /// order. Built by the first [`Mempool::limit_size`], kept after.
+    by_desc_rate: Option<BTreeSet<(FeeRate, Txid)>>,
     /// Live txid-sorted snapshot rows, so a detailed snapshot is one
     /// sort-free copy instead of a per-entry rebuild with ancestry walks.
-    /// Maintained only once [`Mempool::activate_index`] has run.
-    rows: BTreeMap<Txid, SnapshotEntry>,
+    /// Built by the first [`Mempool::snapshot`], kept after.
+    rows: Option<BTreeMap<Txid, SnapshotEntry>>,
     /// Last detailed-row dump, shared until the pool next changes.
     snapshot_cache: Option<Arc<Vec<SnapshotEntry>>>,
-    /// Whether `by_desc_rate` and `rows` are live. Both exist only for
-    /// [`Mempool::limit_size`] and [`Mempool::snapshot`]; most pool views
-    /// (miner hubs, relays) never call either, so the upkeep is deferred
-    /// until the first call that needs it. Derived state only — activating
-    /// late yields exactly the indexes incremental upkeep would have.
-    index_active: bool,
     total_vsize: u64,
     next_sequence: u64,
 }
+
+// Node views cross the fork-join pool's threads and are cloned into
+// checkpoint forks; the lazily built indexes must not cost that.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Mempool>();
+};
 
 impl Mempool {
     /// Creates an empty pool with the given policy.
@@ -261,10 +270,19 @@ impl Mempool {
         self.slot(h.0).children.iter().map(|&c| TxHandle(c))
     }
 
-    /// The maintained ancestor-score index, worst-first (reverse it for
-    /// the assembler's best-first order).
+    /// The ancestor-score index, worst-first (reverse it for the
+    /// assembler's best-first order). The first call builds it from the
+    /// cached ancestor scores; later mutations keep it sorted.
     pub fn anc_score_iter(&self) -> impl DoubleEndedIterator<Item = &AncKey> + '_ {
-        self.anc_index.iter()
+        self.anc_index
+            .get_or_init(|| {
+                self.slots
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(h, s)| s.as_ref().map(|e| Self::anc_key(e, h as u32)))
+                    .collect()
+            })
+            .iter()
     }
 
     /// Smallest resident transaction weight.
@@ -355,7 +373,6 @@ impl Mempool {
 
         let sequence = self.next_sequence;
         self.next_sequence += 1;
-        let has_parent = !parents.is_empty();
         let vsize = pre.vsize;
         self.total_vsize += vsize;
 
@@ -389,21 +406,20 @@ impl Mempool {
             if !self.slot(h).children.contains(&c) {
                 self.slot_mut(h).children.push(c);
             }
-            self.slot_mut(c).parents.push(h);
+            let child = self.slot_mut(c);
+            child.parents.push(h);
+            let child_txid = child.txid();
+            if let Some(row) = self.rows.as_mut().and_then(|rows| rows.get_mut(&child_txid)) {
+                row.has_unconfirmed_parent = true;
+            }
             reconnected = true;
         }
-        if self.index_active {
-            self.by_desc_rate.insert((FeeRate::from_fee_and_vsize(fee, vsize), txid));
-            self.rows.insert(
-                txid,
-                SnapshotEntry {
-                    txid,
-                    received: now,
-                    fee,
-                    vsize,
-                    has_unconfirmed_parent: has_parent,
-                },
-            );
+        let entry = self.slots[h as usize].as_ref().expect("just interned");
+        if let Some(index) = &mut self.by_desc_rate {
+            index.insert(Self::desc_key(entry, txid));
+        }
+        if let Some(rows) = &mut self.rows {
+            rows.insert(txid, Self::row(entry));
             self.snapshot_cache = None;
         }
         if reconnected {
@@ -448,11 +464,13 @@ impl Mempool {
         let old = Self::anc_key(entry, h);
         entry.anc_fee = fee_sat;
         entry.anc_vsize = vsize;
-        let new = Self::anc_key(entry, h);
-        if new != old {
-            self.anc_index.remove(&old);
+        if let Some(index) = self.anc_index.get_mut() {
+            let new = Self::anc_key(entry, h);
+            if new != old {
+                index.remove(&old);
+            }
+            index.insert(new);
         }
-        self.anc_index.insert(new);
     }
 
     /// Insertion-only [`Mempool::set_anc_score`] for an entry that was
@@ -464,7 +482,9 @@ impl Mempool {
         let Some(entry) = self.slots[h as usize].as_mut() else { return };
         entry.anc_fee = fee_sat;
         entry.anc_vsize = vsize;
-        self.anc_index.insert(Self::anc_key(entry, h));
+        if let Some(index) = self.anc_index.get_mut() {
+            index.insert(Self::anc_key(entry, h));
+        }
     }
 
     /// The descendant-package index key currently stored for `txid`.
@@ -473,44 +493,43 @@ impl Mempool {
     }
 
     /// Applies a delta to the descendant-package totals (and cardinality)
-    /// at `h`, re-keying the eviction index.
+    /// at `h`, re-keying the eviction index if it is built.
     fn shift_desc_score(&mut self, h: u32, dfee: i128, dvsize: i128, dcount: i64) {
-        let index_active = self.index_active;
-        let Some(entry) = self.slots[h as usize].as_mut() else { return };
-        let txid = entry.txid();
-        let old_key = Self::desc_key(entry, txid);
-        entry.desc_fee = (entry.desc_fee as i128 + dfee).max(0) as u64;
-        entry.desc_vsize = (entry.desc_vsize as i128 + dvsize).max(0) as u64;
-        entry.desc_count = (entry.desc_count as i64 + dcount).max(0) as u32;
-        let new_key = Self::desc_key(entry, txid);
-        if index_active && new_key != old_key {
-            self.by_desc_rate.remove(&old_key);
-            self.by_desc_rate.insert(new_key);
-        }
+        let Some(entry) = self.slots[h as usize].as_ref() else { return };
+        let fee = (entry.desc_fee as i128 + dfee).max(0) as u64;
+        let vsize = (entry.desc_vsize as i128 + dvsize).max(0) as u64;
+        let count = (entry.desc_count as i64 + dcount).max(0) as u32;
+        self.set_desc_score(h, fee, vsize, count);
     }
 
     /// Recomputes the descendant-package totals at `h` from the graph and
-    /// re-keys the eviction index.
+    /// re-keys the eviction index if it is built.
     fn recompute_desc_score(&mut self, h: u32) {
         let (fee, vsize, count) = self.compute_descendant_package_counted_h(h);
-        let index_active = self.index_active;
+        self.set_desc_score(h, fee.to_sat(), vsize, count);
+    }
+
+    /// Sets the descendant-package totals at `h`, re-keying the eviction
+    /// index if it is built.
+    fn set_desc_score(&mut self, h: u32, fee_sat: u64, vsize: u64, count: u32) {
         let Some(entry) = self.slots[h as usize].as_mut() else { return };
-        let txid = entry.txid();
-        let old_key = Self::desc_key(entry, txid);
-        entry.desc_fee = fee.to_sat();
+        let old_key = Self::desc_key(entry, entry.txid());
+        entry.desc_fee = fee_sat;
         entry.desc_vsize = vsize;
         entry.desc_count = count;
-        let new_key = Self::desc_key(entry, txid);
-        if index_active && new_key != old_key {
-            self.by_desc_rate.remove(&old_key);
-            self.by_desc_rate.insert(new_key);
+        if let Some(index) = &mut self.by_desc_rate {
+            let new_key = Self::desc_key(entry, old_key.1);
+            if new_key != old_key {
+                index.remove(&old_key);
+                index.insert(new_key);
+            }
         }
     }
 
     /// Recomputes the cached package scores around `h` from the graph:
     /// ancestor scores for the entry and its descendants, descendant scores
-    /// for the entry and its ancestors, and parent flags for its children.
-    /// Only needed on the rare child-before-parent reconnect.
+    /// for the entry and its ancestors. Only needed on the rare
+    /// child-before-parent reconnect.
     fn rescore_around(&mut self, h: u32) {
         let mut down = self.descendants_h(h);
         down.push(h);
@@ -523,18 +542,6 @@ impl Mempool {
         for a in up {
             self.recompute_desc_score(a);
         }
-        if self.index_active {
-            let kids: Vec<Txid> =
-                self.slot(h).children.iter().map(|&c| self.slot(c).txid()).collect();
-            for c in kids {
-                if let Some(row) = self.rows.get_mut(&c) {
-                    if !row.has_unconfirmed_parent {
-                        row.has_unconfirmed_parent = true;
-                        self.snapshot_cache = None;
-                    }
-                }
-            }
-        }
     }
 
     /// Removes one transaction (no descendant handling); returns the entry.
@@ -545,10 +552,14 @@ impl Mempool {
         let txid = entry.txid();
         self.lookup.remove(&txid);
         self.free.push(h);
-        self.anc_index.remove(&Self::anc_key(&entry, h));
-        if self.index_active {
-            self.by_desc_rate.remove(&Self::desc_key(&entry, txid));
-            self.rows.remove(&txid);
+        if let Some(index) = self.anc_index.get_mut() {
+            index.remove(&Self::anc_key(&entry, h));
+        }
+        if let Some(index) = &mut self.by_desc_rate {
+            index.remove(&Self::desc_key(&entry, txid));
+        }
+        if let Some(rows) = &mut self.rows {
+            rows.remove(&txid);
             self.snapshot_cache = None;
         }
         self.total_vsize -= entry.vsize();
@@ -563,18 +574,10 @@ impl Mempool {
         // Direct children lost a resident parent; drop the edge and
         // refresh their CPFP flag.
         for &c in &entry.children {
-            let flag = match self.slots[c as usize].as_mut() {
-                Some(ce) => {
-                    ce.parents.retain(|&p| p != h);
-                    !ce.parents.is_empty()
-                }
-                None => continue,
-            };
-            if self.index_active {
-                let child_txid = self.slot(c).txid();
-                if let Some(row) = self.rows.get_mut(&child_txid) {
-                    row.has_unconfirmed_parent = flag;
-                }
+            let Some(ce) = self.slots[c as usize].as_mut() else { continue };
+            ce.parents.retain(|&p| p != h);
+            if let Some(row) = self.rows.as_mut().and_then(|rows| rows.get_mut(&ce.txid())) {
+                row.has_unconfirmed_parent = !ce.parents.is_empty();
             }
         }
         Some(entry)
@@ -769,12 +772,17 @@ impl Mempool {
     /// each round is the transaction with the lowest descendant-package
     /// fee rate (ties by txid); it leaves together with its descendants.
     /// Returns the evicted txids in eviction order. O(log n) per victim
-    /// via the maintained descendant-rate index.
+    /// via the descendant-rate index, which the first call builds from the
+    /// cached descendant scores and later mutations keep sorted.
     pub fn limit_size(&mut self, max_vsize: u64) -> Vec<Txid> {
-        self.activate_index();
+        self.by_desc_rate.get_or_insert_with(|| {
+            self.slots.iter().flatten().map(|e| Self::desc_key(e, e.txid())).collect()
+        });
         let mut evicted = Vec::new();
         while self.total_vsize > max_vsize {
-            let Some(&(_, victim)) = self.by_desc_rate.iter().next() else { break };
+            let Some(&(_, victim)) = self.by_desc_rate.as_ref().and_then(BTreeSet::first) else {
+                break;
+            };
             evicted.extend(self.remove_with_descendants(&victim).iter().map(|e| e.txid()));
         }
         evicted
@@ -802,34 +810,15 @@ impl Mempool {
         (fee, vsize)
     }
 
-    /// Builds `by_desc_rate` and `rows` from current entries and switches
-    /// on their incremental upkeep. Both indexes are pure functions of the
-    /// entry set (descendant scores are always maintained), so a pool that
-    /// activates late holds exactly what one active from birth would.
-    fn activate_index(&mut self) {
-        if self.index_active {
-            return;
+    /// The detailed snapshot row for a resident entry.
+    fn row(entry: &MempoolEntry) -> SnapshotEntry {
+        SnapshotEntry {
+            txid: entry.txid(),
+            received: entry.received(),
+            fee: entry.fee(),
+            vsize: entry.vsize(),
+            has_unconfirmed_parent: !entry.parents.is_empty(),
         }
-        self.index_active = true;
-        self.by_desc_rate =
-            self.iter().map(|e| Self::desc_key(e, e.txid())).collect();
-        self.rows = self
-            .iter()
-            .map(|e| {
-                let txid = e.txid();
-                (
-                    txid,
-                    SnapshotEntry {
-                        txid,
-                        received: e.received(),
-                        fee: e.fee(),
-                        vsize: e.vsize(),
-                        has_unconfirmed_parent: !e.parents.is_empty(),
-                    },
-                )
-            })
-            .collect();
-        self.snapshot_cache = None;
     }
 
     /// Direct in-pool children of `txid` (one spending hop, not the full
@@ -897,16 +886,18 @@ impl Mempool {
     }
 
     /// Records the pool's full state at `now` — one paper-style dataset
-    /// row with per-transaction entries. The rows are kept live (sorted,
-    /// CPFP-flagged) by the pool, so this is a single shared-storage copy;
-    /// consecutive snapshots of an unchanged pool share one allocation.
+    /// row with per-transaction entries. The first call builds the sorted,
+    /// CPFP-flagged rows and later mutations keep them live, so each call
+    /// is a single shared-storage copy; consecutive snapshots of an
+    /// unchanged pool share one allocation.
     pub fn snapshot(&mut self, now: Timestamp) -> MempoolSnapshot {
-        self.activate_index();
+        let live = self.rows.get_or_insert_with(|| {
+            self.slots.iter().flatten().map(|e| (e.txid(), Self::row(e))).collect()
+        });
         let rows = match &self.snapshot_cache {
             Some(cached) => Arc::clone(cached),
             None => {
-                let rows: Arc<Vec<SnapshotEntry>> =
-                    Arc::new(self.rows.values().copied().collect());
+                let rows: Arc<Vec<SnapshotEntry>> = Arc::new(live.values().copied().collect());
                 self.snapshot_cache = Some(Arc::clone(&rows));
                 rows
             }
@@ -952,12 +943,22 @@ mod tests {
         Mempool::new(MempoolPolicy::default())
     }
 
-    /// The ancestor-score index must always hold exactly one key per
-    /// resident, at the entry's current (anc_fee, anc_vsize, seq), and the
-    /// cached descendant-package cardinality must match the graph.
+    /// `p` with its ancestor-score index built, so every later mutation
+    /// maintains it incrementally.
+    fn indexed(p: Mempool) -> Mempool {
+        let _ = p.anc_score_iter();
+        p
+    }
+
+    /// The incrementally kept ancestor-score index must hold exactly one
+    /// key per resident, at the entry's current (anc_fee, anc_vsize, seq),
+    /// and the cached descendant-package cardinality must match the graph.
+    /// Reading through `anc_score_iter` would build a fresh index and pass
+    /// vacuously, so the pool must have built it before its first mutation.
     fn assert_anc_index_consistent(p: &Mempool) {
-        assert_eq!(p.anc_index.len(), p.len(), "one key per resident");
-        for key in &p.anc_index {
+        let index = p.anc_index.get().expect("index built before the first mutation");
+        assert_eq!(index.len(), p.len(), "one key per resident");
+        for key in index {
             let e = p.get(&key.txid).expect("indexed txs are resident");
             assert_eq!((key.fee, key.vsize), (e.anc_fee, e.anc_vsize), "key matches entry");
             assert_eq!(key.seq, e.sequence());
@@ -973,7 +974,7 @@ mod tests {
 
     #[test]
     fn add_and_lookup() {
-        let mut p = pool();
+        let mut p = indexed(pool());
         let t = tx_with(1, 0, 1_000);
         let vsize = t.vsize();
         let txid = p.add(t, Amount::from_sat(2_000), 10).expect("accepted");
@@ -983,6 +984,34 @@ mod tests {
         assert_eq!(p.get(&txid).expect("resident").received(), 10);
         assert_eq!(p.handle_of(&txid).map(|h| h.index()), Some(0));
         assert_anc_index_consistent(&p);
+    }
+
+    #[test]
+    fn each_index_is_built_only_by_its_reader() {
+        let mut p = pool();
+        let parent = tx_with(1, 0, 50_000);
+        p.add(parent.clone(), Amount::from_sat(1_000), 0).expect("ok");
+        p.add(child_of(&parent, 40_000), Amount::from_sat(2_000), 1).expect("ok");
+        p.apply_block(&cn_chain::Block::assemble(
+            1,
+            cn_chain::BlockHash::ZERO,
+            0,
+            0,
+            cn_chain::CoinbaseBuilder::new(1)
+                .reward(Address::from_label("pool"), Amount::from_btc(6))
+                .build(),
+            vec![parent],
+        ));
+        let built = |p: &Mempool| {
+            (p.anc_index.get().is_some(), p.by_desc_rate.is_some(), p.rows.is_some())
+        };
+        assert_eq!(built(&p), (false, false, false), "mutations build nothing");
+        p.snapshot(2);
+        assert_eq!(built(&p), (false, false, true));
+        p.limit_size(u64::MAX);
+        assert_eq!(built(&p), (false, true, true));
+        assert_eq!(p.anc_score_iter().count(), 1);
+        assert_eq!(built(&p), (true, true, true));
     }
 
     #[test]
@@ -1037,7 +1066,7 @@ mod tests {
 
     #[test]
     fn ancestors_and_descendants_tracked() {
-        let mut p = pool();
+        let mut p = indexed(pool());
         let parent = tx_with(1, 0, 50_000);
         let child = child_of(&parent, 40_000);
         let grandchild = child_of(&child, 30_000);
@@ -1065,7 +1094,7 @@ mod tests {
     #[test]
     fn ancestor_package_scores_cpfp() {
         // accept_all so the deliberately underpriced parent gets in.
-        let mut p = Mempool::new(MempoolPolicy::accept_all());
+        let mut p = indexed(Mempool::new(MempoolPolicy::accept_all()));
         let parent = tx_with(1, 0, 50_000);
         let child = child_of(&parent, 40_000);
         let (pv, cv) = (parent.vsize(), child.vsize());
@@ -1083,7 +1112,7 @@ mod tests {
 
     #[test]
     fn apply_block_confirms_and_evicts_conflicts() {
-        let mut p = pool();
+        let mut p = indexed(pool());
         let confirmed = tx_with(1, 0, 1_000);
         let rival = Transaction::builder()
             .add_input_with_sizes([2; 32].into(), 0, 107, 0)
@@ -1119,7 +1148,7 @@ mod tests {
 
     #[test]
     fn remove_with_descendants_cleans_indexes() {
-        let mut p = pool();
+        let mut p = indexed(pool());
         let parent = tx_with(1, 0, 50_000);
         let child = child_of(&parent, 40_000);
         p.add(parent.clone(), Amount::from_sat(1_000), 0).expect("ok");
@@ -1176,7 +1205,7 @@ mod tests {
 
     #[test]
     fn expiry_evicts_old_entries_with_children() {
-        let mut p = pool();
+        let mut p = indexed(pool());
         let old = tx_with(1, 0, 50_000);
         let child = child_of(&old, 40_000);
         let fresh = tx_with(2, 0, 1_000);
@@ -1260,7 +1289,7 @@ mod tests {
 
     #[test]
     fn handles_recycled_after_removal() {
-        let mut p = pool();
+        let mut p = indexed(pool());
         let a = tx_with(1, 0, 1_000);
         let b = tx_with(2, 0, 1_000);
         let a_id = p.add(a, Amount::from_sat(2_000), 0).expect("ok");
@@ -1274,7 +1303,7 @@ mod tests {
 
     #[test]
     fn desc_count_tracks_adds_removes_and_reconnect() {
-        let mut p = Mempool::new(MempoolPolicy::accept_all());
+        let mut p = indexed(Mempool::new(MempoolPolicy::accept_all()));
         let parent = tx_with(1, 0, 50_000);
         let child = child_of(&parent, 40_000);
         let grandchild = child_of(&child, 30_000);
@@ -1298,7 +1327,7 @@ mod tests {
         // The same package admitted through both entry points must land in
         // identical pool state, including refusals.
         let mut via_shared = pool();
-        let mut via_pre = pool();
+        let mut via_pre = indexed(pool());
         let parent = tx_with(1, 0, 50_000);
         let child = child_of(&parent, 40_000);
         let dup = parent.clone();
@@ -1322,7 +1351,7 @@ mod tests {
         // A whole parent/child package confirms in one block while an
         // unrelated CPFP pair survives — survivor scores must match the
         // graph after the batched connect.
-        let mut p = Mempool::new(MempoolPolicy::accept_all());
+        let mut p = indexed(Mempool::new(MempoolPolicy::accept_all()));
         let parent = tx_with(1, 0, 50_000);
         let child = child_of(&parent, 40_000);
         let other = tx_with(2, 0, 50_000);
@@ -1356,7 +1385,7 @@ mod tests {
         // Child delivered before parent (out-of-order reconnect), then the
         // parent is confirmed away — the maintained index must match the
         // graph at every step.
-        let mut p = Mempool::new(MempoolPolicy::accept_all());
+        let mut p = indexed(Mempool::new(MempoolPolicy::accept_all()));
         let parent = tx_with(9, 0, 50_000);
         let child = child_of(&parent, 40_000);
         p.add(child.clone(), Amount::from_sat(4_000), 0).expect("orphan accepted");

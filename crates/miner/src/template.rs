@@ -340,13 +340,14 @@ impl BlockAssembler {
     /// ancestor-score index — the incremental fast path for an all-Normal
     /// template.
     ///
-    /// The pool keeps its ancestor-score index sorted across blocks
-    /// (admission, RBF, eviction, and block connect each re-key only the
-    /// affected entries), so assembly starts from an already-sorted
-    /// candidate list instead of heapifying every resident: a static
-    /// cursor walks the index best-first while a side heap carries only
-    /// entries whose remaining package score deviates from their
-    /// block-start key (an ancestor got selected). Both feeds merge under
+    /// The pool builds its ancestor-score index on the first template and
+    /// keeps it sorted across blocks after that (admission, RBF, eviction,
+    /// and block connect each re-key only the affected entries), so
+    /// assembly starts from an already-sorted candidate list instead of
+    /// heapifying every resident: a static cursor walks the index
+    /// best-first while a side heap carries only entries whose remaining
+    /// package score deviates from their block-start key (an ancestor got
+    /// selected). Both feeds merge under
     /// the exact [`HeapItem`] total order; a cursor entry whose key went
     /// stale is requeued at its true score just as the reference's
     /// stale-check requeues a popped heap copy, so the pop sequence — and
