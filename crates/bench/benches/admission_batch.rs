@@ -1,23 +1,17 @@
 //! Fan-out admission ablation: per-delivery prechecks vs the shared
-//! memoized precheck vs batched multi-pool admission.
+//! memoized precheck.
 //!
 //! The simulator's relay layer fans every broadcast to many node views.
 //! Admission splits into a node-independent prefix (txid, vsize,
 //! standalone rate, distinct prevout txids — [`AdmissionPrecheck`]) and
 //! the node-local graph work (conflict maps, ancestor closure, index
-//! maintenance). Three strategies over the same CPFP-heavy workload and
+//! maintenance). Two strategies over the same CPFP-heavy workload and
 //! the same `K` receiving pools:
 //!
 //! * `per_delivery` — `add_shared` recomputes the precheck for every
-//!   `(tx, node)` pair, the pre-batching shape.
+//!   `(tx, node)` pair, the shape before the relay memo.
 //! * `precheck_memoized` — one [`RelayPayload`] per transaction; the
 //!   first delivery populates the memo, the remaining `K - 1` reuse it.
-//! * `batched` — same memoized payloads, but the `K` disjoint pools are
-//!   fanned across the fork-join worker pool the way
-//!   `World::deliver_batch` shards same-timestamp deliveries by node
-//!   group. On a single-core host this degenerates to the memoized
-//!   column plus scheduling overhead; with cores it overlaps the
-//!   node-local graph work.
 //!
 //! The interesting figure is `per_delivery / precheck_memoized` as `K`
 //! grows: the gap is exactly the redundant prefix work the relay memo
@@ -26,7 +20,7 @@
 use cn_chain::{Address, Amount, Transaction, Txid};
 use cn_mempool::{Mempool, MempoolPolicy};
 use cn_net::RelayPayload;
-use cn_stats::{Pool, SimRng};
+use cn_stats::SimRng;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -111,35 +105,6 @@ fn bench_fanout(c: &mut Criterion) {
                         ));
                     }
                 }
-                black_box(pools.iter().map(Mempool::len).sum::<usize>())
-            })
-        });
-
-        group.bench_with_input(BenchmarkId::new("batched", n), &txs, |b, txs| {
-            let workers = Pool::auto();
-            b.iter(|| {
-                let mut pools = fresh_pools();
-                // Payloads memoized once up front, as the event loop does
-                // when it drains a same-timestamp run.
-                let payloads: Vec<RelayPayload> = txs
-                    .iter()
-                    .map(|(tx, fee)| {
-                        let p = RelayPayload::new(Arc::clone(tx), *fee);
-                        let _ = p.precheck();
-                        p
-                    })
-                    .collect();
-                let payloads_ref = &payloads;
-                workers.for_each_mut(&mut pools, |pool| {
-                    for (i, payload) in payloads_ref.iter().enumerate() {
-                        let _ = black_box(pool.add_prechecked(
-                            Arc::clone(&payload.tx),
-                            payload.fee,
-                            i as u64,
-                            payload.precheck(),
-                        ));
-                    }
-                });
                 black_box(pools.iter().map(Mempool::len).sum::<usize>())
             })
         });

@@ -311,14 +311,15 @@ fn bench_json(
 ) -> String {
     let mut json = String::new();
     json.push_str("{\n");
-    // Schema 7: adds the `megasim` block (the scale tier's per-tier
+    // Schema 8: drops the three same-timestamp delivery-batch counters
+    // from `sim_profile` (the simulator admits each delivery as it pops).
+    // Schema 7 added the `megasim` block (the scale tier's per-tier
     // simulate→log→replay counters, throughput, and `VmHWM` after replay
     // — what the CI flat-RSS ceiling gates on) and the "large" scale.
     // Schema 6 split the `mempool` subsystem-seconds slot into
     // `admission` + `eviction` (per-view block-connect eviction was
-    // previously buried in `assembly`), and added batched-admission and
-    // rebuild-reason counters (`admission_precheck_hits`,
-    // `delivery_batches`, `batched_deliveries`, `max_delivery_batch`,
+    // previously buried in `assembly`), and added the relay-memo,
+    // delivery-batch and rebuild-reason counters (`admission_precheck_hits`,
     // `rebuilds_with_{accelerate,decelerate,exclude}`). Schema 5 added
     // intra-simulation fork-join accounting — the `sim_workers` width
     // used inside each simulation, the `pregen` subsystem-seconds slot,
@@ -328,7 +329,7 @@ fn bench_json(
     // snapshot/degraded counters, the fleet subsystem-seconds slot, and
     // the `mode` key (serial/parallel). Bump on any key change so
     // trajectory tooling can tell versions apart without sniffing.
-    json.push_str("  \"schema\": 7,\n");
+    json.push_str("  \"schema\": 8,\n");
     let scale_name = match scale {
         Scale::Quick => "quick",
         Scale::Full => "full",
@@ -399,9 +400,6 @@ fn bench_json(
                     "      \"admission_precheck_hits\": {},",
                     p.admission_precheck_hits
                 );
-                let _ = writeln!(json, "      \"delivery_batches\": {},", p.delivery_batches);
-                let _ = writeln!(json, "      \"batched_deliveries\": {},", p.batched_deliveries);
-                let _ = writeln!(json, "      \"max_delivery_batch\": {},", p.max_delivery_batch);
                 let _ = writeln!(json, "      \"subsystem_seconds\": {{");
                 let _ = writeln!(json, "        \"issue\": {:.3},", p.issue);
                 let _ = writeln!(json, "        \"relay\": {:.3},", p.relay);

@@ -48,6 +48,14 @@ pub enum SpillError {
     Corrupt(DecodeError),
     /// The restored audit refused or failed.
     Audit(AuditError),
+    /// The restored block heights do not run 0, 1, 2, …: the store does
+    /// not hold the digest that was spilled into it.
+    NonContiguous {
+        /// The height the restore expected at this position.
+        expected: u64,
+        /// The height the store holds there.
+        found: u64,
+    },
 }
 
 impl fmt::Display for SpillError {
@@ -56,6 +64,9 @@ impl fmt::Display for SpillError {
             SpillError::Io(e) => write!(f, "spill store i/o: {e}"),
             SpillError::Corrupt(e) => write!(f, "corrupt spill segment: {e}"),
             SpillError::Audit(e) => write!(f, "audit: {e}"),
+            SpillError::NonContiguous { expected, found } => {
+                write!(f, "restored block height {found} where {expected} was expected")
+            }
         }
     }
 }
@@ -66,6 +77,7 @@ impl std::error::Error for SpillError {
             SpillError::Io(e) => Some(e),
             SpillError::Corrupt(e) => Some(e),
             SpillError::Audit(e) => Some(e),
+            SpillError::NonContiguous { .. } => None,
         }
     }
 }
@@ -186,7 +198,9 @@ impl<S: Read + Write + Seek> SpilledAuditor<S> {
     /// chain digest transiently (drained segments + the auditor's retained
     /// remainder), and produces the verdict an unspilled
     /// [`StreamingAuditor::verdict`] would return over the same events —
-    /// bit-identical, including refusal semantics.
+    /// bit-identical, including refusal semantics. A store that does not
+    /// decode, or whose heights do not run contiguously from 0, is refused
+    /// with a typed error.
     pub fn verdict(&mut self) -> Result<AuditReport, SpillError> {
         let mut blocks: Vec<BlockInfo> = Vec::new();
         let mut observed: FastSet<Txid> = FastSet::default();
@@ -195,8 +209,7 @@ impl<S: Read + Write + Seek> SpilledAuditor<S> {
         self.store.seek(SeekFrom::Start(0))?;
         let mut raw = vec![0u8; self.spilled_bytes as usize];
         self.store.read_exact(&mut raw)?;
-        let mut cursor = Bytes::copy_from_slice(&raw);
-        drop(raw);
+        let mut cursor = Bytes::from(raw);
         for _ in 0..self.spilled_segments {
             let len = read_compact_size(&mut cursor)?;
             ensure_remaining(&cursor, len as usize)?;
@@ -216,6 +229,14 @@ impl<S: Read + Write + Seek> SpilledAuditor<S> {
             addr_txids.entry(*addr).or_default().extend(txids.iter().copied());
         }
 
+        if let Some((expected, block)) =
+            blocks.iter().enumerate().find(|(i, b)| b.height != *i as u64)
+        {
+            return Err(SpillError::NonContiguous {
+                expected: expected as u64,
+                found: block.height,
+            });
+        }
         let index = ChainIndex::from_blocks(blocks);
         Ok(self.auditor.verdict_with_digest(&index, &observed, &addr_txids)?)
     }
@@ -471,6 +492,33 @@ mod tests {
         assert_eq!(spilled.spilled_segments(), 0);
         assert_eq!(spilled.spilled_bytes(), 0);
         assert_eq!(spilled.verdict().expect("audits"), plain.verdict().expect("audits"));
+    }
+
+    #[test]
+    fn corrupted_store_is_refused_or_audited_never_a_panic() {
+        let (chain, snapshots) = sample(16);
+        let mut spilled = SpilledAuditor::new(
+            StreamingAuditor::new(chain.initial_utxos(), config(16, 4)),
+            Cursor::new(Vec::new()),
+            3,
+        );
+        for ev in interleave(chain.blocks(), &snapshots) {
+            spilled.push_event(&ev).expect("replays");
+        }
+        spilled.verdict().expect("the intact store audits");
+        let len = spilled.store.get_ref().len();
+        assert!(len > 1_000, "store too small to exercise: {len} bytes");
+        for byte in 0..len {
+            for bit in 0..8 {
+                spilled.store.get_mut()[byte] ^= 1 << bit;
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let _ = spilled.verdict();
+                }));
+                assert!(outcome.is_ok(), "flipping bit {bit} of byte {byte} panicked the restore");
+                spilled.store.get_mut()[byte] ^= 1 << bit;
+            }
+        }
+        assert!(spilled.verdict().is_ok(), "the restored store audits again");
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! The network: roles, per-stakeholder Mempool views, flood propagation.
+//!
+//! The simulator turns [`Network::propagation_from`] into timed delivery
+//! events and admits each one into its node's view through
+//! [`Network::mempool_mut`], sharing one [`RelayPayload`] per broadcast.
 
 use crate::latency::LatencyModel;
 use crate::topology::Topology;
-use cn_chain::{Amount, Block, Timestamp, Transaction, Txid};
-use cn_mempool::{AcceptError, AdmissionPrecheck, Mempool, MempoolPolicy};
+use cn_chain::{Amount, Block, Transaction, Txid};
+use cn_mempool::{AdmissionPrecheck, Mempool, MempoolPolicy};
 use cn_stats::Pool;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -88,12 +92,6 @@ pub struct Network {
     /// latencies never change after construction, so a cached single-source
     /// run stays valid for the network's lifetime.
     propagation: Vec<OnceLock<Vec<f64>>>,
-    /// Stakeholder nodes (every node owning a Mempool), sorted once for
-    /// deterministic admission order.
-    stakeholder_order: Vec<NodeId>,
-    /// Pooled arrival buffer reused across [`Network::broadcast_tx`] calls
-    /// so a broadcast never clones the cached propagation vector.
-    arrival_scratch: Vec<f64>,
 }
 
 /// Max-heap adapter for Dijkstra's min-priority queue over f64 distances.
@@ -144,17 +142,7 @@ impl Network {
             }
         }
         let propagation = (0..topology.len()).map(|_| OnceLock::new()).collect();
-        let mut stakeholder_order: Vec<NodeId> = mempools.keys().copied().collect();
-        stakeholder_order.sort_unstable();
-        Network {
-            topology,
-            latency,
-            roles,
-            mempools,
-            propagation,
-            stakeholder_order,
-            arrival_scratch: Vec::new(),
-        }
+        Network { topology, latency, roles, mempools, propagation }
     }
 
     /// Number of nodes.
@@ -232,43 +220,6 @@ impl Network {
         })
     }
 
-    /// Broadcasts a transaction issued at `origin` at absolute time `when`
-    /// (seconds): every stakeholder Mempool sees it at `when +
-    /// first-arrival`, rounded to whole seconds. Returns, for each
-    /// stakeholder node, the arrival time and the admission outcome.
-    pub fn broadcast_tx(
-        &mut self,
-        origin: NodeId,
-        tx: Arc<Transaction>,
-        fee: Amount,
-        when: Timestamp,
-    ) -> Vec<(NodeId, Timestamp, Result<(), AcceptError>)> {
-        // Reuse the pooled buffer: `propagation_from` borrows `self`
-        // immutably while the admission loop below needs `&mut`, so the
-        // arrivals are staged through a scratch vector that persists
-        // across broadcasts instead of a fresh clone per call.
-        let mut arrivals = std::mem::take(&mut self.arrival_scratch);
-        arrivals.clear();
-        arrivals.extend_from_slice(self.propagation_from(origin));
-        // The admission prefix is node-independent: compute it once for the
-        // whole stakeholder fan-out.
-        let pre = AdmissionPrecheck::of(&tx, fee);
-        let mut results = Vec::with_capacity(self.stakeholder_order.len());
-        for i in 0..self.stakeholder_order.len() {
-            let node = self.stakeholder_order[i]; // sorted: deterministic admission order
-            let arrival = when + arrivals[node].round() as Timestamp;
-            let outcome = self
-                .mempools
-                .get_mut(&node)
-                .expect("stakeholder has a mempool")
-                .add_prechecked(Arc::clone(&tx), fee, arrival, &pre)
-                .map(|_| ());
-            results.push((node, arrival, outcome));
-        }
-        self.arrival_scratch = arrivals;
-        results
-    }
-
     /// Connects a freshly mined block on every stakeholder Mempool.
     ///
     /// Block propagation (seconds) is far shorter than the inter-block
@@ -295,18 +246,13 @@ impl Network {
             mempool.apply_block(block);
         });
     }
-
-    /// Disjoint mutable Mempool views for every stakeholder, for batched
-    /// admission fan-outs that partition work by receiving node.
-    pub fn mempools_iter_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut Mempool)> + '_ {
-        self.mempools.iter_mut().map(|(&node, mempool)| (node, mempool))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cn_chain::{Address, TxOut};
+    use cn_chain::{Address, Timestamp, TxOut};
+    use cn_mempool::AcceptError;
     use cn_stats::SimRng;
 
     fn network(observer_policy: MempoolPolicy) -> Network {
@@ -355,20 +301,19 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_delivers_with_origin_dependent_delay() {
+    fn views_admit_one_shared_payload_at_their_arrival_times() {
         let mut net = network(MempoolPolicy::default());
         let t = tx(1);
-        let fee = Amount::from_sat(t.vsize() * 10);
-        let results = net.broadcast_tx(3, Arc::clone(&t), fee, 1_000);
-        assert_eq!(results.len(), 2); // observer + hub
-        for (node, arrival, outcome) in &results {
-            assert!(*arrival >= 1_000);
-            assert!(outcome.is_ok());
-            assert!(net.mempool(*node).expect("stakeholder").contains(&t.txid()));
-            assert_eq!(
-                net.mempool(*node).expect("stakeholder").get(&t.txid()).expect("in").received(),
-                *arrival
-            );
+        let payload = RelayPayload::new(Arc::clone(&t), Amount::from_sat(t.vsize() * 10));
+        let arrivals = net.propagation_from(3).to_vec();
+        for node in [0, 5] {
+            // Observer, then hub: the second admission reuses the memo.
+            assert_eq!(payload.precheck_cached(), node == 5);
+            let arrival = 1_000 + arrivals[node].round() as Timestamp;
+            let view = net.mempool_mut(node).expect("stakeholder");
+            view.add_prechecked(Arc::clone(&payload.tx), payload.fee, arrival, payload.precheck())
+                .expect("admitted");
+            assert_eq!(view.get(&t.txid()).expect("in").received(), arrival);
         }
     }
 
@@ -376,15 +321,15 @@ mod tests {
     fn strict_observer_rejects_low_fee_while_hub_view_differs() {
         let mut net = network(MempoolPolicy::default());
         let t = tx(2);
-        let results = net.broadcast_tx(3, Arc::clone(&t), Amount::ZERO, 0);
-        for (_, _, outcome) in &results {
+        for node in [0, 5] {
+            let view = net.mempool_mut(node).expect("stakeholder");
+            let outcome = view.add_shared(Arc::clone(&t), Amount::ZERO, 0);
             assert!(matches!(outcome, Err(AcceptError::BelowMinFeeRate { .. })));
         }
-        // A no-floor observer accepts the same broadcast.
+        // A no-floor observer accepts the same transaction.
         let mut lax = network(MempoolPolicy::accept_all());
-        let results = lax.broadcast_tx(3, Arc::clone(&t), Amount::ZERO, 0);
-        let observer_outcome = &results.iter().find(|(n, _, _)| *n == 0).expect("observer").2;
-        assert!(observer_outcome.is_ok());
+        let observer = lax.mempool_mut(0).expect("observer");
+        assert!(observer.add_shared(Arc::clone(&t), Amount::ZERO, 0).is_ok());
     }
 
     #[test]
@@ -392,7 +337,10 @@ mod tests {
         let mut net = network(MempoolPolicy::default());
         let t = tx(3);
         let fee = Amount::from_sat(t.vsize() * 10);
-        net.broadcast_tx(2, Arc::clone(&t), fee, 0);
+        for node in [0, 5] {
+            let view = net.mempool_mut(node).expect("stakeholder");
+            view.add_shared(Arc::clone(&t), fee, 0).expect("admitted");
+        }
         let cb = cn_chain::CoinbaseBuilder::new(1)
             .reward(Address::from_label("p"), Amount::from_btc(6))
             .build();

@@ -1,25 +1,15 @@
-//! Deterministic event queues at millisecond resolution.
+//! The simulator's deterministic event queue, at millisecond resolution.
 //!
 //! Milliseconds keep sub-second P2P latencies ordered correctly even
 //! though the public [`cn_chain::Timestamp`] unit is seconds. Ties are
-//! broken by an insertion sequence number, so runs are reproducible no
-//! matter how events collide.
-//!
-//! Two implementations share one contract (pop order is ascending
-//! `(due, seq)`):
-//!
-//! * [`EventQueue`] — a binary heap; the reference implementation.
-//! * [`BucketQueue`] — a two-level calendar queue tuned for the
-//!   simulator's bounded latency distribution (most events land within
-//!   seconds of `now`; block finds land minutes out). The near window is
-//!   a ring of fixed-width buckets; anything beyond it overflows into a
-//!   far map and migrates in as the window advances. [`World`] runs on
-//!   this queue; a randomized property test pins it to the heap's order.
+//! broken by an insertion sequence number, so pop order is ascending
+//! `(due, seq)` and runs are reproducible no matter how events collide.
+//! [`World`] runs on [`EventQueue`], a binary heap.
 //!
 //! [`World`]: crate::world::World
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Simulation time in milliseconds.
 pub type SimMillis = u64;
@@ -99,12 +89,6 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|s| s.due)
     }
 
-    /// The next event's due time and payload without popping it — what a
-    /// batch drain inspects to decide whether the run continues.
-    pub fn peek(&self) -> Option<(SimMillis, &E)> {
-        self.heap.peek().map(|s| (s.due, &s.payload))
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -113,295 +97,6 @@ impl<E> EventQueue<E> {
     /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-}
-
-/// Near-window bucket width: 2^10 = 1024 ms. Wide enough that a relay
-/// fan-out (sub-second latencies) lands in a handful of buckets, narrow
-/// enough that a bucket rarely holds more than a few dozen events.
-const BUCKET_SHIFT: u32 = 10;
-
-/// Near-window length in buckets: ~35 simulated minutes, covering the
-/// overwhelming majority of inter-block gaps. Power of two so the ring
-/// index is a mask.
-const NEAR_BUCKETS: usize = 2_048;
-
-/// Population above which a bucket abandons its vector for a heap.
-///
-/// Simulator buckets hold a few dozen events, far below this, so the
-/// sim always runs on the vector path; only adversarially dense inputs
-/// (thousands of events compressed into one 1024 ms bucket, as in the
-/// `event_queue` bench's heavy-tail case) ever spill.
-const SPILL_THRESHOLD: usize = 256;
-
-/// One near-window bucket.
-///
-/// Two representations, chosen by population:
-///
-/// * `Small` — a vector, sorted descending by `(due, seq)` on first pop
-///   (`sorted` flag) so popping is `pop()` off the back. Once sorted,
-///   later arrivals binary-insert instead of marking the bucket dirty;
-///   the naive sort-on-demand scheme re-sorts the whole bucket on every
-///   pop under interleaved pop/schedule churn, going quadratic in the
-///   bucket population.
-/// * `Dense` — a spill min-heap (the [`Scheduled`] ordering is already
-///   reversed for min-first popping) for buckets past
-///   [`SPILL_THRESHOLD`], where per-insert `memmove` and bounded
-///   re-sorts stop being cheap. Reverts to `Small` once drained.
-enum Bucket<E> {
-    Small { items: Vec<Scheduled<E>>, sorted: bool },
-    Dense(BinaryHeap<Scheduled<E>>),
-}
-
-impl<E> Bucket<E> {
-    fn new() -> Self {
-        Bucket::Small { items: Vec::new(), sorted: false }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            Bucket::Small { items, .. } => items.is_empty(),
-            Bucket::Dense(heap) => heap.is_empty(),
-        }
-    }
-
-    fn push(&mut self, entry: Scheduled<E>) {
-        match self {
-            Bucket::Small { items, sorted } => {
-                if *sorted {
-                    // `Scheduled`'s reversed ordering sorts descending
-                    // by `(due, seq)`, so the true-prefix is everything
-                    // due later than `entry`.
-                    let at = items.partition_point(|s| *s < entry);
-                    items.insert(at, entry);
-                } else {
-                    items.push(entry);
-                }
-                self.spill_if_dense();
-            }
-            Bucket::Dense(heap) => heap.push(entry),
-        }
-    }
-
-    /// Absorbs a migrated far bucket in one batch.
-    fn absorb(&mut self, batch: Vec<Scheduled<E>>) {
-        match self {
-            Bucket::Small { items, sorted } => {
-                if items.is_empty() {
-                    *items = batch;
-                } else {
-                    items.extend(batch);
-                }
-                *sorted = false;
-                self.spill_if_dense();
-            }
-            Bucket::Dense(heap) => heap.extend(batch),
-        }
-    }
-
-    fn spill_if_dense(&mut self) {
-        if let Bucket::Small { items, .. } = self {
-            if items.len() > SPILL_THRESHOLD {
-                *self = Bucket::Dense(BinaryHeap::from(std::mem::take(items)));
-            }
-        }
-    }
-
-    /// Sorts a `Small` bucket if needed so its minimum sits at the back.
-    fn make_ready(&mut self) {
-        if let Bucket::Small { items, sorted } = self {
-            if !*sorted {
-                // Ascending in the reversed ordering = descending by
-                // `(due, seq)`: the back is the next event.
-                items.sort_unstable();
-                *sorted = true;
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        self.make_ready();
-        match self {
-            Bucket::Small { items, sorted } => {
-                let s = items.pop();
-                if items.is_empty() {
-                    // Next epoch of this ring slot starts on the cheap
-                    // unsorted-fill path.
-                    *sorted = false;
-                }
-                s
-            }
-            Bucket::Dense(heap) => {
-                let s = heap.pop();
-                if heap.is_empty() {
-                    *self = Bucket::new();
-                }
-                s
-            }
-        }
-    }
-
-    fn peek_due(&mut self) -> Option<SimMillis> {
-        self.make_ready();
-        match self {
-            Bucket::Small { items, .. } => items.last().map(|s| s.due),
-            Bucket::Dense(heap) => heap.peek().map(|s| s.due),
-        }
-    }
-
-    fn peek(&mut self) -> Option<(SimMillis, &E)> {
-        self.make_ready();
-        match self {
-            Bucket::Small { items, .. } => items.last().map(|s| (s.due, &s.payload)),
-            Bucket::Dense(heap) => heap.peek().map(|s| (s.due, &s.payload)),
-        }
-    }
-}
-
-/// A two-level calendar queue with the same contract as [`EventQueue`].
-///
-/// Events due within the near window (`NEAR_BUCKETS` buckets of
-/// `2^BUCKET_SHIFT` ms) go straight into a ring; later events wait in a
-/// far overflow map keyed by bucket index and migrate into the ring as
-/// the window slides forward. A bucket fills as an unsorted vector, is
-/// sorted once when the cursor reaches it, and absorbs late arrivals by
-/// binary insertion, so popping is `O(1)` off the back; pathologically
-/// dense buckets spill into a per-bucket heap (see [`SPILL_THRESHOLD`]).
-/// An empty near window skips directly to the earliest far bucket
-/// instead of scanning.
-pub struct BucketQueue<E> {
-    near: Vec<Bucket<E>>,
-    /// Events currently held in `near` (the ring), for skip-ahead.
-    near_len: usize,
-    /// Far overflow: absolute bucket index -> events in that bucket.
-    far: BTreeMap<u64, Vec<Scheduled<E>>>,
-    /// Absolute index of the bucket the cursor is draining; the ring
-    /// covers `[cur, cur + NEAR_BUCKETS)`.
-    cur: u64,
-    len: usize,
-    next_seq: u64,
-    now: SimMillis,
-}
-
-impl<E> Default for BucketQueue<E> {
-    fn default() -> Self {
-        BucketQueue {
-            near: (0..NEAR_BUCKETS).map(|_| Bucket::new()).collect(),
-            near_len: 0,
-            far: BTreeMap::new(),
-            cur: 0,
-            len: 0,
-            next_seq: 0,
-            now: 0,
-        }
-    }
-}
-
-impl<E> BucketQueue<E> {
-    /// Creates an empty queue at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The time of the most recently popped event.
-    pub fn now(&self) -> SimMillis {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Schedules `payload` at absolute time `due`.
-    ///
-    /// # Panics
-    /// Panics when `due` is in the past — events may not rewrite history.
-    pub fn schedule(&mut self, due: SimMillis, payload: E) {
-        assert!(due >= self.now, "event scheduled at {due} before now {}", self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let b = due >> BUCKET_SHIFT;
-        debug_assert!(b >= self.cur, "bucket {b} behind cursor {}", self.cur);
-        let entry = Scheduled { due, seq, payload };
-        if b < self.cur + NEAR_BUCKETS as u64 {
-            self.near[(b as usize) & (NEAR_BUCKETS - 1)].push(entry);
-            self.near_len += 1;
-        } else {
-            self.far.entry(b).or_default().push(entry);
-        }
-        self.len += 1;
-    }
-
-    /// Moves every far bucket that now falls inside the near window into
-    /// the ring.
-    fn migrate_far(&mut self) {
-        while let Some((&b, _)) = self.far.iter().next() {
-            if b >= self.cur + NEAR_BUCKETS as u64 {
-                break;
-            }
-            let items = self.far.remove(&b).expect("just observed");
-            self.near_len += items.len();
-            self.near[(b as usize) & (NEAR_BUCKETS - 1)].absorb(items);
-        }
-    }
-
-    /// Advances the cursor to the next non-empty bucket. Caller must
-    /// ensure the queue is non-empty.
-    fn advance_to_nonempty(&mut self) {
-        loop {
-            self.migrate_far();
-            if self.near_len == 0 {
-                // Near window dry: jump straight to the earliest far
-                // bucket (skip-ahead) and let migration pull it in.
-                let (&b, _) = self.far.iter().next().expect("non-empty queue");
-                self.cur = b;
-                continue;
-            }
-            if !self.near[(self.cur as usize) & (NEAR_BUCKETS - 1)].is_empty() {
-                return;
-            }
-            self.cur += 1;
-        }
-    }
-
-    /// Pops the next event, advancing the clock to its due time.
-    pub fn pop(&mut self) -> Option<(SimMillis, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        self.advance_to_nonempty();
-        let slot = &mut self.near[(self.cur as usize) & (NEAR_BUCKETS - 1)];
-        let s = slot.pop().expect("advance found items");
-        self.len -= 1;
-        self.near_len -= 1;
-        self.now = s.due;
-        debug_assert_eq!(s.due >> BUCKET_SHIFT, self.cur);
-        Some((s.due, s.payload))
-    }
-
-    /// The due time of the next event without popping it.
-    pub fn peek_due(&mut self) -> Option<SimMillis> {
-        if self.len == 0 {
-            return None;
-        }
-        self.advance_to_nonempty();
-        self.near[(self.cur as usize) & (NEAR_BUCKETS - 1)].peek_due()
-    }
-
-    /// The next event's due time and payload without popping it — what a
-    /// batch drain inspects to decide whether the run continues.
-    pub fn peek(&mut self) -> Option<(SimMillis, &E)> {
-        if self.len == 0 {
-            return None;
-        }
-        self.advance_to_nonempty();
-        self.near[(self.cur as usize) & (NEAR_BUCKETS - 1)].peek()
     }
 }
 
@@ -461,166 +156,5 @@ mod tests {
         q.schedule(12, 3);
         assert_eq!(q.pop(), Some((12, 3)));
         assert_eq!(q.pop(), Some((15, 2)));
-    }
-
-    #[test]
-    fn bucket_pops_in_time_order() {
-        let mut q = BucketQueue::new();
-        q.schedule(30, "c");
-        q.schedule(10, "a");
-        q.schedule(20, "b");
-        assert_eq!(q.pop(), Some((10, "a")));
-        assert_eq!(q.pop(), Some((20, "b")));
-        assert_eq!(q.now(), 20);
-        assert_eq!(q.pop(), Some((30, "c")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn bucket_ties_break_by_insertion_order() {
-        let mut q = BucketQueue::new();
-        q.schedule(5, "first");
-        q.schedule(5, "second");
-        q.schedule(5, "third");
-        assert_eq!(q.pop().expect("has").1, "first");
-        assert_eq!(q.pop().expect("has").1, "second");
-        assert_eq!(q.pop().expect("has").1, "third");
-    }
-
-    #[test]
-    fn bucket_peek_does_not_advance() {
-        let mut q = BucketQueue::new();
-        q.schedule(7, ());
-        assert_eq!(q.peek_due(), Some(7));
-        assert_eq!(q.now(), 0);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn payload_peek_matches_next_pop() {
-        let mut heap = EventQueue::new();
-        let mut bucket = BucketQueue::new();
-        for (due, p) in [(9, "b"), (3, "a"), (9, "c")] {
-            heap.schedule(due, p);
-            bucket.schedule(due, p);
-        }
-        while !bucket.is_empty() {
-            let hp = heap.peek().map(|(d, &p)| (d, p));
-            let bp = bucket.peek().map(|(d, &p)| (d, p));
-            assert_eq!(hp, bp);
-            assert_eq!(hp, heap.pop());
-            assert_eq!(bp, bucket.pop());
-        }
-        assert_eq!(bucket.peek().map(|(d, &p)| (d, p)), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "before now")]
-    fn bucket_scheduling_in_the_past_panics() {
-        let mut q = BucketQueue::new();
-        q.schedule(10, ());
-        q.pop();
-        q.schedule(5, ());
-    }
-
-    #[test]
-    fn bucket_far_overflow_round_trips() {
-        // Events far beyond the near window must come back in order.
-        let window_ms = (NEAR_BUCKETS as u64) << BUCKET_SHIFT;
-        let mut q = BucketQueue::new();
-        q.schedule(3 * window_ms, "far");
-        q.schedule(10 * window_ms, "farther");
-        q.schedule(50, "near");
-        assert_eq!(q.pop(), Some((50, "near")));
-        assert_eq!(q.pop(), Some((3 * window_ms, "far")));
-        // Scheduling relative to the new now still works.
-        q.schedule(3 * window_ms + 1, "tail");
-        assert_eq!(q.pop(), Some((3 * window_ms + 1, "tail")));
-        assert_eq!(q.pop(), Some((10 * window_ms, "farther")));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn bucket_skip_ahead_over_empty_window() {
-        // A single event many windows out must not require scanning.
-        let mut q = BucketQueue::new();
-        let due = (NEAR_BUCKETS as u64) << (BUCKET_SHIFT + 6);
-        q.schedule(due, 42u32);
-        assert_eq!(q.pop(), Some((due, 42)));
-        assert_eq!(q.now(), due);
-    }
-
-    #[test]
-    fn bucket_spill_to_dense_preserves_order() {
-        // Force one bucket past SPILL_THRESHOLD under pop/schedule churn
-        // and check the pop sequence against the reference heap.
-        let mut heap: EventQueue<u64> = EventQueue::new();
-        let mut bucket: BucketQueue<u64> = BucketQueue::new();
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        for i in 0..(3 * SPILL_THRESHOLD as u64) {
-            x = x.wrapping_mul(0xD120_0000_0001).wrapping_add(7);
-            let due = x % (1 << BUCKET_SHIFT); // all in bucket 0
-            heap.schedule(due.max(heap.now()), i);
-            bucket.schedule(due.max(bucket.now()), i);
-            if i % 5 == 0 {
-                assert_eq!(heap.pop(), bucket.pop());
-            }
-        }
-        loop {
-            let (h, b) = (heap.pop(), bucket.pop());
-            assert_eq!(h, b);
-            if h.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// The randomized equivalence property pinning [`BucketQueue`] to the
-    /// reference heap: identical schedule/pop interleavings must produce
-    /// identical pop sequences, with due-time offsets drawn from uniform
-    /// near, clustered-tie, and heavy-tailed far distributions.
-    #[test]
-    fn bucket_matches_heap_reference_randomized() {
-        use cn_stats::SimRng;
-        for seed in 0..8u64 {
-            let mut rng = SimRng::seed_from_u64(0xEBE17 + seed);
-            let mut heap: EventQueue<u64> = EventQueue::new();
-            let mut bucket: BucketQueue<u64> = BucketQueue::new();
-            let mut payload = 0u64;
-            for _ in 0..400 {
-                let burst = rng.next_below(8);
-                for _ in 0..burst {
-                    let offset = match rng.next_below(4) {
-                        // Uniform across a few near buckets.
-                        0 => rng.next_below(5_000),
-                        // Dense ties inside one bucket.
-                        1 => rng.next_below(16),
-                        // Block-find scale (minutes).
-                        2 => rng.next_below(2_000_000),
-                        // Heavy tail: up to ~2^26 ms, far beyond the window.
-                        _ => 1u64 << (6 + rng.next_below(21)),
-                    };
-                    let due = heap.now() + offset;
-                    heap.schedule(due, payload);
-                    bucket.schedule(due, payload);
-                    payload += 1;
-                }
-                let pops = rng.next_below(6);
-                for _ in 0..pops {
-                    assert_eq!(heap.pop(), bucket.pop(), "seed {seed}");
-                    assert_eq!(heap.now(), bucket.now(), "seed {seed}");
-                }
-                assert_eq!(heap.len(), bucket.len(), "seed {seed}");
-            }
-            // Drain both completely.
-            loop {
-                let (h, b) = (heap.pop(), bucket.pop());
-                assert_eq!(h, b, "seed {seed}");
-                if h.is_none() {
-                    break;
-                }
-            }
-        }
     }
 }

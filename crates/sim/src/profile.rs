@@ -57,13 +57,6 @@ pub struct SimProfile {
     /// populated by an earlier delivery of the same transaction — work
     /// shared across the fan-out instead of recomputed per node.
     pub admission_precheck_hits: u64,
-    /// Same-timestamp delivery runs drained as one multi-event batch.
-    pub delivery_batches: u64,
-    /// Deliveries handled inside multi-event batches (singletons take the
-    /// plain serial path and are not counted here).
-    pub batched_deliveries: u64,
-    /// Largest same-timestamp delivery batch drained.
-    pub max_delivery_batch: u64,
     /// Wall-clock seconds for the whole run.
     pub wall: f64,
     /// Seconds building and booking workload transactions (fee sampling,
@@ -74,9 +67,9 @@ pub struct SimProfile {
     /// Seconds scheduling deliveries through an enabled link-fault plan
     /// (loss/spike/reorder/duplicate draws dominate this path).
     pub faults: f64,
-    /// Seconds admitting deliveries into per-node Mempool views (the
-    /// `admission` half of what schema ≤ 5 reported as one `mempool`
-    /// bucket).
+    /// Seconds admitting deliveries into per-node Mempool views, one
+    /// delivery per popped event (the `admission` half of what schema ≤ 5
+    /// reported as one `mempool` bucket).
     pub admission: f64,
     /// Seconds evicting confirmed/conflicted transactions from every
     /// stakeholder view on block connect (previously buried inside

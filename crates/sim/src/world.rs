@@ -1,14 +1,14 @@
 //! The simulation runner: turns a [`Scenario`] into a chain, a snapshot
 //! stream, and ground truth.
 
-use crate::event::{BucketQueue, SimMillis};
+use crate::event::{EventQueue, SimMillis};
 use crate::profile::SimProfile;
 use crate::sink::EventSink;
 use crate::scenario::{PoolBehavior, Scenario};
 use crate::truth::{GroundTruth, TxKind};
 use crate::workload::{BuiltTx, PaymentDraws, PaymentTarget, Workload};
 use cn_chain::{Address, Amount, Chain, FastMap, FeeRate, Timestamp, Txid};
-use cn_mempool::{FeeEstimator, Mempool, MempoolPolicy, MempoolSnapshot};
+use cn_mempool::{FeeEstimator, MempoolPolicy, MempoolSnapshot};
 use cn_miner::{
     AccelerationService, AddressAccelerationPolicy, CensorPolicy, CompositePolicy, DarkFeePolicy,
     MinerPolicy, MiningPool,
@@ -172,8 +172,8 @@ pub struct World {
     /// Self-transfers issued so far (indexed-fork input; self-transfers
     /// are rare, so their draws are taken inline rather than batched).
     self_tx_count: u64,
-    /// Fork-join pool for pre-generation batches. Worker count never
-    /// affects output bytes — only wall time.
+    /// Fork-join pool for pre-generation batches and the per-view block
+    /// connect. Worker count never affects output bytes — only wall time.
     pool: Pool,
     /// Dedicated fault stream; forked unconditionally (forking never
     /// advances the parent) but only drawn from when faults are enabled,
@@ -458,7 +458,8 @@ impl World {
         WorldCheckpoint::new(&scenario).fork(scenario)
     }
 
-    /// Overrides the fork-join worker count for pre-generation batches.
+    /// Overrides the fork-join worker count for pre-generation batches and
+    /// the per-view block connect.
     ///
     /// Output bytes are identical at any width (the byte-identity property
     /// tests run the same scenario at 1 and N workers and compare
@@ -528,7 +529,7 @@ impl World {
     /// chunked path streams-and-drops, the monolithic path does nothing).
     fn run_loop(&mut self, tap: &mut dyn RunTap) {
         let horizon_ms: SimMillis = self.scenario.duration * 1_000;
-        let mut queue: BucketQueue<Ev> = BucketQueue::new();
+        let mut queue: EventQueue<Ev> = EventQueue::new();
 
         // Prime the schedule.
         if let Some(first) = self.next_user_arrival(0) {
@@ -576,26 +577,16 @@ impl World {
                 }
                 Ev::Deliver { node, payload, counted } => {
                     let t = Instant::now();
-                    // Drain the run of deliveries sharing this timestamp.
-                    // The drain stops at the first non-Deliver event so the
-                    // queue's (due, seq) pop order is preserved exactly —
-                    // a same-timestamp MineBlock scheduled between two
-                    // deliveries still fires between them.
-                    let mut batch = vec![(node, payload, counted)];
-                    loop {
-                        match queue.peek() {
-                            Some((due, Ev::Deliver { .. })) if due == now_ms => {}
-                            _ => break,
-                        }
-                        let Some((_, Ev::Deliver { node, payload, counted })) = queue.pop()
-                        else {
-                            unreachable!("peek showed a same-timestamp Deliver");
-                        };
-                        self.profile.events_popped += 1;
-                        batch.push((node, payload, counted));
+                    self.profile.deliveries += 1;
+                    // `deliver` skips admission for a tx that confirmed in
+                    // flight; filling the memo here keeps the hit count
+                    // independent of that.
+                    if payload.precheck_cached() {
+                        self.profile.admission_precheck_hits += 1;
+                    } else {
+                        let _ = payload.precheck();
                     }
-                    self.profile.deliveries += batch.len() as u64;
-                    self.deliver_batch(batch, now_ms);
+                    self.deliver(node, &payload, now_ms, counted);
                     SimProfile::credit(&mut self.profile.admission, t.elapsed());
                 }
                 Ev::MineBlock => {
@@ -815,7 +806,7 @@ impl World {
         SimProfile::credit(&mut self.profile.pregen, started.elapsed());
     }
 
-    fn issue_user_tx(&mut self, now_ms: SimMillis, queue: &mut BucketQueue<Ev>) {
+    fn issue_user_tx(&mut self, now_ms: SimMillis, queue: &mut EventQueue<Ev>) {
         // Top up the pre-generated draw queue before the issue timer
         // starts, so batch production is attributed to `pregen`, not
         // `issue`.
@@ -891,7 +882,7 @@ impl World {
         self.broadcast(built, now_ms, queue, false, draws.origin as usize);
     }
 
-    fn issue_self_tx(&mut self, pool: usize, now_ms: SimMillis, queue: &mut BucketQueue<Ev>) {
+    fn issue_self_tx(&mut self, pool: usize, now_ms: SimMillis, queue: &mut EventQueue<Ev>) {
         let issue_started = Instant::now();
         let now_secs = now_ms / 1_000;
         // Self-transfers are orders of magnitude rarer than user traffic,
@@ -958,7 +949,7 @@ impl World {
         &mut self,
         built: BuiltTx,
         now_ms: SimMillis,
-        queue: &mut BucketQueue<Ev>,
+        queue: &mut EventQueue<Ev>,
         miner_origin: bool,
         origin: usize,
     ) {
@@ -1059,119 +1050,8 @@ impl World {
         SimProfile::credit(slot, relay_started.elapsed());
     }
 
-    /// Admits one drained run of same-timestamp deliveries.
-    ///
-    /// The precheck memo on each payload is populated (or counted as a
-    /// hit) serially first, so the hit counters are width-independent.
-    /// Singleton runs — the overwhelming majority — take the plain serial
-    /// path. Multi-event runs group by receiving node (per-node pop order
-    /// preserved) and fan the disjoint node groups across the fork-join
-    /// pool: per-node mempools are independent, the chain is read-only
-    /// during the batch, and no RNG is consulted, so final state is
-    /// byte-identical to the serial interleaving at any worker count.
-    /// Delivery bookkeeping then runs serially in exact pop order.
-    fn deliver_batch(&mut self, batch: Vec<(NodeId, Arc<RelayPayload>, bool)>, now_ms: SimMillis) {
-        for (_, payload, _) in &batch {
-            if payload.precheck_cached() {
-                self.profile.admission_precheck_hits += 1;
-            } else {
-                let _ = payload.precheck();
-            }
-        }
-        if batch.len() == 1 {
-            let (node, payload, counted) = batch.into_iter().next().expect("len checked");
-            self.deliver(node, &payload, now_ms, counted);
-            return;
-        }
-        self.profile.delivery_batches += 1;
-        self.profile.batched_deliveries += batch.len() as u64;
-        self.profile.max_delivery_batch = self.profile.max_delivery_batch.max(batch.len() as u64);
-        let now_secs = now_ms / 1_000;
-
-        // Group by receiving node, preserving per-node pop order. Batches
-        // are a handful of events, so a linear group scan beats a map.
-        struct NodeGroup<'a> {
-            node: NodeId,
-            mempool: Option<&'a mut Mempool>,
-            idxs: Vec<usize>,
-            accepted: Vec<bool>,
-        }
-        let World { network, chain, pool, delivery_state, workload, .. } = &mut *self;
-        // Confirmed-in-flight probe, width-independent, computed serially
-        // per item: counted deliveries read it off the bookkeeping map
-        // (absent entry ⟺ confirmed and reclaimed — see `deliver`);
-        // fault-injected duplicates still consult the chain directly.
-        let confirmed: Vec<bool> = batch
-            .iter()
-            .map(|(_, payload, counted)| {
-                if *counted {
-                    !delivery_state.contains_key(&payload.txid)
-                } else {
-                    chain.contains_tx(&payload.txid)
-                }
-            })
-            .collect();
-        let mut views: FastMap<NodeId, &mut Mempool> = network.mempools_iter_mut().collect();
-        let mut groups: Vec<NodeGroup> = Vec::new();
-        for (i, (node, _, _)) in batch.iter().enumerate() {
-            match groups.iter_mut().find(|g| g.node == *node) {
-                Some(g) => g.idxs.push(i),
-                None => groups.push(NodeGroup {
-                    node: *node,
-                    mempool: views.remove(node),
-                    idxs: vec![i],
-                    accepted: Vec::new(),
-                }),
-            }
-        }
-        let batch_ref = &batch;
-        let confirmed_ref = &confirmed;
-        pool.for_each_mut(&mut groups, |g| {
-            g.accepted = g
-                .idxs
-                .iter()
-                .map(|&i| {
-                    let (_, payload, _) = &batch_ref[i];
-                    confirmed_ref[i]
-                        || g.mempool.as_mut().is_some_and(|m| {
-                            m.add_prechecked(
-                                Arc::clone(&payload.tx),
-                                payload.fee,
-                                now_secs,
-                                payload.precheck(),
-                            )
-                            .is_ok()
-                        })
-                })
-                .collect();
-        });
-
-        // Scatter per-group verdicts back into pop order, then run the
-        // delivery bookkeeping serially in exactly that order.
-        let mut accepted = vec![false; batch.len()];
-        for g in &groups {
-            for (k, &i) in g.idxs.iter().enumerate() {
-                accepted[i] = g.accepted[k];
-            }
-        }
-        for (i, (_, payload, counted)) in batch.iter().enumerate() {
-            if !*counted {
-                continue;
-            }
-            if let Some((remaining, all_ok)) = delivery_state.get_mut(&payload.txid) {
-                *all_ok &= accepted[i];
-                *remaining -= 1;
-                if *remaining == 0 {
-                    let ok = *all_ok;
-                    delivery_state.remove(&payload.txid);
-                    if ok {
-                        workload.mark_broadcast_ok(&payload.txid);
-                    }
-                }
-            }
-        }
-    }
-
+    /// Admits one popped delivery into `node`'s view and, when it is
+    /// counted, settles the broadcast's delivery bookkeeping.
     fn deliver(&mut self, node: NodeId, payload: &RelayPayload, now_ms: SimMillis, counted: bool) {
         let txid = payload.txid;
         let now_secs = now_ms / 1_000;

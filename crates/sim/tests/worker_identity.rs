@@ -1,8 +1,9 @@
-//! Byte-identity of sharded workload pre-generation: the same scenario
-//! run at any fork-join worker count must produce exactly the same
-//! artifacts as the serial loop — chain, snapshot streams, miner
-//! sequence, and event counters. This is the determinism-join contract
-//! (DESIGN.md §8) enforced end-to-end through the simulator.
+//! Byte-identity of the simulator's fork-join work (sharded workload
+//! pre-generation and the per-view block connect): the same scenario run
+//! at any fork-join worker count must produce exactly the same artifacts
+//! as the serial loop — chain, snapshot streams, miner sequence, and
+//! event counters. This is the determinism-join contract (DESIGN.md §8)
+//! enforced end-to-end through the simulator.
 
 use cn_net::FaultPlan;
 use cn_sim::scenario::ObserverConfig;
@@ -46,6 +47,10 @@ fn assert_identical(serial: &SimOutput, parallel: &SimOutput, workers: usize) {
     assert_eq!(serial.profile.self_txs, parallel.profile.self_txs, "workers={workers}");
     assert_eq!(serial.profile.deliveries, parallel.profile.deliveries, "workers={workers}");
     assert_eq!(serial.profile.events_popped, parallel.profile.events_popped, "workers={workers}");
+    assert_eq!(
+        serial.profile.admission_precheck_hits, parallel.profile.admission_precheck_hits,
+        "workers={workers}"
+    );
 }
 
 #[test]
@@ -71,64 +76,48 @@ fn pregen_profile_accounts_for_all_draws() {
 }
 
 /// Near-zero link latency collapses every broadcast's fan-out onto one
-/// millisecond (delivery delays floor at `now + 1`), so the event loop's
-/// same-timestamp drain forms a multi-delivery batch for essentially
-/// every transaction — the batched-admission path runs constantly
-/// instead of occasionally.
-fn batched_delivery_scenario(seed: u64) -> Scenario {
+/// millisecond (delivery delays floor at `now + 1`), so deliveries of
+/// different transactions and to different views tie on due time
+/// constantly and pop in insertion order.
+fn floored_latency_scenario(seed: u64) -> Scenario {
     let mut s = scenario(seed);
     s.link_latency_median = 1e-9;
     s.link_latency_sigma = 1e-6;
-    // Extra node views so one broadcast fans to several disjoint pools
-    // inside a single batch.
+    // Extra node views so one broadcast fans to several pools at once.
     s.observers = (0..3).map(|i| ObserverConfig::default_node().named(format!("o{i}"))).collect();
     s.relay_nodes = 2;
     s
 }
 
-fn assert_batch_counters_identical(serial: &SimOutput, parallel: &SimOutput, workers: usize) {
-    let (s, p) = (&serial.profile, &parallel.profile);
-    assert_eq!(s.delivery_batches, p.delivery_batches, "workers={workers}");
-    assert_eq!(s.batched_deliveries, p.batched_deliveries, "workers={workers}");
-    assert_eq!(s.max_delivery_batch, p.max_delivery_batch, "workers={workers}");
-    assert_eq!(s.admission_precheck_hits, p.admission_precheck_hits, "workers={workers}");
-}
-
-/// Batched same-timestamp admission at widths 1–8: the per-batch node
-/// grouping and worker fan-out must not change a single byte of output,
-/// and the batch counters themselves must be width-invariant.
+/// Same-millisecond fan-outs at widths 1–8: pre-generation and the
+/// per-view block connect must not change a single byte of output.
 #[test]
-fn batched_deliveries_are_worker_invariant() {
-    let serial = World::new(batched_delivery_scenario(7)).with_workers(1).run();
+fn floored_latency_fanout_is_worker_invariant() {
+    let serial = World::new(floored_latency_scenario(7)).with_workers(1).run();
     let p = &serial.profile;
-    assert!(p.delivery_batches > 0, "floored latency must form same-timestamp batches");
-    assert!(p.batched_deliveries >= 2 * p.delivery_batches, "a batch holds ≥2 deliveries");
-    assert!(p.max_delivery_batch >= 2, "widest batch must be a real batch");
     assert!(p.admission_precheck_hits > 0, "fan-out must reuse the relay precheck memo");
     for workers in [2, 3, 5, 8] {
-        let parallel = World::new(batched_delivery_scenario(7)).with_workers(workers).run();
+        let parallel = World::new(floored_latency_scenario(7)).with_workers(workers).run();
         assert_identical(&serial, &parallel, workers);
-        assert_batch_counters_identical(&serial, &parallel, workers);
     }
 }
 
-/// Same-timestamp batches under an aggressive fault plan: losses carve
+/// Same-millisecond fan-outs under an aggressive fault plan: losses carve
 /// partial fan-outs (some nodes never see a tx), duplicates re-deliver
 /// into pools that already hold the tx, and reorder jitter shuffles pop
-/// order. The batched path must agree with serial through all of it.
+/// order. Every width must agree with serial through all of it.
 #[test]
 fn faulted_partial_deliveries_are_worker_invariant() {
     let faulted = |seed| {
-        let mut s = batched_delivery_scenario(seed);
+        let mut s = floored_latency_scenario(seed);
         s.faults = FaultPlan::scaled(0.6);
         s
     };
     let serial = World::new(faulted(11)).with_workers(1).run();
-    assert!(serial.profile.delivery_batches > 0, "faulted run must still batch");
+    assert!(serial.profile.deliveries > 0, "faulted run must still deliver");
     for workers in [2, 4, 8] {
         let parallel = World::new(faulted(11)).with_workers(workers).run();
         assert_identical(&serial, &parallel, workers);
-        assert_batch_counters_identical(&serial, &parallel, workers);
     }
 }
 
@@ -151,7 +140,6 @@ fn parallel_block_tick_is_worker_invariant() {
     for workers in [2, 6, 8] {
         let parallel = World::new(fleet(19)).with_workers(workers).run();
         assert_identical(&serial, &parallel, workers);
-        assert_batch_counters_identical(&serial, &parallel, workers);
     }
 }
 
