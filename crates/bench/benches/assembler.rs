@@ -1,9 +1,12 @@
 //! Block-template construction cost, and the CPFP ablation: the
 //! ancestor-package-aware assembler vs a naive per-transaction greedy.
+//! Templates are timed for a norm-following pool and for a dark-fee pool
+//! that accelerates a fifth of the transactions, so both the Normal phase
+//! alone and the accelerate-then-Normal sequence are measured.
 
-use cn_chain::{Address, Amount, Params, Transaction, TxOut};
-use cn_mempool::{Mempool, MempoolPolicy};
-use cn_miner::{BlockAssembler, Priority};
+use cn_chain::{Address, Amount, Params, Transaction, TxOut, Txid};
+use cn_mempool::{Mempool, MempoolEntry, MempoolPolicy};
+use cn_miner::{BlockAssembler, BlockTemplate, Priority};
 use cn_stats::SimRng;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -37,6 +40,20 @@ fn build_pool(n: usize, seed: u64) -> Mempool {
         }
     }
     pool
+}
+
+/// Dark-fee classification: about a fifth of txids accelerated, the rest
+/// Normal.
+fn accelerate_fifth(entry: &MempoolEntry) -> Priority {
+    if entry.txid().0.as_bytes()[0].is_multiple_of(5) {
+        Priority::Accelerate
+    } else {
+        Priority::Normal
+    }
+}
+
+fn txids(template: &BlockTemplate) -> Vec<Txid> {
+    template.transactions.iter().map(|t| t.txid()).collect()
 }
 
 /// Naive greedy: take transactions in standalone fee-rate order, skipping
@@ -79,6 +96,16 @@ fn bench_assembler(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("naive_greedy", n), &pool, |b, pool| {
             b.iter(|| black_box(naive_greedy_revenue(pool, &params)))
+        });
+        let accelerated = assembler.assemble(&pool, accelerate_fifth);
+        let reference = assembler.assemble_reference(&pool, accelerate_fifth);
+        assert_eq!(
+            (txids(&accelerated), &accelerated.fees),
+            (txids(&reference), &reference.fees),
+            "assembler disagrees with the reference at n={n}"
+        );
+        group.bench_with_input(BenchmarkId::new("gbt_accelerate_only", n), &pool, |b, pool| {
+            b.iter(|| black_box(assembler.assemble(pool, accelerate_fifth)))
         });
         // Report the revenue gap once per size (printed via assertion
         // message if the package-aware assembler ever loses).

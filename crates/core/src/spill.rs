@@ -24,6 +24,14 @@
 //! once at verdict time instead of held for the whole run, and
 //! [`StreamingAuditor::rolling`] stays available throughout at its usual
 //! O(window) cost.
+//!
+//! The store is outside the auditor's control, so the auditor keeps a
+//! keyed SipHash digest of every byte it appends (O(1) memory) and checks
+//! the bytes it reads back against it before decoding anything: a store
+//! that changed since it was written is refused with
+//! [`SpillError::DigestMismatch`], never audited. The digest lives in the
+//! auditor, not the store, so the store format and its byte count are
+//! unchanged.
 
 use crate::auditor::AuditReport;
 use crate::error::AuditError;
@@ -37,6 +45,7 @@ use cn_chain::encode::{
 use cn_chain::{Address, Amount, Block, BlockHash, FastMap, FastSet, Hash256, Txid};
 use cn_mempool::MempoolSnapshot;
 use std::fmt;
+use std::hash::{BuildHasher, DefaultHasher, Hasher, RandomState};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
 /// Error from the spill store or the audit it feeds.
@@ -48,6 +57,9 @@ pub enum SpillError {
     Corrupt(DecodeError),
     /// The restored audit refused or failed.
     Audit(AuditError),
+    /// The bytes read back from the store are not the bytes spilled into
+    /// it: their digest differs from the one kept while appending.
+    DigestMismatch,
     /// The restored block heights do not run 0, 1, 2, …: the store does
     /// not hold the digest that was spilled into it.
     NonContiguous {
@@ -64,6 +76,9 @@ impl fmt::Display for SpillError {
             SpillError::Io(e) => write!(f, "spill store i/o: {e}"),
             SpillError::Corrupt(e) => write!(f, "corrupt spill segment: {e}"),
             SpillError::Audit(e) => write!(f, "audit: {e}"),
+            SpillError::DigestMismatch => {
+                write!(f, "spill store changed since it was written (digest mismatch)")
+            }
             SpillError::NonContiguous { expected, found } => {
                 write!(f, "restored block height {found} where {expected} was expected")
             }
@@ -77,7 +92,7 @@ impl std::error::Error for SpillError {
             SpillError::Io(e) => Some(e),
             SpillError::Corrupt(e) => Some(e),
             SpillError::Audit(e) => Some(e),
-            SpillError::NonContiguous { .. } => None,
+            SpillError::DigestMismatch | SpillError::NonContiguous { .. } => None,
         }
     }
 }
@@ -113,6 +128,10 @@ pub struct SpilledAuditor<S: Read + Write + Seek> {
     spilled_bytes: u64,
     /// Segments appended.
     spilled_segments: u64,
+    /// Random keys of `digest`, so a corruption cannot be made to match.
+    digest_keys: RandomState,
+    /// SipHash of every byte appended to the store, in order.
+    digest: DefaultHasher,
 }
 
 impl<S: Read + Write + Seek> SpilledAuditor<S> {
@@ -120,6 +139,7 @@ impl<S: Read + Write + Seek> SpilledAuditor<S> {
     /// `epoch_blocks` sealed heights (0 disables spilling — the wrapper
     /// then behaves exactly like the inner auditor).
     pub fn new(auditor: StreamingAuditor, store: S, epoch_blocks: u64) -> SpilledAuditor<S> {
+        let digest_keys = RandomState::new();
         SpilledAuditor {
             auditor,
             store,
@@ -127,6 +147,8 @@ impl<S: Read + Write + Seek> SpilledAuditor<S> {
             spilled_blocks: 0,
             spilled_bytes: 0,
             spilled_segments: 0,
+            digest: digest_keys.build_hasher(),
+            digest_keys,
         }
     }
 
@@ -184,6 +206,8 @@ impl<S: Read + Write + Seek> SpilledAuditor<S> {
         self.store.seek(SeekFrom::Start(self.spilled_bytes))?;
         self.store.write_all(&head)?;
         self.store.write_all(&payload)?;
+        self.digest.write(&head);
+        self.digest.write(&payload);
         self.spilled_bytes += (head.len() + payload.len()) as u64;
         self.spilled_segments += 1;
         Ok(())
@@ -198,9 +222,11 @@ impl<S: Read + Write + Seek> SpilledAuditor<S> {
     /// chain digest transiently (drained segments + the auditor's retained
     /// remainder), and produces the verdict an unspilled
     /// [`StreamingAuditor::verdict`] would return over the same events —
-    /// bit-identical, including refusal semantics. A store that does not
-    /// decode, or whose heights do not run contiguously from 0, is refused
-    /// with a typed error.
+    /// bit-identical, including refusal semantics. A store whose bytes
+    /// differ from those spilled into it is refused with
+    /// [`SpillError::DigestMismatch`] before anything is decoded; a store
+    /// that does not decode, or whose heights do not run contiguously from
+    /// 0, is refused with a typed error too.
     pub fn verdict(&mut self) -> Result<AuditReport, SpillError> {
         let mut blocks: Vec<BlockInfo> = Vec::new();
         let mut observed: FastSet<Txid> = FastSet::default();
@@ -209,6 +235,14 @@ impl<S: Read + Write + Seek> SpilledAuditor<S> {
         self.store.seek(SeekFrom::Start(0))?;
         let mut raw = vec![0u8; self.spilled_bytes as usize];
         self.store.read_exact(&mut raw)?;
+        // SipHash digests a byte stream (`write` carries partial words
+        // over), so one call over the whole store equals the per-frame
+        // calls made while appending.
+        let mut check = self.digest_keys.build_hasher();
+        check.write(&raw);
+        if check.finish() != self.digest.finish() {
+            return Err(SpillError::DigestMismatch);
+        }
         let mut cursor = Bytes::from(raw);
         for _ in 0..self.spilled_segments {
             let len = read_compact_size(&mut cursor)?;
@@ -495,7 +529,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_store_is_refused_or_audited_never_a_panic() {
+    fn corrupted_store_is_refused_never_audited() {
         let (chain, snapshots) = sample(16);
         let mut spilled = SpilledAuditor::new(
             StreamingAuditor::new(chain.initial_utxos(), config(16, 4)),
@@ -511,10 +545,12 @@ mod tests {
         for byte in 0..len {
             for bit in 0..8 {
                 spilled.store.get_mut()[byte] ^= 1 << bit;
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let _ = spilled.verdict();
-                }));
-                assert!(outcome.is_ok(), "flipping bit {bit} of byte {byte} panicked the restore");
+                let outcome =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| spilled.verdict()));
+                assert!(
+                    matches!(outcome, Ok(Err(SpillError::DigestMismatch))),
+                    "flipping bit {bit} of byte {byte} was not refused"
+                );
                 spilled.store.get_mut()[byte] ^= 1 << bit;
             }
         }

@@ -98,52 +98,47 @@ impl PartialOrd for HeapItem {
     }
 }
 
-/// Heap item for the cursor fast path: ordered exactly like [`HeapItem`],
-/// but carrying the mempool slab handle so score-overlay lookups are dense
-/// array indexing instead of txid hashing.
-#[derive(Clone, Copy, Debug)]
-struct CursorItem {
+/// Heap item of the selection walk: ordered like [`HeapItem`] (the slab
+/// handle never decides, as one txid has one handle), and carrying the
+/// handle so the walk's per-slot state is dense array indexing instead of
+/// txid hashing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Candidate {
     score: PackageScore,
     txid: Txid,
     handle: TxHandle,
 }
 
-impl Ord for CursorItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.score.cmp(&other.score).then_with(|| self.txid.cmp(&other.txid))
-    }
+/// How one priority phase treats a mempool slot.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// Not a candidate: another priority class, or blocked behind an
+    /// unselected ancestor the phase may not pull in.
+    Out,
+    /// A candidate whose phase-start copy is its key in the pool's
+    /// ancestor-score index.
+    Indexed,
+    /// A candidate whose phase-start copy the side heap holds.
+    Heaped,
 }
 
-impl PartialOrd for CursorItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for CursorItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for CursorItem {}
-
-/// Lifetime assembly-path counters for one assembler: which selection
-/// path each template took, and — for full rebuilds — which deviation
-/// classes forced it off the incremental path. One rebuild can count
-/// under several reasons (a priority map may carry Accelerate and
-/// Exclude entries at once).
+/// Lifetime assembly counters for one assembler: how many templates had
+/// no classified deviation and how many had one, by deviation class. One
+/// template can count under several classes (a priority map may carry
+/// Accelerate and Exclude entries at once).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AssemblyStats {
-    /// Templates built on the incremental all-Normal fast path.
+    /// Templates with no classified deviation: the Normal phase alone,
+    /// walking the pool's persistent ancestor-score index.
     pub incremental_hits: u64,
-    /// Templates that needed the full classify-and-rebuild path.
+    /// Templates whose priority map carried at least one deviation, so
+    /// deviation phases ran around the Normal one.
     pub full_rebuilds: u64,
-    /// Full rebuilds whose priority map carried ≥1 Accelerate entry.
+    /// Templates whose priority map carried ≥1 Accelerate entry.
     pub rebuilds_with_accelerate: u64,
-    /// Full rebuilds whose priority map carried ≥1 Decelerate entry.
+    /// Templates whose priority map carried ≥1 Decelerate entry.
     pub rebuilds_with_decelerate: u64,
-    /// Full rebuilds whose priority map carried ≥1 Exclude entry.
+    /// Templates whose priority map carried ≥1 Exclude entry.
     pub rebuilds_with_exclude: u64,
 }
 
@@ -171,7 +166,7 @@ pub struct AssemblyStats {
 #[derive(Clone, Debug)]
 pub struct BlockAssembler {
     params: Params,
-    /// Which selection path each template took, with rebuild reasons.
+    /// Templates built with and without a classified deviation, by class.
     stats: AssemblyStats,
 }
 
@@ -181,9 +176,8 @@ impl BlockAssembler {
         BlockAssembler { params, stats: AssemblyStats::default() }
     }
 
-    /// Lifetime path counters — how many templates this assembler built
-    /// on the incremental fast path vs the full rebuild path, and what
-    /// forced each rebuild.
+    /// Lifetime counters: how many templates this assembler built with and
+    /// without a classified deviation, and which classes they carried.
     pub fn stats(&self) -> AssemblyStats {
         self.stats
     }
@@ -198,16 +192,17 @@ impl BlockAssembler {
     /// Builds a template from `mempool`, classifying each candidate with
     /// `classify` (use `|_| Priority::Normal` for a norm-following miner).
     ///
-    /// Selection runs on the mempool's incrementally maintained
-    /// ancestor-package scores. When every candidate is Normal — the
-    /// overwhelmingly common case — the assembler takes the incremental
-    /// fast path: a cursor over the pool's persistent ancestor-score index
-    /// (which survives across blocks; connecting a block only re-keys the
-    /// affected descendants) merged with a small side heap of re-scored
-    /// entries. Otherwise it falls back to the full phase-by-phase
-    /// rebuild. Either way the result is bit-identical to
-    /// [`BlockAssembler::assemble_reference`], the walk-everything
-    /// specification version.
+    /// Selection runs phase by phase — accelerated, Normal, decelerated —
+    /// over one selection state indexed by slab handle, on the mempool's
+    /// incrementally maintained ancestor-package scores. The Normal phase
+    /// walks the pool's persistent ancestor-score index best-first (it
+    /// survives across blocks; connecting a block re-keys only the
+    /// affected descendants), merged with a side heap of re-scored copies
+    /// (candidates whose score moved before the phase began, and copies
+    /// requeued during it); a deviation phase runs on the side heap alone. A phase nobody is classified into is skipped,
+    /// so a norm-following template is one walk over the index. The result
+    /// is bit-identical to [`BlockAssembler::assemble_reference`], the
+    /// walk-everything specification version.
     pub fn assemble<F>(&mut self, mempool: &Mempool, classify: F) -> BlockTemplate
     where
         F: Fn(&MempoolEntry) -> Priority,
@@ -217,8 +212,8 @@ impl BlockAssembler {
     }
 
     /// [`BlockAssembler::assemble`] for a policy known to classify every
-    /// transaction as Normal: skips the per-entry classification pass
-    /// entirely and goes straight to the incremental fast path.
+    /// transaction as Normal: skips the per-entry classification pass, so
+    /// only the Normal phase's walk over the index runs.
     pub fn assemble_norm(&mut self, mempool: &Mempool) -> BlockTemplate {
         let priorities = FastMap::default();
         self.assemble_with_priorities(mempool, &priorities)
@@ -230,266 +225,25 @@ impl BlockAssembler {
         mempool: &Mempool,
         priorities: &FastMap<Txid, Priority>,
     ) -> BlockTemplate {
-        let budget = self.weight_budget();
+        // Classes present after propagation, so an accelerated child's
+        // dragged-up ancestors count too.
+        let has = |class: Priority| priorities.values().any(|p| *p == class);
         if priorities.is_empty() {
             self.stats.incremental_hits += 1;
-            let selected = self.select_norm_cursor(mempool, budget);
-            return self.order_and_finish(mempool, priorities, selected);
+        } else {
+            self.stats.full_rebuilds += 1;
+            self.stats.rebuilds_with_accelerate += u64::from(has(Priority::Accelerate));
+            self.stats.rebuilds_with_decelerate += u64::from(has(Priority::Decelerate));
+            self.stats.rebuilds_with_exclude += u64::from(has(Priority::Exclude));
         }
-        self.stats.full_rebuilds += 1;
-        // Which deviation classes forced this rebuild (post-propagation,
-        // so an accelerated child's dragged-up ancestors count too).
-        let (mut acc, mut dec, mut exc) = (false, false, false);
-        for p in priorities.values() {
-            match p {
-                Priority::Accelerate => acc = true,
-                Priority::Decelerate => dec = true,
-                Priority::Exclude => exc = true,
-                Priority::Normal => {}
-            }
-        }
-        self.stats.rebuilds_with_accelerate += u64::from(acc);
-        self.stats.rebuilds_with_decelerate += u64::from(dec);
-        self.stats.rebuilds_with_exclude += u64::from(exc);
-        let mut selected: Vec<Txid> = Vec::new();
-        let mut selected_set: FastSet<Txid> = FastSet::default();
-        let mut used_weight = 0u64;
-        // Remaining package score per candidate: self + every *unselected*
-        // in-pool ancestor. A sparse overlay over the pool's cached
-        // ancestor totals: an absent key means "nothing selected out of
-        // this package yet", so the cached score is authoritative and no
-        // per-candidate seeding pass is needed.
-        let mut rem: FastMap<Txid, (u64, u64)> = FastMap::default();
-
+        let mut selection = Selection::new(mempool, self.weight_budget());
         for phase in [Priority::Accelerate, Priority::Normal, Priority::Decelerate] {
-            // A deviation phase with no transaction classified into it has
-            // no candidates — its heap would come up empty after a full
-            // blocked-status sweep of the mempool. Skipping it outright is
-            // bit-identical (the priority map is sparse: absent = Normal),
-            // and turns the common norm-following pool into a single-phase
-            // pass.
-            if phase != Priority::Normal && !priorities.values().any(|p| *p == phase) {
-                continue;
-            }
-            // Accelerate-only rebuild whose accelerate phase committed every
-            // classified transaction (the common shape: a dark-fee pool with
-            // a handful of live accelerations — on dataset 𝒞 this is all 42
-            // rebuilds). The Normal phase then has no blockers (a blocker is
-            // an *unselected* disallowed transaction) and no classified
-            // candidates, so it degenerates to norm selection over the
-            // leftover pool: run it on the persistent-index cursor seeded
-            // with the accelerate phase's selections instead of heapifying
-            // every resident.
-            if phase == Priority::Normal
-                && acc
-                && !dec
-                && !exc
-                && priorities.keys().all(|t| selected_set.contains(t))
-            {
-                let slots = mempool.slot_count();
-                let mut sel = vec![false; slots];
-                for t in selected.iter() {
-                    if let Some(h) = mempool.handle_of(t) {
-                        sel[h.index()] = true;
-                    }
-                }
-                let mut dense_rem: Vec<Option<(u64, u64)>> = vec![None; slots];
-                let mut modified: BinaryHeap<CursorItem> = BinaryHeap::new();
-                for (t, &(fee, vsize)) in &rem {
-                    let Some(h) = mempool.handle_of(t) else { continue };
-                    if sel[h.index()] {
-                        continue;
-                    }
-                    dense_rem[h.index()] = Some((fee, vsize));
-                    modified.push(CursorItem {
-                        score: PackageScore { fee, vsize, seq: mempool.entry_at(h).sequence() },
-                        txid: *t,
-                        handle: h,
-                    });
-                }
-                self.select_norm_cursor_from(
-                    mempool,
-                    budget,
-                    used_weight,
-                    &mut selected,
-                    sel,
-                    dense_rem,
-                    modified,
-                );
-                // No Decelerate or Exclude entries exist, so no later phase
-                // reads `selected_set`/`rem`/`used_weight`; leaving them at
-                // their accelerate-phase state is fine.
-                continue;
-            }
-            self.select_phase_indexed(
-                mempool,
-                priorities,
-                phase,
-                budget,
-                &mut used_weight,
-                &mut selected,
-                &mut selected_set,
-                &mut rem,
-            );
-        }
-
-        self.order_and_finish(mempool, priorities, selected)
-    }
-
-    /// Greedy norm selection driven by the mempool's persistent
-    /// ancestor-score index — the incremental fast path for an all-Normal
-    /// template.
-    ///
-    /// The pool builds its ancestor-score index on the first template and
-    /// keeps it sorted across blocks after that (admission, RBF, eviction,
-    /// and block connect each re-key only the affected entries), so
-    /// assembly starts from an already-sorted candidate list instead of
-    /// heapifying every resident: a static cursor walks the index
-    /// best-first while a side heap carries only entries whose remaining
-    /// package score deviates from their block-start key (an ancestor got
-    /// selected). Both feeds merge under
-    /// the exact [`HeapItem`] total order; a cursor entry whose key went
-    /// stale is requeued at its true score just as the reference's
-    /// stale-check requeues a popped heap copy, so the pop sequence — and
-    /// therefore the selection — is bit-identical to the reference walk.
-    fn select_norm_cursor(&self, mempool: &Mempool, budget: u64) -> Vec<Txid> {
-        let slots = mempool.slot_count();
-        let mut selected: Vec<Txid> = Vec::new();
-        self.select_norm_cursor_from(
-            mempool,
-            budget,
-            0,
-            &mut selected,
-            vec![false; slots],
-            vec![None; slots],
-            BinaryHeap::new(),
-        );
-        selected
-    }
-
-    /// The cursor walk behind [`BlockAssembler::select_norm_cursor`],
-    /// generalized to *continue from a prior phase's selections*: `sel`,
-    /// `rem`, and `modified` seed the walk with what that phase already
-    /// committed (selected handles, deviated remaining-package scores, and
-    /// one re-scored heap copy per deviated entry). With empty seeds this
-    /// is exactly the block-start cursor. The staleness argument is
-    /// unchanged — a cursor copy keyed before the seed phase pops, fails
-    /// the score check, and requeues at its true score, while every
-    /// *improved* score is already present in `modified` — so the pop
-    /// sequence matches the heap-everything phase selector pop for pop.
-    #[allow(clippy::too_many_arguments)]
-    fn select_norm_cursor_from(
-        &self,
-        mempool: &Mempool,
-        budget: u64,
-        mut used: u64,
-        selected: &mut Vec<Txid>,
-        mut sel: Vec<bool>,
-        mut rem: Vec<Option<(u64, u64)>>,
-        mut modified: BinaryHeap<CursorItem>,
-    ) {
-        // Any package weighs at least the lightest resident transaction;
-        // once that cannot fit, nothing can. Same early exit as the phase
-        // selector, with the minimum scanned once per template instead of
-        // maintained across every admission.
-        let Some(min_weight) = mempool.min_tx_weight() else {
-            return;
-        };
-        let score_at = |rem: &[Option<(u64, u64)>], h: TxHandle| -> PackageScore {
-            let e = mempool.entry_at(h);
-            let (fee, vsize) = rem[h.index()].unwrap_or_else(|| {
-                let (f, v) = e.ancestor_score();
-                (f.to_sat(), v)
-            });
-            PackageScore { fee, vsize, seq: e.sequence() }
-        };
-        let mut cursor = mempool.anc_score_iter().rev().peekable();
-        loop {
-            if budget - used < min_weight {
-                break; // no remaining package can fit
-            }
-            // Take the better of the two feeds under the heap total order.
-            let from_cursor: Option<CursorItem> = cursor.peek().map(|k| CursorItem {
-                score: PackageScore { fee: k.fee, vsize: k.vsize, seq: k.seq },
-                txid: k.txid,
-                handle: k.handle,
-            });
-            let use_cursor = match (&from_cursor, modified.peek()) {
-                (Some(c), Some(m)) => c > m,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let item = if use_cursor {
-                cursor.next();
-                from_cursor.expect("peeked")
-            } else {
-                modified.pop().expect("peeked")
-            };
-            let h = item.handle;
-            if sel[h.index()] {
-                continue; // already swept in as someone's ancestor
-            }
-            // Stale check: if an ancestor was selected since this copy was
-            // keyed (at block start for cursor entries, at push time for
-            // heap copies), requeue at the true remaining score and retry.
-            let score = score_at(&rem, h);
-            if score != item.score {
-                modified.push(CursorItem { score, txid: item.txid, handle: h });
-                continue;
-            }
-            // Gather the unselected ancestors + self, check the fit.
-            let mut package: Vec<TxHandle> = mempool
-                .ancestor_handles(h)
-                .into_iter()
-                .filter(|a| !sel[a.index()])
-                .collect();
-            package.push(h);
-            let weight: u64 =
-                package.iter().map(|t| mempool.entry_at(*t).tx().weight()).sum();
-            if used + weight > budget {
-                continue; // does not fit; try the next-best package
-            }
-            // Include ancestors before the child (topological within package).
-            package.sort_by_key(|t| {
-                (mempool.ancestor_handles(*t).len(), mempool.entry_at(*t).sequence())
-            });
-            for t in &package {
-                if !sel[t.index()] {
-                    sel[t.index()] = true;
-                    selected.push(mempool.entry_at(*t).txid());
-                }
-            }
-            used += weight;
-            // Every selected member leaves the remaining package of each
-            // of its unselected descendants.
-            for m in &package {
-                let e = mempool.entry_at(*m);
-                let (mfee, mvsize) = (e.fee().to_sat(), e.vsize());
-                for d in mempool.descendant_handles(*m) {
-                    if sel[d.index()] {
-                        continue;
-                    }
-                    let slot = rem[d.index()].get_or_insert_with(|| {
-                        let (f, v) = mempool.entry_at(d).ancestor_score();
-                        (f.to_sat(), v)
-                    });
-                    slot.0 -= mfee;
-                    slot.1 -= mvsize;
-                }
-            }
-            // Descendants of what we just took have new package scores.
-            for d in mempool.descendant_handles(h) {
-                if sel[d.index()] {
-                    continue;
-                }
-                modified.push(CursorItem {
-                    score: score_at(&rem, d),
-                    txid: mempool.entry_at(d).txid(),
-                    handle: d,
-                });
+            // A deviation phase nobody is classified into has no candidates.
+            if phase == Priority::Normal || has(phase) {
+                selection.select_phase(priorities, phase);
             }
         }
+        self.order_and_finish(mempool, priorities, selection.order)
     }
 
     /// Walk-based reference assembler: recomputes every package score from
@@ -599,185 +353,6 @@ impl BlockAssembler {
             // The accelerate phase drags ancestors of any minable priority.
             _ if phase == Priority::Accelerate => true,
             _ => p == phase,
-        }
-    }
-
-    /// Greedy ancestor-package selection for one priority class, driven by
-    /// maintained remaining-package scores.
-    ///
-    /// Invariants making this bit-identical to the reference walk:
-    /// * `rem[t]` always equals self + every unselected in-pool ancestor,
-    ///   because every selected transaction is subtracted from all of its
-    ///   descendants at selection time.
-    /// * A candidate is *blocked* when some unselected ancestor has a
-    ///   priority the phase must not pull in. Blockers can never be
-    ///   selected during the phase (selections are restricted to allowed
-    ///   priorities), so blocked status is static per phase and one
-    ///   downward sweep computes it.
-    /// * Heap keys are exact integer package scores, so pop order matches
-    ///   the reference's recompute-per-pop order.
-    #[allow(clippy::too_many_arguments)]
-    fn select_phase_indexed(
-        &self,
-        mempool: &Mempool,
-        priorities: &FastMap<Txid, Priority>,
-        phase: Priority,
-        budget: u64,
-        used_weight: &mut u64,
-        selected: &mut Vec<Txid>,
-        selected_set: &mut FastSet<Txid>,
-        rem: &mut FastMap<Txid, (u64, u64)>,
-    ) {
-        // Downward sweep: everything below a disallowed unselected
-        // transaction is unpackageable this phase. The priority map is
-        // sparse (absent = Normal), so for the Accelerate and Normal
-        // phases every possible seed is a map key — the Accelerate phase
-        // only refuses Exclude, the Normal phase refuses every non-Normal
-        // priority — and the sweep can seed off the map instead of
-        // scanning the whole pool. Only the Decelerate phase (which
-        // refuses the unselected Normal majority) still needs the scan.
-        let mut blocked: FastSet<Txid> = FastSet::default();
-        let mut stack: Vec<Txid> = Vec::new();
-        if phase == Priority::Decelerate {
-            for entry in mempool.iter() {
-                let txid = entry.txid();
-                if selected_set.contains(&txid) {
-                    continue;
-                }
-                let p = Self::prio(priorities, &txid);
-                if !Self::phase_allows(phase, p) {
-                    stack.push(txid);
-                }
-            }
-        } else {
-            for (txid, p) in priorities {
-                if !Self::phase_allows(phase, *p) && !selected_set.contains(txid) {
-                    stack.push(*txid);
-                }
-            }
-        }
-        while let Some(t) = stack.pop() {
-            for c in mempool.children_of(&t) {
-                if blocked.insert(c) {
-                    stack.push(c);
-                }
-            }
-        }
-
-        let score_of = |rem: &FastMap<Txid, (u64, u64)>, txid: &Txid| -> PackageScore {
-            let e = mempool.get(txid).expect("resident");
-            let (fee, vsize) = rem.get(txid).copied().unwrap_or_else(|| {
-                let (f, v) = e.ancestor_score();
-                (f.to_sat(), v)
-            });
-            PackageScore { fee, vsize, seq: e.sequence() }
-        };
-
-        let mut heap: BinaryHeap<HeapItem> = BinaryHeap::new();
-        // Smallest single-transaction weight among candidates: a lower
-        // bound on any package still to come (every package weighs at
-        // least its own child). Lets the pop loop stop as soon as no
-        // candidate can possibly fit, instead of walk-checking the whole
-        // remaining heap — pure early exit, selections are unchanged.
-        let mut min_weight = u64::MAX;
-        let mut push_candidate = |entry: &MempoolEntry, txid: Txid| {
-            min_weight = min_weight.min(entry.tx().weight());
-            let (fee, vsize) = rem.get(&txid).copied().unwrap_or_else(|| {
-                let (f, v) = entry.ancestor_score();
-                (f.to_sat(), v)
-            });
-            heap.push(HeapItem {
-                score: PackageScore { fee, vsize, seq: entry.sequence() },
-                txid,
-            });
-        };
-        if phase == Priority::Normal {
-            // Normal candidates are everything *not* in the sparse map.
-            for entry in mempool.iter() {
-                let txid = entry.txid();
-                if priorities.contains_key(&txid)
-                    || selected_set.contains(&txid)
-                    || blocked.contains(&txid)
-                {
-                    continue;
-                }
-                push_candidate(entry, txid);
-            }
-        } else {
-            // Deviation-phase candidates are exactly the map keys of that
-            // priority: iterate the sparse map, not the pool.
-            for (txid, p) in priorities {
-                if *p != phase || selected_set.contains(txid) || blocked.contains(txid) {
-                    continue;
-                }
-                push_candidate(mempool.get(txid).expect("classified txs resident"), *txid);
-            }
-        }
-        while let Some(item) = heap.pop() {
-            if budget - *used_weight < min_weight {
-                break; // no remaining package can fit
-            }
-            if selected_set.contains(&item.txid) {
-                continue; // already swept in as someone's ancestor
-            }
-            // Stale check against the maintained score; if an ancestor was
-            // selected since this entry was pushed, reinsert and retry.
-            let score = score_of(rem, &item.txid);
-            if score != item.score {
-                heap.push(HeapItem { score, txid: item.txid });
-                continue;
-            }
-            // Gather the unselected ancestors + self, check the fit.
-            let mut package: Vec<Txid> = mempool
-                .ancestors(&item.txid)
-                .into_iter()
-                .filter(|a| !selected_set.contains(a))
-                .collect();
-            package.push(item.txid);
-            let weight: u64 = package
-                .iter()
-                .map(|t| mempool.get(t).expect("resident").tx().weight())
-                .sum();
-            if *used_weight + weight > budget {
-                continue; // does not fit; try the next-best package
-            }
-            // Include ancestors before the child (topological within package).
-            package.sort_by_key(|t| {
-                let depth = mempool.ancestors(t).len();
-                (depth, mempool.get(t).expect("resident").sequence())
-            });
-            for txid in &package {
-                if selected_set.insert(*txid) {
-                    selected.push(*txid);
-                }
-            }
-            *used_weight += weight;
-            // Every selected member leaves the remaining package of each of
-            // its unselected descendants.
-            for m in &package {
-                let e = mempool.get(m).expect("resident");
-                let (mfee, mvsize) = (e.fee().to_sat(), e.vsize());
-                for d in mempool.descendants(m) {
-                    if selected_set.contains(&d) {
-                        continue;
-                    }
-                    let slot = rem.entry(d).or_insert_with(|| {
-                        let (f, v) = mempool.get(&d).expect("resident").ancestor_score();
-                        (f.to_sat(), v)
-                    });
-                    slot.0 -= mfee;
-                    slot.1 -= mvsize;
-                }
-            }
-            // Descendants of what we just took have new package scores.
-            for d in mempool.descendants(&item.txid) {
-                if Self::prio(priorities, &d) == phase
-                    && !selected_set.contains(&d)
-                    && !blocked.contains(&d)
-                {
-                    heap.push(HeapItem { score: score_of(rem, &d), txid: d });
-                }
-            }
         }
     }
 
@@ -998,6 +573,185 @@ impl BlockAssembler {
             transactions.push(e.tx_arc());
         }
         BlockTemplate { transactions, fees, total_fees, total_weight }
+    }
+}
+
+/// One template's selection state, shared by every priority phase and
+/// indexed by mempool slab handle.
+struct Selection<'a> {
+    mempool: &'a Mempool,
+    budget: u64,
+    /// Weight of the lightest resident: no package weighs less, so once
+    /// the residual budget is below it nothing more can fit.
+    min_weight: u64,
+    used: u64,
+    /// Selected transactions, in selection order.
+    order: Vec<Txid>,
+    selected: Vec<bool>,
+    /// Remaining package score (self + every unselected in-pool ancestor)
+    /// of each slot whose package has lost a member to the block; `None`
+    /// means the pool's cached ancestor score still holds.
+    rem: Vec<Option<(u64, u64)>>,
+    /// The slots `rem` covers, in the order they were first set.
+    moved: Vec<TxHandle>,
+}
+
+impl<'a> Selection<'a> {
+    fn new(mempool: &'a Mempool, budget: u64) -> Selection<'a> {
+        let slots = mempool.slot_count();
+        Selection {
+            mempool,
+            budget,
+            min_weight: mempool.min_tx_weight().unwrap_or(u64::MAX),
+            used: 0,
+            order: Vec::new(),
+            selected: vec![false; slots],
+            rem: vec![None; slots],
+            moved: Vec::new(),
+        }
+    }
+
+    /// `h` at its remaining package score.
+    fn candidate(&self, h: TxHandle) -> Candidate {
+        let e = self.mempool.entry_at(h);
+        let (fee, vsize) = self.rem[h.index()].unwrap_or_else(|| {
+            let (f, v) = e.ancestor_score();
+            (f.to_sat(), v)
+        });
+        let score = PackageScore { fee, vsize, seq: e.sequence() };
+        Candidate { score, txid: e.txid(), handle: h }
+    }
+
+    /// Greedy ancestor-package selection for one priority class.
+    ///
+    /// The selections are the reference heap's
+    /// ([`BlockAssembler::select_phase_reference`]), because the walk acts
+    /// on exactly the copies that heap holds, in the same order:
+    /// * At phase start, one copy per candidate at its remaining score.
+    ///   In the Normal phase a candidate whose score has not moved has
+    ///   that copy as its key in the pool's ancestor-score index, which a
+    ///   cursor walks best-first. Every other candidate's copy goes into
+    ///   the side heap, and the cursor skips its stale key.
+    /// * After a selection, one copy per candidate descendant of the
+    ///   popped transaction, at its new score; a popped copy whose score
+    ///   moved is requeued at its true score. The cursor and the heap
+    ///   merge under the heap's total order.
+    /// * `rem` equals self + every unselected in-pool ancestor, because
+    ///   every selected transaction is subtracted from all of its
+    ///   descendants at selection time, so a score check is an array read.
+    /// * A candidate is *blocked* while some unselected ancestor has a
+    ///   priority the phase must not pull in. Blockers are never selected
+    ///   during the phase, so one downward sweep settles blocked status.
+    fn select_phase(&mut self, priorities: &FastMap<Txid, Priority>, phase: Priority) {
+        let pool = self.mempool;
+        let handle = |txid: &Txid| pool.handle_of(txid).expect("classified txs resident");
+        let normal = phase == Priority::Normal;
+        // The sparse priority map lists every slot that is not Normal.
+        let mut slot = vec![if normal { Slot::Indexed } else { Slot::Out }; pool.slot_count()];
+        for (txid, p) in priorities {
+            slot[handle(txid).index()] = if *p == phase { Slot::Heaped } else { Slot::Out };
+        }
+        // The Accelerate and Normal phases refuse only classified
+        // transactions; the Decelerate phase also refuses the unselected
+        // Normal majority, so it scans the pool for blockers.
+        let refuses = |p: Priority| !BlockAssembler::phase_allows(phase, p);
+        let mut stack: Vec<TxHandle> = if phase == Priority::Decelerate {
+            let prio = |txid: &Txid| BlockAssembler::prio(priorities, txid);
+            pool.anc_score_iter().filter(|k| refuses(prio(&k.txid))).map(|k| k.handle).collect()
+        } else {
+            priorities.iter().filter(|(_, p)| refuses(**p)).map(|(t, _)| handle(t)).collect()
+        };
+        stack.retain(|h| !self.selected[h.index()]);
+        // A blocker's descendants are blockers or candidates: exclusion
+        // reaches every descendant, and in the Normal and Decelerate phases
+        // every unselected slot of another class blocks. So a child already
+        // `Out` has been, or will be, swept from.
+        while let Some(h) = stack.pop() {
+            for c in pool.child_handles(h) {
+                if slot[c.index()] != Slot::Out {
+                    slot[c.index()] = Slot::Out;
+                    stack.push(c);
+                }
+            }
+        }
+        let seeds: Vec<TxHandle> =
+            if normal { self.moved.clone() } else { priorities.keys().map(handle).collect() };
+        let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
+        for h in seeds {
+            if !self.selected[h.index()] && slot[h.index()] != Slot::Out {
+                slot[h.index()] = Slot::Heaped;
+                heap.push(self.candidate(h));
+            }
+        }
+
+        let mut cursor = pool.anc_score_iter().rev().peekable();
+        while self.budget - self.used >= self.min_weight {
+            let indexed = cursor.peek().filter(|_| normal).map(|k| Candidate {
+                score: PackageScore { fee: k.fee, vsize: k.vsize, seq: k.seq },
+                txid: k.txid,
+                handle: k.handle,
+            });
+            let from_cursor = match (indexed, heap.peek()) {
+                (Some(c), Some(m)) => c > *m,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            let item = if from_cursor {
+                cursor.next();
+                match indexed {
+                    Some(c) if slot[c.handle.index()] == Slot::Indexed => c,
+                    _ => continue,
+                }
+            } else {
+                heap.pop().expect("peeked")
+            };
+            let h = item.handle;
+            if self.selected[h.index()] {
+                continue; // already swept in as someone's ancestor
+            }
+            let now = self.candidate(h);
+            if now != item {
+                heap.push(now); // an ancestor was selected since this copy was keyed
+                continue;
+            }
+            // Gather the unselected ancestors + self, check the fit.
+            let mut package = pool.ancestor_handles(h);
+            package.retain(|a| !self.selected[a.index()]);
+            package.push(h);
+            let weight: u64 = package.iter().map(|t| pool.entry_at(*t).tx().weight()).sum();
+            if self.used + weight > self.budget {
+                continue; // does not fit; try the next-best package
+            }
+            self.used += weight;
+            for t in &package {
+                self.selected[t.index()] = true;
+                self.order.push(pool.entry_at(*t).txid());
+            }
+            for m in &package {
+                let e = pool.entry_at(*m);
+                for d in pool.descendant_handles(*m) {
+                    if self.selected[d.index()] {
+                        continue;
+                    }
+                    let rem = &mut self.rem[d.index()];
+                    if rem.is_none() {
+                        self.moved.push(d);
+                    }
+                    let (fee, vsize) = rem.get_or_insert_with(|| {
+                        let (f, v) = pool.entry_at(d).ancestor_score();
+                        (f.to_sat(), v)
+                    });
+                    *fee -= e.fee().to_sat();
+                    *vsize -= e.vsize();
+                }
+            }
+            for d in pool.descendant_handles(h) {
+                if !self.selected[d.index()] && slot[d.index()] != Slot::Out {
+                    heap.push(self.candidate(d));
+                }
+            }
+        }
     }
 }
 

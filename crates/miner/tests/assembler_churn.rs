@@ -5,12 +5,13 @@
 //! Each round applies a randomized batch of the mutations the persistent
 //! ancestor-score index has to absorb — plain admission, CPFP packages
 //! delivered partially or out of order (parent lost or reordered behind its
-//! child, per [`FaultPlan::scaled`] link probabilities), BIP-125
-//! replacements, expiry eviction, size-limit eviction — then assembles a
-//! block with the incremental path, checks it byte-for-byte against the
-//! reference walk, connects it, and checks the *post-connect* pool again
-//! (block connect re-keys every affected descendant in the index; a stale
-//! re-key is exactly the kind of bug only multi-block churn exposes).
+//! child, per [`FaultPlan::scaled`] link probabilities), parents with two
+//! children, BIP-125 replacements, expiry eviction, size-limit eviction —
+//! then assembles a block with the incremental path, checks it
+//! byte-for-byte against the reference walk, connects it, and checks the
+//! *post-connect* pool again (block connect re-keys every affected
+//! descendant in the index; a stale re-key is exactly the kind of bug only
+//! multi-block churn exposes).
 
 use cn_chain::{
     Address, Amount, Block, BlockHash, CoinbaseBuilder, FeeRate, Hash256, Params, PoolMarker,
@@ -89,7 +90,7 @@ impl Churn {
     /// property under test is assembler identity, whatever the pool holds.
     fn step(&mut self, resident: &[Txid]) {
         self.now += 1 + self.rng.next_below(5_000);
-        match self.rng.next_below(10) {
+        match self.rng.next_below(11) {
             // Independent admission.
             0..=2 => {
                 let src = self.funding_txid();
@@ -139,6 +140,20 @@ impl Churn {
                     + FeeRate::MIN_RELAY.fee_for_vsize(tx.vsize())
                     + Amount::from_sat(1 + self.rng.next_below(5_000));
                 let _ = self.mempool.add_with_rbf(Arc::new(tx), fee, self.now);
+            }
+            // A parent with two children, one per output: selecting
+            // either child's package moves its sibling's score.
+            9 => {
+                let src = self.funding_txid();
+                let parent_rate = 1 + self.rng.next_below(40);
+                let (parent, parent_fee) = self.make_tx(src, 0, parent_rate);
+                let parent_id = parent.txid();
+                let _ = self.mempool.add(parent, parent_fee, self.now);
+                for vout in 0..2 {
+                    let rate = 20 + self.rng.next_below(400);
+                    let (child, fee) = self.make_tx(parent_id, vout, rate);
+                    let _ = self.mempool.add(child, fee, self.now);
+                }
             }
             // Eviction churn: expiry or size-limit trimming.
             _ => {
@@ -232,8 +247,8 @@ where
 
 #[test]
 fn churn_norm_assembler_matches_reference_every_block() {
-    // All-Normal classification: every template must ride the incremental
-    // cursor, across fault intensities from inert to severe.
+    // All-Normal classification: every template runs the Normal phase
+    // alone, across fault intensities from inert to severe.
     let mut params = Params::mainnet();
     params.max_block_weight = 150_000;
     let mut hits = 0;
@@ -248,10 +263,11 @@ fn churn_norm_assembler_matches_reference_every_block() {
 #[test]
 fn churn_accelerate_only_matches_reference_every_block() {
     // Accelerate-only classification (~20% of txids, no decelerate or
-    // exclude): every rebuild whose accelerate phase commits all of its
-    // classified transactions rides the seeded-cursor Normal phase — the
-    // fast path dark-fee pools hit block after block. Identity against the
-    // reference walk must hold across the same churn as the mixed test.
+    // exclude), the shape dark-fee pools assemble block after block: the
+    // accelerate phase moves the scores of its selections' Normal
+    // descendants, siblings included, before the Normal phase walks the
+    // index, and that walk must hold exactly the reference heap's copies
+    // of them. Identity must hold across the same churn as the mixed test.
     let mut params = Params::mainnet();
     params.max_block_weight = 150_000;
     let mut rebuilds = 0;
@@ -275,8 +291,8 @@ fn churn_accelerate_only_matches_reference_every_block() {
 
 #[test]
 fn churn_classified_assembler_matches_reference_every_block() {
-    // Mixed priorities force the full phase-by-phase path; identity must
-    // hold there under the same churn, partial delivery included.
+    // Mixed priorities run all three phases; identity must hold there
+    // under the same churn, partial delivery included.
     let mut params = Params::mainnet();
     params.max_block_weight = 150_000;
     let mut rebuilds = 0;

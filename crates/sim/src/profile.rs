@@ -39,19 +39,19 @@ pub struct SimProfile {
     /// Snapshots recorded while the observer's view was known-degraded
     /// (eclipse windows), per fleet observer.
     pub observer_degraded: Vec<u64>,
-    /// Templates built on the assembler's incremental all-Normal fast
-    /// path, summed over every pool in the run.
+    /// Templates built with no classified deviation (the assembler's
+    /// Normal phase alone), summed over every pool in the run.
     pub assembly_incremental_hits: u64,
-    /// Templates that needed the assembler's full classify-and-rebuild
-    /// path, summed over every pool in the run.
+    /// Templates whose priority map carried at least one deviation, so
+    /// deviation phases ran too, summed over every pool in the run.
     pub assembly_full_rebuilds: u64,
-    /// Full rebuilds whose priority map carried at least one Accelerate
-    /// entry, summed over every pool (one rebuild can count under several
-    /// reasons).
+    /// Templates whose priority map carried at least one Accelerate entry,
+    /// summed over every pool (one template can count under several
+    /// classes).
     pub rebuilds_with_accelerate: u64,
-    /// Full rebuilds carrying at least one Decelerate entry.
+    /// Templates carrying at least one Decelerate entry.
     pub rebuilds_with_decelerate: u64,
-    /// Full rebuilds carrying at least one Exclude entry.
+    /// Templates carrying at least one Exclude entry.
     pub rebuilds_with_exclude: u64,
     /// Deliveries whose payload's admission-precheck memo was already
     /// populated by an earlier delivery of the same transaction — work
