@@ -1,5 +1,6 @@
-//! Mempool operation costs: admission per node role, snapshotting, and
-//! the fee-rate-index ablation (maintained index vs re-sorting on demand).
+//! Mempool operation costs: admission, the two orders the pool builds when
+//! read (a detailed snapshot after churn, the first best ancestor keys),
+//! and the fee-rate-order ablation (sort on demand vs a naive re-sort).
 
 use cn_chain::{Address, Amount, Transaction, TxOut};
 use cn_mempool::{Mempool, MempoolPolicy};
@@ -26,34 +27,42 @@ fn transactions(n: usize, seed: u64) -> Vec<(Transaction, Amount)> {
         .collect()
 }
 
-/// Primes a fresh pool the way one node role does before admission.
-type Prime = fn(&mut Mempool);
-
-/// The priming of each node role, which fixes the derived indexes every
-/// admission then keeps current: a relay reads none, a miner hub walks the
-/// ancestor-score order, an observer snapshots, and a capped observer also
-/// enforces its size limit.
-const ROLES: [(&str, Prime); 4] = [
-    ("plain", |_| {}),
-    ("miner", |pool| {
-        let _ = pool.anc_score_iter();
-    }),
-    ("observer", |pool| {
-        pool.snapshot(0);
-    }),
-    ("capped", |pool| {
-        pool.snapshot(0);
-        pool.limit_size(u64::MAX);
-    }),
-];
-
-fn filled_pool(prime: Prime, txs: &[(Transaction, Amount)]) -> Mempool {
+fn filled_pool(txs: &[(Transaction, Amount)]) -> Mempool {
     let mut pool = Mempool::new(MempoolPolicy::default());
-    prime(&mut pool);
     for (i, (tx, fee)) in txs.iter().enumerate() {
         pool.add(tx.clone(), *fee, i as u64).expect("distinct inputs");
     }
     pool
+}
+
+/// A pool of `n` residents drawn from a ring of `n + k` transactions: each
+/// `churn` admits the next `k` ring members and removes the `k` oldest
+/// residents, so the pool stays at `n` and every call changes `2k` rows.
+struct Churn {
+    ring: Vec<(Transaction, Amount)>,
+    k: usize,
+    next: usize,
+    pool: Mempool,
+}
+
+impl Churn {
+    fn new(n: usize, k: usize) -> Churn {
+        let ring = transactions(n + k, 7);
+        let pool = filled_pool(&ring[..n]);
+        Churn { ring, k, next: n, pool }
+    }
+
+    fn churn(&mut self) {
+        let len = self.ring.len();
+        for i in 0..self.k {
+            let (tx, fee) = &self.ring[(self.next + i) % len];
+            self.pool.add(tx.clone(), *fee, 0).expect("not resident");
+            // `n` ring places back, which is `k` forward.
+            let oldest = &self.ring[(self.next + i + self.k) % len].0;
+            self.pool.remove_with_descendants(&oldest.txid());
+        }
+        self.next = (self.next + self.k) % len;
+    }
 }
 
 fn bench_mempool(c: &mut Criterion) {
@@ -62,24 +71,34 @@ fn bench_mempool(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(8));
     for n in [1_000usize, 10_000] {
         let txs = transactions(n, 7);
-        for (role, prime) in ROLES {
-            let id = BenchmarkId::new(format!("add_n/{role}"), n);
-            group.bench_with_input(id, &txs, |b, txs| {
-                b.iter(|| black_box(filled_pool(prime, txs)))
+        group.bench_with_input(BenchmarkId::new("add_n", n), &txs, |b, txs| {
+            b.iter(|| black_box(filled_pool(txs)))
+        });
+        // A detailed snapshot merges the rows changed since the previous
+        // one; `churn` alone is the baseline to subtract.
+        for k in [10usize, 300] {
+            let mut churn = Churn::new(n, k);
+            group.bench_function(BenchmarkId::new(format!("churn/{k}"), n), |b| {
+                b.iter(|| churn.churn())
+            });
+            let mut churn = Churn::new(n, k);
+            churn.pool.snapshot(0);
+            group.bench_function(BenchmarkId::new(format!("churn_then_snapshot/{k}"), n), |b| {
+                b.iter(|| {
+                    churn.churn();
+                    black_box(churn.pool.snapshot(1))
+                })
             });
         }
-        let pool = filled_pool(|_| {}, &txs);
-        group.bench_with_input(BenchmarkId::new("snapshot", n), &pool, |b, pool| {
-            let mut pool = pool.clone();
-            let mut t = 0u64;
-            b.iter(|| {
-                t += 1;
-                black_box(pool.snapshot(t))
-            })
+        // The assembler's read: heapify every resident's key, pop about a
+        // block's worth best-first.
+        let pool = filled_pool(&txs);
+        group.bench_with_input(BenchmarkId::new("best_keys/300", n), &pool, |b, pool| {
+            b.iter(|| black_box(pool.anc_keys_best_first().take(300).count()))
         });
-        // Ablation: reading the maintained fee-rate index vs sorting all
-        // entries on demand (what a naive implementation would do per
-        // block template).
+        // Ablation: the pool's on-demand fee-rate order vs sorting all
+        // entries by hand (what a naive implementation would do per block
+        // template).
         group.bench_with_input(BenchmarkId::new("iter_indexed", n), &pool, |b, pool| {
             b.iter(|| {
                 let first = pool.iter_by_fee_rate_desc().take(500).count();

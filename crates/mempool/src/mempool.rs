@@ -1,28 +1,30 @@
-//! The Mempool proper: indexes, acceptance, package linkage, block connect.
+//! The Mempool proper: acceptance, package linkage, block connect, and
+//! the orders its readers ask for.
 //!
 //! Residents live in a slab arena: admission interns the txid to a dense
 //! `u32` handle, and every internal structure (parent/child adjacency,
-//! ancestry walks, the assembler-facing ancestor-score index) operates on
-//! handles instead of re-hashing 32-byte txids. The txid-keyed maps that
-//! remain (`lookup`, `spent`) use the digest-prefix hasher from
-//! [`cn_chain::fasthash`], the same trick as Bitcoin Core's
-//! `SaltedTxidHasher`.
+//! ancestry walks, the conflict map) operates on handles instead of
+//! re-hashing 32-byte txids. The txid-keyed maps that remain (`lookup`,
+//! `spent`) use the digest-prefix hasher from [`cn_chain::fasthash`], the
+//! same trick as Bitcoin Core's `SaltedTxidHasher`.
 //!
 //! Each entry caches its ancestor and descendant package scores in every
-//! pool. The three sorted indexes derived from them (ancestor-score order,
-//! eviction order, snapshot rows) each have one reader, which builds the
-//! index on its first call; from then on every mutation keeps it current.
-//! A pool view that never assembles, evicts or snapshots never pays for
-//! the matching index.
+//! pool. Admission and removal keep neither the assembler's order nor the
+//! snapshot rows current: [`Mempool::anc_keys_best_first`] heapifies the
+//! cached ancestor scores on each call, and [`Mempool::snapshot`] merges
+//! the rows changed since the previous snapshot into that snapshot's rows.
+//! The one kept index is the `-maxmempool` eviction order, which the first
+//! [`Mempool::limit_size`] over the cap builds and every later mutation
+//! keeps sorted.
 
 use crate::entry::{AdmissionPrecheck, MempoolEntry};
 use crate::policy::MempoolPolicy;
 use crate::snapshot::{MempoolSnapshot, SnapshotEntry};
 use cn_chain::{Amount, Block, FastMap, FeeRate, OutPoint, Timestamp, Transaction, Txid};
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, BinaryHeap};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Why a transaction was refused admission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,20 +89,20 @@ impl TxHandle {
 
 /// Ancestor-package score key, ordered exactly like the assembler ranks
 /// candidates: cross-multiplied package fee rate, then smaller package,
-/// then earlier arrival, then txid. Iterating the pool's ancestor-score
-/// index in reverse therefore yields candidates best-first — the order
-/// `GetBlockTemplate`'s selection loop wants them.
+/// then earlier arrival, then txid. The greatest key is the best
+/// candidate, so [`Mempool::anc_keys_best_first`] pops keys from a
+/// max-heap in the order `GetBlockTemplate`'s selection loop wants them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AncKey {
     /// Saturating fixed-point package rate, `floor(fee << 32 / vsize)`:
     /// a compare-first approximation of the exact cross-multiplied rate.
     /// `floor` (and saturation) are monotone, so `approx_a < approx_b`
     /// implies the exact rates compare the same way; only equal
-    /// approximations fall through to the exact comparison. Most tree
-    /// descents therefore resolve on one integer compare instead of two
-    /// 128-bit multiplications per node.
+    /// approximations fall through to the exact comparison. Most heap
+    /// comparisons therefore resolve on one integer compare instead of
+    /// two 128-bit multiplications.
     pub approx: u64,
-    /// Ancestor-package fee in satoshis at the time the key was indexed.
+    /// Ancestor-package fee in satoshis when the key was taken.
     pub fee: u64,
     /// Ancestor-package virtual size.
     pub vsize: u64,
@@ -108,7 +110,7 @@ pub struct AncKey {
     pub seq: u64,
     /// The transaction this key scores.
     pub txid: Txid,
-    /// Its slab handle, so index consumers skip the txid lookup.
+    /// Its slab handle, so key consumers skip the txid lookup.
     pub handle: TxHandle,
 }
 
@@ -169,26 +171,22 @@ pub struct Mempool {
     free: Vec<u32>,
     /// In-pool spends, for conflict detection and confirmed-conflict eviction.
     spent: FastMap<OutPoint, u32>,
-    /// Ancestor-package score index, so the assembler's selection loop
-    /// walks residents best-first without rebuilding a heap per block.
-    /// Built from the cached ancestor scores by the first
-    /// [`Mempool::anc_score_iter`], kept sorted by every mutation after.
-    anc_index: OnceLock<BTreeSet<AncKey>>,
     /// Descendant-package fee rate index — the `-maxmempool` eviction
-    /// order. Built by the first [`Mempool::limit_size`], kept after.
+    /// order. Built by the first [`Mempool::limit_size`] that finds the
+    /// pool over its cap, kept sorted by every mutation after.
     by_desc_rate: Option<BTreeSet<(FeeRate, Txid)>>,
-    /// Live txid-sorted snapshot rows, so a detailed snapshot is one
-    /// sort-free copy instead of a per-entry rebuild with ancestry walks.
-    /// Built by the first [`Mempool::snapshot`], kept after.
-    rows: Option<BTreeMap<Txid, SnapshotEntry>>,
-    /// Last detailed-row dump, shared until the pool next changes.
+    /// The txid-sorted rows of the last detailed snapshot, shared with it.
     snapshot_cache: Option<Arc<Vec<SnapshotEntry>>>,
+    /// Txids admitted, removed or re-flagged since that snapshot, unsorted
+    /// and possibly repeated: the rows the next snapshot merges in. Kept
+    /// only while `snapshot_cache` is set; see [`Mempool::row_changed`].
+    changed_rows: Vec<Txid>,
     total_vsize: u64,
     next_sequence: u64,
 }
 
 // Node views cross the fork-join pool's threads and are cloned into
-// checkpoint forks; the lazily built indexes must not cost that.
+// checkpoint forks.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Mempool>();
@@ -270,19 +268,18 @@ impl Mempool {
         self.slot(h.0).children.iter().map(|&c| TxHandle(c))
     }
 
-    /// The ancestor-score index, worst-first (reverse it for the
-    /// assembler's best-first order). The first call builds it from the
-    /// cached ancestor scores; later mutations keep it sorted.
-    pub fn anc_score_iter(&self) -> impl DoubleEndedIterator<Item = &AncKey> + '_ {
-        self.anc_index
-            .get_or_init(|| {
-                self.slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(h, s)| s.as_ref().map(|e| Self::anc_key(e, h as u32)))
-                    .collect()
-            })
+    /// Every resident's key at its cached ancestor score, best-first — the
+    /// order the assembler's selection walk reads. Each call heapifies the
+    /// keys (O(n)) and each step pops one (O(log n)), so a walk that stops
+    /// once the block is full never orders the rest.
+    pub fn anc_keys_best_first(&self) -> impl Iterator<Item = AncKey> {
+        let mut heap: BinaryHeap<AncKey> = self
+            .slots
             .iter()
+            .enumerate()
+            .filter_map(|(h, s)| s.as_ref().map(|e| Self::anc_key(e, h as u32)))
+            .collect();
+        std::iter::from_fn(move || heap.pop())
     }
 
     /// Smallest resident transaction weight.
@@ -398,19 +395,22 @@ impl Mempool {
         }
         // P2P paths can deliver a child before its parent; if any resident
         // transaction already spends one of this transaction's outputs,
-        // reconstruct the parent→child edge now.
+        // reconstruct the parent→child edge now, once per child however
+        // many of the outputs it spends.
         let mut reconnected = false;
         let out_count = self.slot(h).tx().outputs().len() as u32;
         for vout in 0..out_count {
             let Some(&c) = self.spent.get(&OutPoint::new(txid, vout)) else { continue };
-            if !self.slot(h).children.contains(&c) {
-                self.slot_mut(h).children.push(c);
+            if self.slot(h).children.contains(&c) {
+                continue;
             }
+            self.slot_mut(h).children.push(c);
             let child = self.slot_mut(c);
             child.parents.push(h);
-            let child_txid = child.txid();
-            if let Some(row) = self.rows.as_mut().and_then(|rows| rows.get_mut(&child_txid)) {
-                row.has_unconfirmed_parent = true;
+            if child.parents.len() == 1 {
+                // The child's CPFP flag just turned on.
+                let child_txid = child.txid();
+                self.row_changed(child_txid);
             }
             reconnected = true;
         }
@@ -418,10 +418,7 @@ impl Mempool {
         if let Some(index) = &mut self.by_desc_rate {
             index.insert(Self::desc_key(entry, txid));
         }
-        if let Some(rows) = &mut self.rows {
-            rows.insert(txid, Self::row(entry));
-            self.snapshot_cache = None;
-        }
+        self.row_changed(txid);
         if reconnected {
             // Rare out-of-order arrival: the new transaction gained resident
             // descendants, so the incremental deltas below don't apply.
@@ -436,7 +433,7 @@ impl Mempool {
                 anc_fee += e.fee().to_sat();
                 anc_vsize += e.vsize();
             }
-            self.insert_anc_score(h, anc_fee, anc_vsize);
+            self.set_anc_score(h, anc_fee, anc_vsize);
             for &a in &ancestors {
                 self.shift_desc_score(a, fee_sat as i128, vsize as i128, 1);
             }
@@ -444,7 +441,22 @@ impl Mempool {
         Ok(txid)
     }
 
-    /// The ancestor-score index key currently stored for the entry at `h`.
+    /// Notes that `txid`'s snapshot row appeared, vanished or changed its
+    /// CPFP flag, if a snapshot's rows are cached for the next one to merge
+    /// it into. Once more rows changed than the pool holds, merging would
+    /// cost more than sorting the slab, so the cache is dropped instead.
+    fn row_changed(&mut self, txid: Txid) {
+        if self.snapshot_cache.is_none() {
+            return;
+        }
+        self.changed_rows.push(txid);
+        if self.changed_rows.len() > self.len() {
+            self.snapshot_cache = None;
+            self.changed_rows.clear();
+        }
+    }
+
+    /// The ancestor-score key of the entry at `h`, at its cached score.
     fn anc_key(entry: &MempoolEntry, h: u32) -> AncKey {
         AncKey {
             approx: AncKey::approx_rate(entry.anc_fee, entry.anc_vsize),
@@ -456,35 +468,11 @@ impl Mempool {
         }
     }
 
-    /// Sets the entry's ancestor-package totals and re-keys the score
-    /// index. Also the insertion path: removing a key that was never
-    /// indexed is a no-op, so fresh entries land here too.
+    /// Sets the entry's cached ancestor-package totals.
     fn set_anc_score(&mut self, h: u32, fee_sat: u64, vsize: u64) {
         let Some(entry) = self.slots[h as usize].as_mut() else { return };
-        let old = Self::anc_key(entry, h);
         entry.anc_fee = fee_sat;
         entry.anc_vsize = vsize;
-        if let Some(index) = self.anc_index.get_mut() {
-            let new = Self::anc_key(entry, h);
-            if new != old {
-                index.remove(&old);
-            }
-            index.insert(new);
-        }
-    }
-
-    /// Insertion-only [`Mempool::set_anc_score`] for an entry that was
-    /// never indexed: skips the old-key removal probe, which is a full
-    /// tree descent for a key that cannot be present. Admission is the
-    /// hottest caller and always inserts fresh entries, so the saved
-    /// probe is once per accepted transaction per node.
-    fn insert_anc_score(&mut self, h: u32, fee_sat: u64, vsize: u64) {
-        let Some(entry) = self.slots[h as usize].as_mut() else { return };
-        entry.anc_fee = fee_sat;
-        entry.anc_vsize = vsize;
-        if let Some(index) = self.anc_index.get_mut() {
-            index.insert(Self::anc_key(entry, h));
-        }
     }
 
     /// The descendant-package index key currently stored for `txid`.
@@ -546,22 +534,16 @@ impl Mempool {
 
     /// Removes one transaction (no descendant handling); returns the entry.
     /// Package scores of survivors are the *caller's* responsibility — see
-    /// [`Mempool::remove_confirmed`] and [`Mempool::remove_with_descendants`].
+    /// [`Mempool::apply_block`] and [`Mempool::remove_with_descendants`].
     fn remove_single_h(&mut self, h: u32) -> Option<MempoolEntry> {
         let entry = self.slots[h as usize].take()?;
         let txid = entry.txid();
         self.lookup.remove(&txid);
         self.free.push(h);
-        if let Some(index) = self.anc_index.get_mut() {
-            index.remove(&Self::anc_key(&entry, h));
-        }
         if let Some(index) = &mut self.by_desc_rate {
             index.remove(&Self::desc_key(&entry, txid));
         }
-        if let Some(rows) = &mut self.rows {
-            rows.remove(&txid);
-            self.snapshot_cache = None;
-        }
+        self.row_changed(txid);
         self.total_vsize -= entry.vsize();
         for input in entry.tx().inputs() {
             self.spent.remove(&input.prevout);
@@ -576,8 +558,9 @@ impl Mempool {
         for &c in &entry.children {
             let Some(ce) = self.slots[c as usize].as_mut() else { continue };
             ce.parents.retain(|&p| p != h);
-            if let Some(row) = self.rows.as_mut().and_then(|rows| rows.get_mut(&ce.txid())) {
-                row.has_unconfirmed_parent = !ce.parents.is_empty();
+            if ce.parents.is_empty() {
+                let child_txid = ce.txid();
+                self.row_changed(child_txid);
             }
         }
         Some(entry)
@@ -771,10 +754,14 @@ impl Mempool {
     /// virtual bytes — Bitcoin Core's `-maxmempool` behaviour. The victim
     /// each round is the transaction with the lowest descendant-package
     /// fee rate (ties by txid); it leaves together with its descendants.
-    /// Returns the evicted txids in eviction order. O(log n) per victim
-    /// via the descendant-rate index, which the first call builds from the
-    /// cached descendant scores and later mutations keep sorted.
+    /// Returns the evicted txids in eviction order. A pool that fits its
+    /// cap returns at once; otherwise each victim costs O(log n) via the
+    /// descendant-rate index, which the first call over the cap builds from
+    /// the cached descendant scores and later mutations keep sorted.
     pub fn limit_size(&mut self, max_vsize: u64) -> Vec<Txid> {
+        if self.total_vsize <= max_vsize {
+            return Vec::new();
+        }
         self.by_desc_rate.get_or_insert_with(|| {
             self.slots.iter().flatten().map(|e| Self::desc_key(e, e.txid())).collect()
         });
@@ -886,23 +873,49 @@ impl Mempool {
     }
 
     /// Records the pool's full state at `now` — one paper-style dataset
-    /// row with per-transaction entries. The first call builds the sorted,
-    /// CPFP-flagged rows and later mutations keep them live, so each call
-    /// is a single shared-storage copy; consecutive snapshots of an
+    /// row with per-transaction entries, txid-sorted and CPFP-flagged.
+    /// The first call sorts the slab's rows. A later call merges the rows
+    /// admitted, removed or re-flagged since into the previous snapshot's
+    /// (see [`Mempool::row_changed`]), and consecutive snapshots of an
     /// unchanged pool share one allocation.
     pub fn snapshot(&mut self, now: Timestamp) -> MempoolSnapshot {
-        let live = self.rows.get_or_insert_with(|| {
-            self.slots.iter().flatten().map(|e| (e.txid(), Self::row(e))).collect()
-        });
-        let rows = match &self.snapshot_cache {
-            Some(cached) => Arc::clone(cached),
+        let rows = match self.snapshot_cache.take() {
+            Some(last) if self.changed_rows.is_empty() => last,
+            Some(last) => Arc::new(self.merge_changed_rows(&last)),
             None => {
-                let rows: Arc<Vec<SnapshotEntry>> = Arc::new(live.values().copied().collect());
-                self.snapshot_cache = Some(Arc::clone(&rows));
-                rows
+                let mut rows: Vec<SnapshotEntry> = self.iter().map(Self::row).collect();
+                rows.sort_unstable_by_key(|r| r.txid);
+                Arc::new(rows)
             }
         };
+        self.snapshot_cache = Some(Arc::clone(&rows));
         MempoolSnapshot::from_shared(now, rows, self.total_vsize)
+    }
+
+    /// `last`'s rows with each changed txid's row replaced by its current
+    /// one, or dropped if it left the pool; empties the change list.
+    fn merge_changed_rows(&mut self, last: &[SnapshotEntry]) -> Vec<SnapshotEntry> {
+        let mut changed = std::mem::take(&mut self.changed_rows);
+        changed.sort_unstable();
+        changed.dedup();
+        let mut rows = Vec::with_capacity(self.len());
+        let mut rest = last;
+        for txid in &changed {
+            // Copy the unchanged run before `txid`, then skip its old row.
+            let run = rest.partition_point(|r| r.txid < *txid);
+            rows.extend_from_slice(&rest[..run]);
+            rest = &rest[run..];
+            if rest.first().is_some_and(|r| r.txid == *txid) {
+                rest = &rest[1..];
+            }
+            if let Some(h) = self.handle(txid) {
+                rows.push(Self::row(self.slot(h)));
+            }
+        }
+        rows.extend_from_slice(rest);
+        changed.clear();
+        self.changed_rows = changed;
+        rows
     }
 
     /// Records only the pool's aggregate state at `now` (count and total
@@ -943,38 +956,38 @@ mod tests {
         Mempool::new(MempoolPolicy::default())
     }
 
-    /// `p` with its ancestor-score index built, so every later mutation
-    /// maintains it incrementally.
-    fn indexed(p: Mempool) -> Mempool {
-        let _ = p.anc_score_iter();
-        p
-    }
-
-    /// The incrementally kept ancestor-score index must hold exactly one
-    /// key per resident, at the entry's current (anc_fee, anc_vsize, seq),
-    /// and the cached descendant-package cardinality must match the graph.
-    /// Reading through `anc_score_iter` would build a fresh index and pass
-    /// vacuously, so the pool must have built it before its first mutation.
-    fn assert_anc_index_consistent(p: &Mempool) {
-        let index = p.anc_index.get().expect("index built before the first mutation");
-        assert_eq!(index.len(), p.len(), "one key per resident");
-        for key in index {
-            let e = p.get(&key.txid).expect("indexed txs are resident");
-            assert_eq!((key.fee, key.vsize), (e.anc_fee, e.anc_vsize), "key matches entry");
-            assert_eq!(key.seq, e.sequence());
+    /// Every resident's cached ancestor and descendant package scores and
+    /// descendant count must equal a walk of the graph, and the best-first
+    /// keys must list each resident once, at its cached score, best first.
+    fn assert_scores_match_graph(p: &Mempool) {
+        let keys: Vec<AncKey> = p.anc_keys_best_first().collect();
+        assert_eq!(keys.len(), p.len(), "one key per resident");
+        assert!(keys.windows(2).all(|w| w[0] > w[1]), "keys come best first");
+        for key in &keys {
+            let e = p.entry_at(key.handle);
+            assert_eq!((key.txid, key.seq), (e.txid(), e.sequence()), "key matches entry");
             let (fee, vsize) = p.compute_ancestor_package_h(key.handle.0);
-            assert_eq!((key.fee, key.vsize), (fee.to_sat(), vsize), "key matches the graph");
+            assert_eq!((key.fee, key.vsize), (fee.to_sat(), vsize), "ancestor score matches graph");
+            let (fee, vsize, count) = p.compute_descendant_package_counted_h(key.handle.0);
             assert_eq!(
-                e.descendant_count() as usize,
-                p.descendants_h(key.handle.0).len() + 1,
-                "desc_count matches the graph"
+                (e.desc_fee, e.desc_vsize, e.desc_count),
+                (fee.to_sat(), vsize, count),
+                "descendant score matches the graph"
             );
         }
     }
 
+    /// The rows a snapshot must hold, built from the slab without the
+    /// cached previous snapshot.
+    fn rows_from_scratch(p: &Mempool) -> Vec<SnapshotEntry> {
+        let mut rows: Vec<SnapshotEntry> = p.iter().map(Mempool::row).collect();
+        rows.sort_by_key(|r| r.txid);
+        rows
+    }
+
     #[test]
     fn add_and_lookup() {
-        let mut p = indexed(pool());
+        let mut p = pool();
         let t = tx_with(1, 0, 1_000);
         let vsize = t.vsize();
         let txid = p.add(t, Amount::from_sat(2_000), 10).expect("accepted");
@@ -983,11 +996,11 @@ mod tests {
         assert_eq!(p.total_vsize(), vsize);
         assert_eq!(p.get(&txid).expect("resident").received(), 10);
         assert_eq!(p.handle_of(&txid).map(|h| h.index()), Some(0));
-        assert_anc_index_consistent(&p);
+        assert_scores_match_graph(&p);
     }
 
     #[test]
-    fn each_index_is_built_only_by_its_reader() {
+    fn only_snapshot_and_limit_size_keep_state_for_their_next_call() {
         let mut p = pool();
         let parent = tx_with(1, 0, 50_000);
         p.add(parent.clone(), Amount::from_sat(1_000), 0).expect("ok");
@@ -1002,16 +1015,34 @@ mod tests {
                 .build(),
             vec![parent],
         ));
-        let built = |p: &Mempool| {
-            (p.anc_index.get().is_some(), p.by_desc_rate.is_some(), p.rows.is_some())
+        let kept = |p: &Mempool| {
+            (p.snapshot_cache.is_some(), p.changed_rows.len(), p.by_desc_rate.is_some())
         };
-        assert_eq!(built(&p), (false, false, false), "mutations build nothing");
+        assert_eq!(kept(&p), (false, 0, false), "mutations keep nothing");
+        assert_eq!(p.anc_keys_best_first().count(), 1);
+        assert_eq!(kept(&p), (false, 0, false), "the ancestor order is not kept");
         p.snapshot(2);
-        assert_eq!(built(&p), (false, false, true));
+        assert_eq!(kept(&p), (true, 0, false));
+        p.add(tx_with(2, 0, 1_000), Amount::from_sat(2_000), 3).expect("ok");
+        assert_eq!(kept(&p), (true, 1, false), "a snapshotting view notes changed rows");
         p.limit_size(u64::MAX);
-        assert_eq!(built(&p), (false, true, true));
-        assert_eq!(p.anc_score_iter().count(), 1);
-        assert_eq!(built(&p), (true, true, true));
+        assert_eq!(kept(&p), (true, 1, false));
+    }
+
+    #[test]
+    fn limit_size_builds_nothing_while_the_pool_fits_its_cap() {
+        let mut p = pool();
+        let cheap = tx_with(1, 0, 1_000);
+        let rich = tx_with(2, 0, 1_000);
+        let vs = cheap.vsize();
+        p.add(cheap.clone(), Amount::from_sat(vs * 2), 0).expect("ok");
+        p.add(rich, Amount::from_sat(vs * 50), 1).expect("ok");
+        for cap in [u64::MAX, p.total_vsize()] {
+            assert!(p.limit_size(cap).is_empty());
+            assert!(p.by_desc_rate.is_none(), "under its cap, {cap}, nothing is built");
+        }
+        assert_eq!(p.limit_size(p.total_vsize() - 1), vec![cheap.txid()]);
+        assert!(p.by_desc_rate.is_some(), "the first call over the cap builds the order");
     }
 
     #[test]
@@ -1066,7 +1097,7 @@ mod tests {
 
     #[test]
     fn ancestors_and_descendants_tracked() {
-        let mut p = indexed(pool());
+        let mut p = pool();
         let parent = tx_with(1, 0, 50_000);
         let child = child_of(&parent, 40_000);
         let grandchild = child_of(&child, 30_000);
@@ -1088,13 +1119,13 @@ mod tests {
 
         assert!(p.has_unconfirmed_parent(&child.txid()));
         assert!(!p.has_unconfirmed_parent(&parent.txid()));
-        assert_anc_index_consistent(&p);
+        assert_scores_match_graph(&p);
     }
 
     #[test]
     fn ancestor_package_scores_cpfp() {
         // accept_all so the deliberately underpriced parent gets in.
-        let mut p = indexed(Mempool::new(MempoolPolicy::accept_all()));
+        let mut p = Mempool::new(MempoolPolicy::accept_all());
         let parent = tx_with(1, 0, 50_000);
         let child = child_of(&parent, 40_000);
         let (pv, cv) = (parent.vsize(), child.vsize());
@@ -1107,12 +1138,12 @@ mod tests {
         let (fee, vsize) = p.ancestor_package(&parent.txid()).expect("resident");
         assert_eq!(fee, Amount::from_sat(100));
         assert_eq!(vsize, pv);
-        assert_anc_index_consistent(&p);
+        assert_scores_match_graph(&p);
     }
 
     #[test]
     fn apply_block_confirms_and_evicts_conflicts() {
-        let mut p = indexed(pool());
+        let mut p = pool();
         let confirmed = tx_with(1, 0, 1_000);
         let rival = Transaction::builder()
             .add_input_with_sizes([2; 32].into(), 0, 107, 0)
@@ -1143,12 +1174,12 @@ mod tests {
         assert_eq!(confirmed_n, 1);
         assert_eq!(conflicted_n, 2); // rival + its child
         assert!(p.is_empty());
-        assert_anc_index_consistent(&p);
+        assert_scores_match_graph(&p);
     }
 
     #[test]
     fn remove_with_descendants_cleans_indexes() {
-        let mut p = indexed(pool());
+        let mut p = pool();
         let parent = tx_with(1, 0, 50_000);
         let child = child_of(&parent, 40_000);
         p.add(parent.clone(), Amount::from_sat(1_000), 0).expect("ok");
@@ -1161,7 +1192,7 @@ mod tests {
         assert_eq!(p.min_tx_weight(), None);
         // Re-adding after removal works (spent index was cleaned).
         assert!(p.add(parent, Amount::from_sat(1_000), 1).is_ok());
-        assert_anc_index_consistent(&p);
+        assert_scores_match_graph(&p);
     }
 
     #[test]
@@ -1205,7 +1236,7 @@ mod tests {
 
     #[test]
     fn expiry_evicts_old_entries_with_children() {
-        let mut p = indexed(pool());
+        let mut p = pool();
         let old = tx_with(1, 0, 50_000);
         let child = child_of(&old, 40_000);
         let fresh = tx_with(2, 0, 1_000);
@@ -1217,7 +1248,7 @@ mod tests {
         assert!(p.contains(&fresh.txid()));
         assert!(!p.contains(&old.txid()));
         assert!(!p.contains(&child.txid()));
-        assert_anc_index_consistent(&p);
+        assert_scores_match_graph(&p);
     }
 
     #[test]
@@ -1289,7 +1320,7 @@ mod tests {
 
     #[test]
     fn handles_recycled_after_removal() {
-        let mut p = indexed(pool());
+        let mut p = pool();
         let a = tx_with(1, 0, 1_000);
         let b = tx_with(2, 0, 1_000);
         let a_id = p.add(a, Amount::from_sat(2_000), 0).expect("ok");
@@ -1298,12 +1329,12 @@ mod tests {
         let b_id = p.add(b, Amount::from_sat(2_000), 1).expect("ok");
         assert_eq!(p.handle_of(&b_id).expect("live").index(), slot_a, "slot reused");
         assert_eq!(p.slot_count(), 1);
-        assert_anc_index_consistent(&p);
+        assert_scores_match_graph(&p);
     }
 
     #[test]
     fn desc_count_tracks_adds_removes_and_reconnect() {
-        let mut p = indexed(Mempool::new(MempoolPolicy::accept_all()));
+        let mut p = Mempool::new(MempoolPolicy::accept_all());
         let parent = tx_with(1, 0, 50_000);
         let child = child_of(&parent, 40_000);
         let grandchild = child_of(&child, 30_000);
@@ -1315,11 +1346,11 @@ mod tests {
         assert_eq!(p.get(&parent.txid()).expect("resident").descendant_count(), 3);
         assert_eq!(p.get(&child.txid()).expect("resident").descendant_count(), 2);
         assert_eq!(p.get(&grandchild.txid()).expect("resident").descendant_count(), 1);
-        assert_anc_index_consistent(&p);
+        assert_scores_match_graph(&p);
         // Subtree eviction sheds the removed members from survivors.
         p.remove_with_descendants(&child.txid());
         assert_eq!(p.get(&parent.txid()).expect("resident").descendant_count(), 1);
-        assert_anc_index_consistent(&p);
+        assert_scores_match_graph(&p);
     }
 
     #[test]
@@ -1327,7 +1358,7 @@ mod tests {
         // The same package admitted through both entry points must land in
         // identical pool state, including refusals.
         let mut via_shared = pool();
-        let mut via_pre = indexed(pool());
+        let mut via_pre = pool();
         let parent = tx_with(1, 0, 50_000);
         let child = child_of(&parent, 40_000);
         let dup = parent.clone();
@@ -1343,7 +1374,7 @@ mod tests {
         let order_a: Vec<Txid> = via_shared.iter_by_fee_rate_desc().map(|e| e.txid()).collect();
         let order_b: Vec<Txid> = via_pre.iter_by_fee_rate_desc().map(|e| e.txid()).collect();
         assert_eq!(order_a, order_b);
-        assert_anc_index_consistent(&via_pre);
+        assert_scores_match_graph(&via_pre);
     }
 
     #[test]
@@ -1351,7 +1382,7 @@ mod tests {
         // A whole parent/child package confirms in one block while an
         // unrelated CPFP pair survives — survivor scores must match the
         // graph after the batched connect.
-        let mut p = indexed(Mempool::new(MempoolPolicy::accept_all()));
+        let mut p = Mempool::new(MempoolPolicy::accept_all());
         let parent = tx_with(1, 0, 50_000);
         let child = child_of(&parent, 40_000);
         let other = tx_with(2, 0, 50_000);
@@ -1377,20 +1408,20 @@ mod tests {
         let (fee, _) = p.ancestor_package(&other_child.txid()).expect("resident");
         assert_eq!(fee, Amount::from_sat(7_200));
         assert_eq!(p.get(&other.txid()).expect("resident").descendant_count(), 2);
-        assert_anc_index_consistent(&p);
+        assert_scores_match_graph(&p);
     }
 
     #[test]
-    fn anc_index_tracks_reconnect_and_confirm() {
+    fn scores_track_reconnect_and_confirm() {
         // Child delivered before parent (out-of-order reconnect), then the
-        // parent is confirmed away — the maintained index must match the
+        // parent is confirmed away — the cached scores must match the
         // graph at every step.
-        let mut p = indexed(Mempool::new(MempoolPolicy::accept_all()));
+        let mut p = Mempool::new(MempoolPolicy::accept_all());
         let parent = tx_with(9, 0, 50_000);
         let child = child_of(&parent, 40_000);
         p.add(child.clone(), Amount::from_sat(4_000), 0).expect("orphan accepted");
         p.add(parent.clone(), Amount::from_sat(300), 1).expect("parent accepted");
-        assert_anc_index_consistent(&p);
+        assert_scores_match_graph(&p);
         let (fee, _) = p.ancestor_package(&child.txid()).expect("resident");
         assert_eq!(fee, Amount::from_sat(4_300), "reconnect rescored the child");
 
@@ -1406,8 +1437,87 @@ mod tests {
             vec![parent.clone()],
         );
         p.apply_block(&block);
-        assert_anc_index_consistent(&p);
+        assert_scores_match_graph(&p);
         let (fee, _) = p.ancestor_package(&child.txid()).expect("child survives");
         assert_eq!(fee, Amount::from_sat(4_000), "confirm peeled the parent off");
+    }
+
+    #[test]
+    fn late_parent_is_linked_once_to_a_child_spending_two_of_its_outputs() {
+        let parent = Transaction::builder()
+            .add_input_with_sizes([7; 32].into(), 0, 107, 0)
+            .add_output(TxOut::to_address(Amount::from_sat(50_000), Address::from_label("a")))
+            .add_output(TxOut::to_address(Amount::from_sat(50_000), Address::from_label("b")))
+            .build();
+        let child = Transaction::builder()
+            .add_input_with_sizes(parent.txid(), 0, 107, 0)
+            .add_input_with_sizes(parent.txid(), 1, 107, 0)
+            .add_output(TxOut::to_address(Amount::from_sat(90_000), Address::from_label("c")))
+            .build();
+        for parent_first in [true, false] {
+            let mut p = Mempool::new(MempoolPolicy::accept_all());
+            let mut arrivals = [(parent.clone(), 300), (child.clone(), 4_000)];
+            if !parent_first {
+                arrivals.reverse();
+            }
+            for (tx, fee) in arrivals {
+                p.add(tx, Amount::from_sat(fee), 0).expect("accepted");
+            }
+            let parent_h = p.handle_of(&parent.txid()).expect("resident");
+            let child_h = p.handle_of(&child.txid()).expect("resident");
+            assert_eq!(p.parent_handles(child_h).count(), 1, "parent first: {parent_first}");
+            assert_eq!(p.child_handles(parent_h).count(), 1, "parent first: {parent_first}");
+            assert_scores_match_graph(&p);
+        }
+    }
+
+    #[test]
+    fn snapshot_merges_rows_changed_since_the_last_one() {
+        let mut p = Mempool::new(MempoolPolicy::accept_all());
+        let parent = tx_with(1, 0, 50_000);
+        let child = child_of(&parent, 40_000);
+        let loner = tx_with(2, 0, 1_000);
+        p.add(child.clone(), Amount::from_sat(4_000), 0).expect("orphan accepted");
+        p.add(loner.clone(), Amount::from_sat(2_000), 1).expect("ok");
+        let first = p.snapshot(10);
+        assert_eq!(*first.entries, rows_from_scratch(&p));
+        assert!(Arc::ptr_eq(&first.entries, &p.snapshot(11).entries), "unchanged pool shares rows");
+        // The parent arrives (the child's flag turns on), the loner leaves.
+        p.add(parent.clone(), Amount::from_sat(300), 2).expect("ok");
+        p.remove_with_descendants(&loner.txid());
+        let merged = p.snapshot(12);
+        assert_eq!(*merged.entries, rows_from_scratch(&p));
+        assert!(merged.entries.iter().any(|r| r.txid == child.txid() && r.has_unconfirmed_parent));
+        // The parent confirms: the child's flag turns off again.
+        let cb = cn_chain::CoinbaseBuilder::new(1)
+            .reward(Address::from_label("pool"), Amount::from_btc(6))
+            .build();
+        p.apply_block(&cn_chain::Block::assemble(
+            1,
+            cn_chain::BlockHash::ZERO,
+            0,
+            0,
+            cb,
+            vec![parent],
+        ));
+        let merged = p.snapshot(13);
+        assert_eq!(*merged.entries, rows_from_scratch(&p));
+        assert!(!merged.entries[0].has_unconfirmed_parent);
+        assert_eq!(merged.total_vsize(), child.vsize());
+    }
+
+    #[test]
+    fn snapshot_after_more_changes_than_residents_sorts_the_slab() {
+        let mut p = pool();
+        p.add(tx_with(1, 0, 1_000), Amount::from_sat(2_000), 0).expect("ok");
+        p.snapshot(1);
+        for seed in 2..6 {
+            let tx = tx_with(seed, 0, 1_000);
+            let txid = p.add(tx, Amount::from_sat(2_000), 2).expect("ok");
+            p.remove_with_descendants(&txid);
+        }
+        assert!(p.snapshot_cache.is_none(), "the change list outgrew the pool");
+        assert!(p.changed_rows.is_empty());
+        assert_eq!(*p.snapshot(3).entries, rows_from_scratch(&p));
     }
 }

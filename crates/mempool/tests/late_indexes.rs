@@ -1,16 +1,27 @@
-//! A derived index built on its first read equals one kept from birth.
+//! Every order a pool builds when read equals one built from scratch.
 //!
-//! The pool builds each sorted index (the assembler's ancestor-score
-//! order, the `limit_size` eviction order, the snapshot rows) the first
-//! time its reader asks, and keeps it current after that. The property
-//! drives two pools through one random history. `eager` reads all three
-//! before its first mutation, so it maintains them from birth; `late`
-//! reads them only at the end, except that a history with size caps
-//! builds its eviction order at the first `limit_size`. Every step must
-//! return the same result in both pools, and the final reads must agree.
+//! The pool keeps no ancestor order and no snapshot rows current on
+//! admission and removal. Its best-first ancestor keys are heapified from
+//! the cached ancestor scores on each read, and a snapshot merges the rows
+//! changed since the previous snapshot into that snapshot's rows. Only the
+//! `limit_size` eviction order is an index: the first call over the cap
+//! builds it, and every mutation after keeps it sorted.
+//!
+//! The property drives two pools through one random history: roots,
+//! children of one or two parents, children that arrive before their
+//! parent, conflicting spends, blocks confirming whole ancestor packages,
+//! subtree removals and, in half the histories, size caps. At random steps
+//! one of the pools is read, and each read must equal a reference built
+//! from the resident transactions alone: the snapshot rows equal
+//! `MempoolSnapshot::from_entries` over the resident rows, the package
+//! scores equal sums over ancestors and descendants found by following
+//! prevouts, and the best-first keys equal the keys of those scores,
+//! sorted. `eager` builds its eviction order before the history starts and
+//! `late` at its first `limit_size` over the cap; every step must return
+//! the same result in both pools.
 
 use cn_chain::{Address, Amount, Block, BlockHash, CoinbaseBuilder, Transaction, Txid};
-use cn_mempool::{AncKey, Mempool, MempoolPolicy};
+use cn_mempool::{AncKey, Mempool, MempoolPolicy, MempoolSnapshot, SnapshotEntry};
 use proptest::prelude::*;
 
 /// A two-output transaction spending `inputs`; `value` keeps otherwise
@@ -47,30 +58,104 @@ fn block(height: u64, body: Vec<Transaction>) -> Block {
     Block::assemble(1, BlockHash::ZERO, height, 0, coinbase, body)
 }
 
-fn anc_order(pool: &Mempool) -> Vec<AncKey> {
-    pool.anc_score_iter().copied().collect()
+/// The resident parents of `txid`, found from its prevouts.
+fn parents(pool: &Mempool, txid: &Txid) -> Vec<Txid> {
+    let tx = pool.get(txid).expect("resident").tx();
+    let mut found: Vec<Txid> = Vec::new();
+    for input in tx.inputs() {
+        let parent = input.prevout.txid;
+        if pool.contains(&parent) && !found.contains(&parent) {
+            found.push(parent);
+        }
+    }
+    found
+}
+
+/// The resident ancestors of `txid` (excluding itself), found by following
+/// prevouts rather than the pool's adjacency.
+fn ancestors(pool: &Mempool, txid: &Txid) -> Vec<Txid> {
+    let mut found: Vec<Txid> = Vec::new();
+    let mut stack = parents(pool, txid);
+    while let Some(t) = stack.pop() {
+        if !found.contains(&t) {
+            stack.extend(parents(pool, &t));
+            found.push(t);
+        }
+    }
+    found
+}
+
+/// Total fee and vsize of `members`.
+fn package(pool: &Mempool, members: impl Iterator<Item = Txid>) -> (Amount, u64) {
+    members.fold((Amount::ZERO, 0), |(fee, vsize), t| {
+        let e = pool.get(&t).expect("resident");
+        (fee + e.fee(), vsize + e.vsize())
+    })
+}
+
+/// Checks every read of `pool` against its from-scratch reference.
+fn check_reads(pool: &mut Mempool, now: u64) {
+    let txids: Vec<Txid> = pool.iter().map(|e| e.txid()).collect();
+    let ancestry: Vec<Vec<Txid>> = txids.iter().map(|t| ancestors(pool, t)).collect();
+    let mut keys: Vec<AncKey> = Vec::with_capacity(txids.len());
+    let mut rows: Vec<SnapshotEntry> = Vec::with_capacity(txids.len());
+    for (txid, up) in txids.iter().zip(&ancestry) {
+        let e = pool.get(txid).expect("resident");
+        let (fee, vsize) = package(pool, up.iter().copied().chain([*txid]));
+        assert_eq!(pool.ancestor_package(txid), Some((fee, vsize)));
+        let down = txids.iter().zip(&ancestry).filter(|(_, up)| up.contains(txid));
+        let (desc_fee, desc_vsize) = package(pool, down.map(|(t, _)| *t).chain([*txid]));
+        assert_eq!(pool.descendant_package(txid), Some((desc_fee, desc_vsize)));
+        let fee = fee.to_sat();
+        keys.push(AncKey {
+            approx: AncKey::approx_rate(fee, vsize),
+            fee,
+            vsize,
+            seq: e.sequence(),
+            txid: *txid,
+            handle: pool.handle_of(txid).expect("resident"),
+        });
+        rows.push(SnapshotEntry {
+            txid: *txid,
+            received: e.received(),
+            fee: e.fee(),
+            vsize: e.vsize(),
+            has_unconfirmed_parent: !parents(pool, txid).is_empty(),
+        });
+    }
+    keys.sort_unstable_by(|a, b| b.cmp(a));
+    assert_eq!(pool.anc_keys_best_first().collect::<Vec<_>>(), keys);
+    let expected = MempoolSnapshot::from_entries(now, rows);
+    let snap = pool.snapshot(now);
+    assert_eq!(&snap.entries, &expected.entries);
+    assert_eq!((snap.len(), snap.total_vsize()), (expected.len(), expected.total_vsize()));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn late_built_indexes_equal_maintained_ones(
-        ops in proptest::collection::vec((0u8..11, any::<u32>(), 1u64..40), 1..120),
+    fn reads_equal_from_scratch_references(
+        ops in proptest::collection::vec((0u8..12, any::<u32>(), 1u64..40), 1..120),
         caps in any::<bool>(),
     ) {
         // Small package limits, so refusals are part of the history too.
         let policy =
             MempoolPolicy { max_ancestors: 6, max_descendants: 6, ..MempoolPolicy::accept_all() };
+        // Both pools admit one transaction and drop it again: `eager` by
+        // evicting it under a zero cap, which builds its eviction order,
+        // and `late` by removing it, which builds nothing.
         let mut eager = Mempool::new(policy);
-        let _ = eager.anc_score_iter();
-        eager.snapshot(0);
-        eager.limit_size(u64::MAX);
         let mut late = Mempool::new(policy);
+        let mut counter = 0u32;
+        let first = spend(&[fresh_prevout(&mut counter)], 10_000);
+        let fee = Amount::from_sat(first.vsize());
+        prop_assert_eq!(eager.add(first.clone(), fee, 0), late.add(first.clone(), fee, 0));
+        prop_assert_eq!(eager.limit_size(0), vec![first.txid()]);
+        prop_assert_eq!(late.remove_with_descendants(&first.txid()).len(), 1);
 
         let mut made: Vec<Transaction> = Vec::new();
         let mut withheld: Vec<Transaction> = Vec::new();
-        let mut counter = 0u32;
         let mut height = 0u64;
         for (step, &(kind, pick, rate)) in ops.iter().enumerate() {
             let now = step as u64;
@@ -148,6 +233,11 @@ proptest! {
                     prop_assert_eq!(eager.limit_size(cap), late.limit_size(cap));
                     None
                 }
+                // Read one pool, so the two keep different snapshot states.
+                11 => {
+                    check_reads(if pick & 1 == 0 { &mut eager } else { &mut late }, now);
+                    None
+                }
                 _ => None,
             };
             if let Some(tx) = admit {
@@ -159,12 +249,11 @@ proptest! {
         }
 
         let end = ops.len() as u64;
-        prop_assert_eq!(anc_order(&eager), anc_order(&late));
-        prop_assert_eq!(eager.snapshot(end).entries, late.snapshot(end).entries);
+        check_reads(&mut eager, end);
+        check_reads(&mut late, end);
         let cap = eager.total_vsize() / 2;
         prop_assert_eq!(eager.limit_size(cap), late.limit_size(cap));
-        // Both pools now maintain all three indexes; they still agree.
-        prop_assert_eq!(anc_order(&eager), anc_order(&late));
-        prop_assert_eq!(eager.snapshot(end + 1).entries, late.snapshot(end + 1).entries);
+        check_reads(&mut eager, end + 1);
+        check_reads(&mut late, end + 1);
     }
 }

@@ -66,7 +66,7 @@ pub trait MinerPolicy: Send + Sync {
     /// Whether [`MinerPolicy::classify`] returns [`Priority::Normal`] for
     /// *every* transaction. When true the assembler skips the per-entry
     /// classification pass and selects straight off the mempool's
-    /// persistent ancestor-score index. Only override to `true` for a
+    /// best-first ancestor-score keys. Only override to `true` for a
     /// policy that cannot return anything but Normal; the conservative
     /// default keeps unknown policies on the classified path.
     fn always_normal(&self) -> bool {

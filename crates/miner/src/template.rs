@@ -115,9 +115,9 @@ enum Slot {
     /// Not a candidate: another priority class, or blocked behind an
     /// unselected ancestor the phase may not pull in.
     Out,
-    /// A candidate whose phase-start copy is its key in the pool's
-    /// ancestor-score index.
-    Indexed,
+    /// A candidate whose phase-start copy is its key among the pool's
+    /// best-first ancestor-score keys.
+    Keyed,
     /// A candidate whose phase-start copy the side heap holds.
     Heaped,
 }
@@ -129,7 +129,7 @@ enum Slot {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AssemblyStats {
     /// Templates with no classified deviation: the Normal phase alone,
-    /// walking the pool's persistent ancestor-score index.
+    /// walking the pool's best-first ancestor-score keys.
     pub incremental_hits: u64,
     /// Templates whose priority map carried at least one deviation, so
     /// deviation phases ran around the Normal one.
@@ -195,14 +195,15 @@ impl BlockAssembler {
     /// Selection runs phase by phase — accelerated, Normal, decelerated —
     /// over one selection state indexed by slab handle, on the mempool's
     /// incrementally maintained ancestor-package scores. The Normal phase
-    /// walks the pool's persistent ancestor-score index best-first (it
-    /// survives across blocks; connecting a block re-keys only the
-    /// affected descendants), merged with a side heap of re-scored copies
-    /// (candidates whose score moved before the phase began, and copies
-    /// requeued during it); a deviation phase runs on the side heap alone. A phase nobody is classified into is skipped,
-    /// so a norm-following template is one walk over the index. The result
-    /// is bit-identical to [`BlockAssembler::assemble_reference`], the
-    /// walk-everything specification version.
+    /// pops the pool's ancestor-score keys best-first from a heap built for
+    /// this template ([`Mempool::anc_keys_best_first`]), merged with a side
+    /// heap of re-scored copies (candidates whose score moved before the
+    /// phase began, and copies requeued during it); a deviation phase runs
+    /// on the side heap alone. A phase nobody is classified into is
+    /// skipped, so a norm-following template is one walk over the keys.
+    /// The result is bit-identical to
+    /// [`BlockAssembler::assemble_reference`], the walk-everything
+    /// specification version.
     pub fn assemble<F>(&mut self, mempool: &Mempool, classify: F) -> BlockTemplate
     where
         F: Fn(&MempoolEntry) -> Priority,
@@ -213,7 +214,7 @@ impl BlockAssembler {
 
     /// [`BlockAssembler::assemble`] for a policy known to classify every
     /// transaction as Normal: skips the per-entry classification pass, so
-    /// only the Normal phase's walk over the index runs.
+    /// only the Normal phase's walk over the keys runs.
     pub fn assemble_norm(&mut self, mempool: &Mempool) -> BlockTemplate {
         let priorities = FastMap::default();
         self.assemble_with_priorities(mempool, &priorities)
@@ -629,8 +630,8 @@ impl<'a> Selection<'a> {
     /// on exactly the copies that heap holds, in the same order:
     /// * At phase start, one copy per candidate at its remaining score.
     ///   In the Normal phase a candidate whose score has not moved has
-    ///   that copy as its key in the pool's ancestor-score index, which a
-    ///   cursor walks best-first. Every other candidate's copy goes into
+    ///   that copy as its key among the pool's ancestor-score keys, which
+    ///   a cursor pops best-first. Every other candidate's copy goes into
     ///   the side heap, and the cursor skips its stale key.
     /// * After a selection, one copy per candidate descendant of the
     ///   popped transaction, at its new score; a popped copy whose score
@@ -647,17 +648,21 @@ impl<'a> Selection<'a> {
         let handle = |txid: &Txid| pool.handle_of(txid).expect("classified txs resident");
         let normal = phase == Priority::Normal;
         // The sparse priority map lists every slot that is not Normal.
-        let mut slot = vec![if normal { Slot::Indexed } else { Slot::Out }; pool.slot_count()];
+        let mut slot = vec![if normal { Slot::Keyed } else { Slot::Out }; pool.slot_count()];
         for (txid, p) in priorities {
             slot[handle(txid).index()] = if *p == phase { Slot::Heaped } else { Slot::Out };
         }
         // The Accelerate and Normal phases refuse only classified
         // transactions; the Decelerate phase also refuses the unselected
-        // Normal majority, so it scans the pool for blockers.
+        // Normal majority, so it scans the pool (in slab order: the sweep
+        // below marks a closure, which no order changes) for blockers.
         let refuses = |p: Priority| !BlockAssembler::phase_allows(phase, p);
         let mut stack: Vec<TxHandle> = if phase == Priority::Decelerate {
-            let prio = |txid: &Txid| BlockAssembler::prio(priorities, txid);
-            pool.anc_score_iter().filter(|k| refuses(prio(&k.txid))).map(|k| k.handle).collect()
+            pool.iter()
+                .map(|e| e.txid())
+                .filter(|txid| refuses(BlockAssembler::prio(priorities, txid)))
+                .map(|txid| handle(&txid))
+                .collect()
         } else {
             priorities.iter().filter(|(_, p)| refuses(**p)).map(|(t, _)| handle(t)).collect()
         };
@@ -684,14 +689,17 @@ impl<'a> Selection<'a> {
             }
         }
 
-        let mut cursor = pool.anc_score_iter().rev().peekable();
+        // Only the Normal phase reads the keys; a deviation phase skips
+        // the heapify.
+        let mut cursor =
+            normal.then(|| pool.anc_keys_best_first()).into_iter().flatten().peekable();
         while self.budget - self.used >= self.min_weight {
-            let indexed = cursor.peek().filter(|_| normal).map(|k| Candidate {
+            let keyed = cursor.peek().map(|k| Candidate {
                 score: PackageScore { fee: k.fee, vsize: k.vsize, seq: k.seq },
                 txid: k.txid,
                 handle: k.handle,
             });
-            let from_cursor = match (indexed, heap.peek()) {
+            let from_cursor = match (keyed, heap.peek()) {
                 (Some(c), Some(m)) => c > *m,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
@@ -699,8 +707,8 @@ impl<'a> Selection<'a> {
             };
             let item = if from_cursor {
                 cursor.next();
-                match indexed {
-                    Some(c) if slot[c.handle.index()] == Slot::Indexed => c,
+                match keyed {
+                    Some(c) if slot[c.handle.index()] == Slot::Keyed => c,
                     _ => continue,
                 }
             } else {
