@@ -1,8 +1,9 @@
-//! Mempool operation costs: admission, the two orders the pool builds when
-//! read (a detailed snapshot after churn, the first best ancestor keys),
-//! and the fee-rate-order ablation (sort on demand vs a naive re-sort).
+//! Mempool operation costs: admission, block connect, the two orders the
+//! pool builds when read (a detailed snapshot after churn, the first best
+//! ancestor keys), and the fee-rate-order ablation (sort on demand vs a
+//! naive re-sort).
 
-use cn_chain::{Address, Amount, Transaction, TxOut};
+use cn_chain::{Address, Amount, Block, BlockHash, CoinbaseBuilder, Transaction, TxOut, Txid};
 use cn_mempool::{Mempool, MempoolPolicy};
 use cn_stats::SimRng;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -65,6 +66,43 @@ impl Churn {
     }
 }
 
+/// A pool of about `n` residents in CPFP chains (a root and up to three
+/// descendants, each spending the one before), and a block that confirms
+/// the root alone of one chain in ten and one whole chain in ten. The
+/// roots leave survivors whose ancestor packages the connect rescores; the
+/// whole chains leave nothing behind to walk.
+fn cpfp_pool_and_block(n: usize) -> (Mempool, Block) {
+    let mut rng = SimRng::seed_from_u64(11);
+    let mut pool = Mempool::new(MempoolPolicy::default());
+    let mut body: Vec<Transaction> = Vec::new();
+    let mut chains = 0u64;
+    while pool.len() < n {
+        let mut bytes = [0u8; 32];
+        bytes[..8].copy_from_slice(&chains.to_le_bytes());
+        let mut spends = Txid::from(bytes);
+        let mut chain = Vec::new();
+        for _ in 0..1 + rng.next_below(4) {
+            let tx = Transaction::builder()
+                .add_input_with_sizes(spends, 0, 107, 0)
+                .add_output(TxOut::to_address(Amount::from_sat(50_000), Address::from_label("r")))
+                .build();
+            let fee = Amount::from_sat(tx.vsize() * (1 + rng.next_below(200)));
+            pool.add(tx.clone(), fee, chains).expect("a fresh chain");
+            spends = tx.txid();
+            chain.push(tx);
+        }
+        match chains % 10 {
+            0 => body.push(chain.swap_remove(0)),
+            1 => body.extend(chain),
+            _ => {}
+        }
+        chains += 1;
+    }
+    let coinbase =
+        CoinbaseBuilder::new(1).reward(Address::from_label("pool"), Amount::from_btc(6)).build();
+    (pool, Block::assemble(1, BlockHash::ZERO, 0, 0, coinbase, body))
+}
+
 fn bench_mempool(c: &mut Criterion) {
     let mut group = c.benchmark_group("mempool");
     group.sample_size(10);
@@ -73,6 +111,20 @@ fn bench_mempool(c: &mut Criterion) {
         let txs = transactions(n, 7);
         group.bench_with_input(BenchmarkId::new("add_n", n), &txs, |b, txs| {
             b.iter(|| black_box(filled_pool(txs)))
+        });
+        // Each call connects the block to a fresh copy of the pool. The
+        // copies are cloned before timing and dropped after it; a harness
+        // that calls more often than that times a clone too.
+        let (pool, block) = cpfp_pool_and_block(n);
+        let mut fresh: Vec<Mempool> = (0..11).map(|_| pool.clone()).collect();
+        let mut connected: Vec<Mempool> = Vec::with_capacity(fresh.len());
+        group.bench_function(BenchmarkId::new("connect", n), |b| {
+            b.iter(|| {
+                let mut pool = fresh.pop().unwrap_or_else(|| pool.clone());
+                let counts = pool.apply_block(&block);
+                connected.push(pool);
+                counts
+            })
         });
         // A detailed snapshot merges the rows changed since the previous
         // one; `churn` alone is the baseline to subtract.

@@ -4,10 +4,12 @@
 //! dependency-free while producing real, collision-resistant transaction and
 //! block identifiers — the audit pipeline keys every data structure on them.
 
+use std::cmp::Ordering;
 use std::fmt;
 
-/// A 32-byte digest, displayed in Bitcoin's reversed-hex convention.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+/// A 32-byte digest, displayed in Bitcoin's reversed-hex convention and
+/// ordered byte-lexicographically, like its `[u8; 32]`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Hash256(pub [u8; 32]);
 
 impl Hash256 {
@@ -42,6 +44,32 @@ impl Hash256 {
             out[31 - i] = ((hi << 4) | lo) as u8;
         }
         Some(Hash256(out))
+    }
+}
+
+impl Ord for Hash256 {
+    /// Compares four big-endian `u64` words, most significant first. The
+    /// first unequal word holds the first unequal byte, and big-endian
+    /// makes that byte decide the word compare, so the order is the bytes'
+    /// order. Sorted txid rows, the fleet merge and every digest-keyed tree
+    /// compare with it.
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        for (a, b) in self.0.chunks_exact(8).zip(other.0.chunks_exact(8)) {
+            let a = u64::from_be_bytes(a.try_into().expect("8-byte chunk"));
+            let b = u64::from_be_bytes(b.try_into().expect("8-byte chunk"));
+            if a != b {
+                return a.cmp(&b);
+            }
+        }
+        Ordering::Equal
+    }
+}
+
+impl PartialOrd for Hash256 {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 

@@ -342,13 +342,10 @@ impl Mempool {
         }
         // Package limits against in-pool ancestors. The resident subset of
         // the precheck's distinct prevout txids, in precheck order, is
-        // exactly the parent set the per-input scan used to rebuild.
-        let mut parents: Vec<u32> = Vec::with_capacity(pre.parent_txids.len());
-        for ptxid in &pre.parent_txids {
-            if let Some(&p) = self.lookup.get(ptxid) {
-                parents.push(p);
-            }
-        }
+        // exactly the parent set the per-input scan used to rebuild; most
+        // transactions have none, and then nothing is allocated.
+        let parents: Vec<u32> =
+            pre.parent_txids.iter().filter_map(|ptxid| self.lookup.get(ptxid).copied()).collect();
         let ancestors: Vec<u32> = if parents.is_empty() {
             Vec::new()
         } else {
@@ -601,50 +598,53 @@ impl Mempool {
     /// transaction (plus descendants) that conflicts with a confirmed spend.
     /// Returns `(confirmed_count, conflicted_count)`.
     ///
-    /// Batched: the whole resident confirmed set leaves first, then each
-    /// surviving neighbour is rescored exactly once — when a CPFP package
-    /// confirms together, the per-member interleaved removal used to rescore
-    /// the same survivors once per confirmed member. A valid block cannot
-    /// confirm a descendant of a transaction it conflicts out (the
+    /// One pass over the resident confirmed set marks it and seeds two
+    /// walks: its surviving direct children, and its surviving direct
+    /// parents. The set then leaves together, and each walk extends its
+    /// seeds through survivors only, deduplicated by the marks. A survivor
+    /// that lost an ancestor descends from a surviving direct child (the
+    /// last confirmed member on its path), and one that lost a descendant
+    /// is, or is an ancestor of, a surviving direct parent (only on
+    /// out-of-order arrivals: valid blocks confirm parents first). So the
+    /// walks reach exactly the survivors whose packages lost a member, and
+    /// each is rescored once, however many members it lost; descendants
+    /// that confirm in the same block are never walked. A valid block
+    /// cannot confirm a descendant of a transaction it conflicts out (the
     /// descendant's input would be unspendable), so deferring the conflict
-    /// scan behind the batched confirm leaves the final pool state — and
-    /// both counts — exactly what the interleaved order produced.
+    /// scan behind the batched confirm leaves the final pool state, and
+    /// both counts, exactly what removing one member at a time produced.
     pub fn apply_block(&mut self, block: &Block) -> (usize, usize) {
         let confirmed_h: Vec<u32> =
             block.body().iter().filter_map(|tx| self.handle(&tx.txid())).collect();
         let confirmed = confirmed_h.len();
         if confirmed > 0 {
-            // Survivors below a confirmed member lose it from their ancestor
-            // package; survivors above one (only on out-of-order arrivals —
-            // valid blocks confirm parents first) shed it from their
-            // descendant package.
-            let mut touched_down: Vec<u32> = Vec::new();
-            let mut touched_up: Vec<u32> = Vec::new();
+            let mut marks = vec![0u8; self.slots.len()];
             for &h in &confirmed_h {
-                touched_down.extend(self.descendants_h(h));
-                if !self.slot(h).parents.is_empty() {
-                    touched_up.extend(self.ancestors_h(h));
+                marks[h as usize] = CONFIRMED;
+            }
+            let (mut down, mut up) = (Vec::new(), Vec::new());
+            for &h in &confirmed_h {
+                let entry = self.slot(h);
+                for &c in &entry.children {
+                    mark_once(&mut marks, c, LOST_ANCESTOR, &mut down);
+                }
+                for &p in &entry.parents {
+                    mark_once(&mut marks, p, LOST_DESCENDANT, &mut up);
                 }
             }
             for &h in &confirmed_h {
                 self.remove_single_h(h);
             }
-            // No admissions happen mid-connect, so freed slots stay empty:
-            // a dead handle here is a confirmed member, not a recycled slot.
-            touched_down.sort_unstable();
-            touched_down.dedup();
-            for d in touched_down {
-                if self.slots[d as usize].is_some() {
-                    let (fee, vsize) = self.compute_ancestor_package_h(d);
-                    self.set_anc_score(d, fee.to_sat(), vsize);
-                }
+            // The confirmed members' edges are gone, so neither walk can
+            // step back into the set.
+            self.close_marked(&mut down, &mut marks, LOST_ANCESTOR, Link::Children);
+            self.close_marked(&mut up, &mut marks, LOST_DESCENDANT, Link::Parents);
+            for d in down {
+                let (fee, vsize) = self.compute_ancestor_package_h(d);
+                self.set_anc_score(d, fee.to_sat(), vsize);
             }
-            touched_up.sort_unstable();
-            touched_up.dedup();
-            for a in touched_up {
-                if self.slots[a as usize].is_some() {
-                    self.recompute_desc_score(a);
-                }
+            for a in up {
+                self.recompute_desc_score(a);
             }
         }
         // A confirmed spend of an outpoint invalidates any other pool
@@ -662,6 +662,23 @@ impl Mempool {
             }
         }
         (confirmed, conflicted)
+    }
+
+    /// Extends `queue`, whose handles are already marked `side`, to its
+    /// closure along `link`, marking and queueing each new handle once.
+    fn close_marked(&self, queue: &mut Vec<u32>, marks: &mut [u8], side: u8, link: Link) {
+        let mut next = 0;
+        while next < queue.len() {
+            let entry = self.slot(queue[next]);
+            next += 1;
+            let linked = match link {
+                Link::Parents => &entry.parents,
+                Link::Children => &entry.children,
+            };
+            for &l in linked {
+                mark_once(marks, l, side, queue);
+            }
+        }
     }
 
     /// Handle-level ancestor closure of `seeds` *including* the seeds
@@ -902,7 +919,7 @@ impl Mempool {
         let mut rest = last;
         for txid in &changed {
             // Copy the unchanged run before `txid`, then skip its old row.
-            let run = rest.partition_point(|r| r.txid < *txid);
+            let run = gallop(rest, txid);
             rows.extend_from_slice(&rest[..run]);
             rest = &rest[run..];
             if rest.first().is_some_and(|r| r.txid == *txid) {
@@ -923,6 +940,35 @@ impl Mempool {
     /// year-scale run.
     pub fn snapshot_light(&self, now: Timestamp) -> MempoolSnapshot {
         MempoolSnapshot::light(now, self.len(), self.total_vsize)
+    }
+}
+
+/// The number of leading `rows` whose txid is below `txid`, found by
+/// galloping from the front: probes at 1, 2, 4, … rows bracket the answer,
+/// and a binary search settles it inside the bracket. A merge whose sorted
+/// changes land a short run apart pays O(log run) per change, not a
+/// search of everything left.
+fn gallop(rows: &[SnapshotEntry], txid: &Txid) -> usize {
+    let mut bound = 1;
+    while bound <= rows.len() && rows[bound - 1].txid < *txid {
+        bound *= 2;
+    }
+    let below = bound / 2;
+    below + rows[below..bound.min(rows.len())].partition_point(|r| r.txid < *txid)
+}
+
+/// [`Mempool::apply_block`]'s per-slot marks: a confirmed member, and a
+/// survivor queued for each rescore.
+const CONFIRMED: u8 = 1;
+const LOST_ANCESTOR: u8 = 2;
+const LOST_DESCENDANT: u8 = 4;
+
+/// Queues `h` for the `side` rescore unless it is confirmed or queued.
+fn mark_once(marks: &mut [u8], h: u32, side: u8, queue: &mut Vec<u32>) {
+    let mark = &mut marks[h as usize];
+    if *mark & (CONFIRMED | side) == 0 {
+        *mark |= side;
+        queue.push(h);
     }
 }
 
@@ -954,6 +1000,14 @@ mod tests {
 
     fn pool() -> Mempool {
         Mempool::new(MempoolPolicy::default())
+    }
+
+    /// A block confirming `body`.
+    fn block_with(body: Vec<Transaction>) -> Block {
+        let cb = cn_chain::CoinbaseBuilder::new(1)
+            .reward(Address::from_label("pool"), Amount::from_btc(6))
+            .build();
+        Block::assemble(1, cn_chain::BlockHash::ZERO, 0, 0, cb, body)
     }
 
     /// Every resident's cached ancestor and descendant package scores and
@@ -1005,16 +1059,7 @@ mod tests {
         let parent = tx_with(1, 0, 50_000);
         p.add(parent.clone(), Amount::from_sat(1_000), 0).expect("ok");
         p.add(child_of(&parent, 40_000), Amount::from_sat(2_000), 1).expect("ok");
-        p.apply_block(&cn_chain::Block::assemble(
-            1,
-            cn_chain::BlockHash::ZERO,
-            0,
-            0,
-            cn_chain::CoinbaseBuilder::new(1)
-                .reward(Address::from_label("pool"), Amount::from_btc(6))
-                .build(),
-            vec![parent],
-        ));
+        p.apply_block(&block_with(vec![parent]));
         let kept = |p: &Mempool| {
             (p.snapshot_cache.is_some(), p.changed_rows.len(), p.by_desc_rate.is_some())
         };
@@ -1159,17 +1204,7 @@ mod tests {
             .add_input_with_sizes([2; 32].into(), 0, 108, 0)
             .add_output(TxOut::to_address(Amount::from_sat(700), Address::from_label("w")))
             .build();
-        let cb = cn_chain::CoinbaseBuilder::new(1)
-            .reward(Address::from_label("pool"), Amount::from_btc(6))
-            .build();
-        let block = cn_chain::Block::assemble(
-            2,
-            cn_chain::BlockHash::ZERO,
-            0,
-            0,
-            cb,
-            vec![confirmed.clone(), winner],
-        );
+        let block = block_with(vec![confirmed.clone(), winner]);
         let (confirmed_n, conflicted_n) = p.apply_block(&block);
         assert_eq!(confirmed_n, 1);
         assert_eq!(conflicted_n, 2); // rival + its child
@@ -1391,17 +1426,7 @@ mod tests {
         p.add(child.clone(), Amount::from_sat(9_000), 1).expect("ok");
         p.add(other.clone(), Amount::from_sat(200), 2).expect("ok");
         p.add(other_child.clone(), Amount::from_sat(7_000), 3).expect("ok");
-        let cb = cn_chain::CoinbaseBuilder::new(1)
-            .reward(Address::from_label("pool"), Amount::from_btc(6))
-            .build();
-        let block = cn_chain::Block::assemble(
-            1,
-            cn_chain::BlockHash::ZERO,
-            0,
-            0,
-            cb,
-            vec![parent.clone(), child.clone()],
-        );
+        let block = block_with(vec![parent.clone(), child.clone()]);
         let (confirmed_n, conflicted_n) = p.apply_block(&block);
         assert_eq!((confirmed_n, conflicted_n), (2, 0));
         assert_eq!(p.len(), 2);
@@ -1425,21 +1450,48 @@ mod tests {
         let (fee, _) = p.ancestor_package(&child.txid()).expect("resident");
         assert_eq!(fee, Amount::from_sat(4_300), "reconnect rescored the child");
 
-        let cb = cn_chain::CoinbaseBuilder::new(1)
-            .reward(Address::from_label("pool"), Amount::from_btc(6))
-            .build();
-        let block = cn_chain::Block::assemble(
-            1,
-            cn_chain::BlockHash::ZERO,
-            0,
-            0,
-            cb,
-            vec![parent.clone()],
-        );
-        p.apply_block(&block);
+        p.apply_block(&block_with(vec![parent.clone()]));
         assert_scores_match_graph(&p);
         let (fee, _) = p.ancestor_package(&child.txid()).expect("child survives");
         assert_eq!(fee, Amount::from_sat(4_000), "confirm peeled the parent off");
+    }
+
+    #[test]
+    fn apply_block_rescores_survivors_below_a_confirmed_parent() {
+        // The parent confirms alone. Its child and its grandchild, two
+        // hops down, stay and lose it from their ancestor packages.
+        let mut p = Mempool::new(MempoolPolicy::accept_all());
+        let parent = tx_with(1, 0, 50_000);
+        let child = child_of(&parent, 40_000);
+        let grandchild = child_of(&child, 30_000);
+        p.add(parent.clone(), Amount::from_sat(300), 0).expect("ok");
+        p.add(child.clone(), Amount::from_sat(4_000), 1).expect("ok");
+        p.add(grandchild.clone(), Amount::from_sat(900), 2).expect("ok");
+        assert_eq!(p.apply_block(&block_with(vec![parent])), (1, 0));
+        assert_scores_match_graph(&p);
+        let (fee, vsize) = p.ancestor_package(&grandchild.txid()).expect("resident");
+        assert_eq!((fee, vsize), (Amount::from_sat(4_900), child.vsize() + grandchild.vsize()));
+    }
+
+    #[test]
+    fn apply_block_rescores_survivors_above_a_confirmed_child() {
+        // The child confirms without its resident parent, which only an
+        // out-of-order history produces. Its parent and grandparent stay
+        // and shed it from their descendant packages.
+        let mut p = Mempool::new(MempoolPolicy::accept_all());
+        let grandparent = tx_with(1, 0, 50_000);
+        let parent = child_of(&grandparent, 40_000);
+        let child = child_of(&parent, 30_000);
+        p.add(grandparent.clone(), Amount::from_sat(300), 0).expect("ok");
+        p.add(parent.clone(), Amount::from_sat(4_000), 1).expect("ok");
+        p.add(child.clone(), Amount::from_sat(900), 2).expect("ok");
+        assert_eq!(p.apply_block(&block_with(vec![child])), (1, 0));
+        assert_scores_match_graph(&p);
+        let top = p.get(&grandparent.txid()).expect("resident");
+        assert_eq!(
+            (top.descendant_score().0, top.descendant_count()),
+            (Amount::from_sat(4_300), 2)
+        );
     }
 
     #[test]
@@ -1489,17 +1541,7 @@ mod tests {
         assert_eq!(*merged.entries, rows_from_scratch(&p));
         assert!(merged.entries.iter().any(|r| r.txid == child.txid() && r.has_unconfirmed_parent));
         // The parent confirms: the child's flag turns off again.
-        let cb = cn_chain::CoinbaseBuilder::new(1)
-            .reward(Address::from_label("pool"), Amount::from_btc(6))
-            .build();
-        p.apply_block(&cn_chain::Block::assemble(
-            1,
-            cn_chain::BlockHash::ZERO,
-            0,
-            0,
-            cb,
-            vec![parent],
-        ));
+        p.apply_block(&block_with(vec![parent]));
         let merged = p.snapshot(13);
         assert_eq!(*merged.entries, rows_from_scratch(&p));
         assert!(!merged.entries[0].has_unconfirmed_parent);

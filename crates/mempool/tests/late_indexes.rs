@@ -9,16 +9,16 @@
 //!
 //! The property drives two pools through one random history: roots,
 //! children of one or two parents, children that arrive before their
-//! parent, conflicting spends, blocks confirming whole ancestor packages,
-//! subtree removals and, in half the histories, size caps. At random steps
-//! one of the pools is read, and each read must equal a reference built
-//! from the resident transactions alone: the snapshot rows equal
-//! `MempoolSnapshot::from_entries` over the resident rows, the package
-//! scores equal sums over ancestors and descendants found by following
-//! prevouts, and the best-first keys equal the keys of those scores,
-//! sorted. `eager` builds its eviction order before the history starts and
-//! `late` at its first `limit_size` over the cap; every step must return
-//! the same result in both pools.
+//! parent, conflicting spends, blocks confirming whole ancestor packages or
+//! a resident without its resident ancestors, subtree removals and, in half
+//! the histories, size caps. At random steps one of the pools is read, and
+//! each read must equal a reference built from the resident transactions
+//! alone: the snapshot rows equal `MempoolSnapshot::from_entries` over the
+//! resident rows, the package scores equal sums over ancestors and
+//! descendants found by following prevouts, and the best-first keys equal
+//! the keys of those scores, sorted. `eager` builds its eviction order
+//! before the history starts and `late` at its first `limit_size` over the
+//! cap; every step must return the same result in both pools.
 
 use cn_chain::{Address, Amount, Block, BlockHash, CoinbaseBuilder, Transaction, Txid};
 use cn_mempool::{AncKey, Mempool, MempoolPolicy, MempoolSnapshot, SnapshotEntry};
@@ -192,11 +192,15 @@ proptest! {
                     let prevout = rival.inputs()[0].prevout;
                     Some(spend(&[(prevout.txid, prevout.vout)], 7_000 + rate))
                 }
-                // A block confirming a whole ancestor package, and on odd
-                // picks a double spend of another resident's input.
+                // A block confirming a whole ancestor package or, on one
+                // pick in four, a resident without its resident ancestors
+                // (they survive it and shed it from their descendant
+                // packages); on odd picks, also a double spend of another
+                // resident's input.
                 8 => {
                     if let Some(tip) = resident(&eager, pick) {
-                        let mut members = eager.ancestors(&tip);
+                        let mut members =
+                            if pick & 6 == 6 { Vec::new() } else { eager.ancestors(&tip) };
                         members.push(tip);
                         let mut body: Vec<Transaction> = members
                             .iter()

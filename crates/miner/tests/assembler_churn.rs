@@ -2,16 +2,17 @@
 //! to [`BlockAssembler::assemble_reference`] across a *lifetime* of mempool
 //! churn, not just on a freshly built pool.
 //!
-//! Each round applies a randomized batch of the mutations the persistent
-//! ancestor-score index has to absorb — plain admission, CPFP packages
+//! Each round applies a randomized batch of the mutations the pool's cached
+//! ancestor scores have to absorb — plain admission, CPFP packages
 //! delivered partially or out of order (parent lost or reordered behind its
 //! child, per [`FaultPlan::scaled`] link probabilities), parents with two
 //! children, BIP-125 replacements, expiry eviction, size-limit eviction —
 //! then assembles a block with the incremental path, checks it
 //! byte-for-byte against the reference walk, connects it, and checks the
-//! *post-connect* pool again (block connect re-keys every affected
-//! descendant in the index; a stale re-key is exactly the kind of bug only
-//! multi-block churn exposes).
+//! *post-connect* pool again. The Normal phase heapifies the pool's keys
+//! at their cached scores for each template, and block connect rescores
+//! every survivor that lost an ancestor; a stale score is exactly the kind
+//! of bug only multi-block churn exposes.
 
 use cn_chain::{
     Address, Amount, Block, BlockHash, CoinbaseBuilder, FeeRate, Hash256, Params, PoolMarker,
@@ -236,8 +237,9 @@ where
         );
         churn.mempool.apply_block(&block);
 
-        // The connect just re-keyed the index; the very next template must
-        // still match the reference over the leftover pool.
+        // The connect just rescored the survivors; the very next template,
+        // heapified at those scores, must still match the reference over
+        // the leftover pool.
         let fast = assembler.assemble(&churn.mempool, |e| classify(&e.txid()));
         let reference = assembler.assemble_reference(&churn.mempool, |e| classify(&e.txid()));
         assert_identical(&fast, &reference, &format!("{tag} post-connect"));
@@ -266,8 +268,9 @@ fn churn_accelerate_only_matches_reference_every_block() {
     // exclude), the shape dark-fee pools assemble block after block: the
     // accelerate phase moves the scores of its selections' Normal
     // descendants, siblings included, before the Normal phase walks the
-    // index, and that walk must hold exactly the reference heap's copies
-    // of them. Identity must hold across the same churn as the mixed test.
+    // keys it heapified for this template, and that walk must hold exactly
+    // the reference heap's copies of them. Identity must hold across the
+    // same churn as the mixed test.
     let mut params = Params::mainnet();
     params.max_block_weight = 150_000;
     let mut rebuilds = 0;
