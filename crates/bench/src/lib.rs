@@ -23,6 +23,7 @@ pub mod exp_revenue;
 pub mod exp_robustness;
 pub mod exp_streaming;
 pub mod lab;
+pub mod record;
 
 pub use lab::{Lab, MegasimBench, MegasimTier, StreamingBench, DATASET_COUNT, DATASET_NAMES};
 

@@ -10,7 +10,7 @@ use cn_chain::{Amount, Block, Transaction, Txid};
 use cn_mempool::{AdmissionPrecheck, Mempool, MempoolPolicy};
 use cn_stats::Pool;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
 
 /// Index of a node in the network.
@@ -87,7 +87,9 @@ pub struct Network {
     topology: Topology,
     latency: LatencyModel,
     roles: Vec<NodeRole>,
-    mempools: HashMap<NodeId, Mempool>,
+    /// Mempool views indexed by node id: `Some` for observers and miner
+    /// hubs, `None` for relays.
+    mempools: Vec<Option<Mempool>>,
     /// Per-origin first-arrival vectors, filled on first use. Topology and
     /// latencies never change after construction, so a cached single-source
     /// run stays valid for the network's lifetime.
@@ -129,18 +131,15 @@ impl Network {
     /// Panics when `roles.len()` differs from the topology's node count.
     pub fn new(topology: Topology, latency: LatencyModel, roles: Vec<NodeRole>) -> Network {
         assert_eq!(roles.len(), topology.len(), "one role per node");
-        let mut mempools = HashMap::new();
-        for (id, role) in roles.iter().enumerate() {
-            match role {
-                NodeRole::Observer { policy } => {
-                    mempools.insert(id, Mempool::new(*policy));
+        let mempools = roles
+            .iter()
+            .map(|role| match role {
+                NodeRole::Observer { policy } | NodeRole::MinerHub { policy, .. } => {
+                    Some(Mempool::new(*policy))
                 }
-                NodeRole::MinerHub { policy, .. } => {
-                    mempools.insert(id, Mempool::new(*policy));
-                }
-                NodeRole::Relay => {}
-            }
-        }
+                NodeRole::Relay => None,
+            })
+            .collect();
         let propagation = (0..topology.len()).map(|_| OnceLock::new()).collect();
         Network { topology, latency, roles, mempools, propagation }
     }
@@ -184,12 +183,12 @@ impl Network {
 
     /// The Mempool view held at `node` (observers and miner hubs only).
     pub fn mempool(&self, node: NodeId) -> Option<&Mempool> {
-        self.mempools.get(&node)
+        self.mempools.get(node).and_then(Option::as_ref)
     }
 
     /// Mutable access to a node's Mempool view.
     pub fn mempool_mut(&mut self, node: NodeId) -> Option<&mut Mempool> {
-        self.mempools.get_mut(&node)
+        self.mempools.get_mut(node).and_then(Option::as_mut)
     }
 
     /// First-arrival time (in fractional seconds after emission) of a
@@ -220,30 +219,19 @@ impl Network {
         })
     }
 
-    /// Connects a freshly mined block on every stakeholder Mempool.
+    /// Connects a freshly mined block on every stakeholder Mempool, fanning
+    /// the views across `pool`'s workers.
     ///
     /// Block propagation (seconds) is far shorter than the inter-block
     /// interval (minutes) and does not influence ordering metrics, so the
     /// connect is applied instantaneously; stale-tip races are out of
-    /// scope.
-    pub fn apply_block(&mut self, block: &Block) {
-        for mempool in self.mempools.values_mut() {
-            mempool.apply_block(block);
-        }
-    }
-
-    /// Like [`Network::apply_block`], but fans the per-node connects across
-    /// `pool`'s workers. Every stakeholder view connects the same block
-    /// independently (no shared state, no RNG), so the fan-out is
-    /// byte-identical to the serial loop at any worker count.
-    pub fn apply_block_parallel(&mut self, block: &Block, pool: &Pool) {
-        if pool.workers() <= 1 || self.mempools.len() <= 1 {
-            self.apply_block(block);
-            return;
-        }
-        let mut views: Vec<&mut Mempool> = self.mempools.values_mut().collect();
-        pool.for_each_mut(&mut views, |mempool| {
-            mempool.apply_block(block);
+    /// scope. Every view connects the same block independently (no shared
+    /// state, no RNG), so the result is identical at any width, and a
+    /// width-1 pool is the serial loop.
+    pub fn apply_block(&mut self, block: &Block, pool: &Pool) {
+        let mut views: Vec<&mut Mempool> = self.mempools.iter_mut().flatten().collect();
+        pool.for_each_mut(&mut views, |view| {
+            view.apply_block(block);
         });
     }
 }
@@ -283,6 +271,7 @@ mod tests {
         assert!(net.mempool(0).is_some());
         assert!(net.mempool(5).is_some());
         assert!(net.mempool(1).is_none());
+        assert!(net.mempool(net.len()).is_none(), "out-of-range node has no view");
         assert_eq!(net.observers(), vec![0]);
         assert_eq!(net.miner_hubs(), vec![(5, 0)]);
     }
@@ -334,13 +323,8 @@ mod tests {
 
     #[test]
     fn apply_block_clears_all_views() {
-        let mut net = network(MempoolPolicy::default());
         let t = tx(3);
         let fee = Amount::from_sat(t.vsize() * 10);
-        for node in [0, 5] {
-            let view = net.mempool_mut(node).expect("stakeholder");
-            view.add_shared(Arc::clone(&t), fee, 0).expect("admitted");
-        }
         let cb = cn_chain::CoinbaseBuilder::new(1)
             .reward(Address::from_label("p"), Amount::from_btc(6))
             .build();
@@ -352,9 +336,16 @@ mod tests {
             cb,
             vec![(*t).clone()],
         );
-        net.apply_block(&block);
-        assert!(!net.mempool(0).expect("obs").contains(&t.txid()));
-        assert!(!net.mempool(5).expect("hub").contains(&t.txid()));
+        for workers in [1, 2] {
+            let mut net = network(MempoolPolicy::default());
+            for node in [0, 5] {
+                let view = net.mempool_mut(node).expect("stakeholder");
+                view.add_shared(Arc::clone(&t), fee, 0).expect("admitted");
+            }
+            net.apply_block(&block, &Pool::with_workers(workers));
+            assert!(!net.mempool(0).expect("obs").contains(&t.txid()), "workers={workers}");
+            assert!(!net.mempool(5).expect("hub").contains(&t.txid()), "workers={workers}");
+        }
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! giving performance work per-phase attribution instead of a single wall
 //! number.
 
-use cn_stats::ShardTiming;
 use std::time::Duration;
 
 /// Counters and per-subsystem timings for one simulation run.
@@ -87,17 +86,6 @@ pub struct SimProfile {
     /// Seconds pre-generating user-transaction draw batches (fork-join
     /// region, wall time as seen by the event loop).
     pub pregen: f64,
-    /// Pre-generation batches produced.
-    pub pregen_batches: u64,
-    /// Draw records pre-generated (a multiple of the batch size; the run
-    /// may end before consuming the final batch).
-    pub pregen_items: u64,
-    /// Draw records claimed per worker slot, summed over every batch.
-    pub pregen_shard_items: Vec<u64>,
-    /// Seconds each worker slot spent inside pre-generation regions,
-    /// summed over every batch (CPU time across workers, not wall time —
-    /// compare against `pregen` for the fork-join speedup).
-    pub pregen_shard_seconds: Vec<f64>,
 }
 
 impl SimProfile {
@@ -114,21 +102,6 @@ impl SimProfile {
     pub(crate) fn credit(slot: &mut f64, d: Duration) {
         *slot += d.as_secs_f64();
     }
-
-    /// Folds one pre-generation batch's per-worker shard timings into the
-    /// cumulative per-slot breakdown.
-    pub(crate) fn note_pregen(&mut self, shards: &[ShardTiming]) {
-        self.pregen_batches += 1;
-        if self.pregen_shard_items.len() < shards.len() {
-            self.pregen_shard_items.resize(shards.len(), 0);
-            self.pregen_shard_seconds.resize(shards.len(), 0.0);
-        }
-        for (slot, shard) in shards.iter().enumerate() {
-            self.pregen_items += shard.items;
-            self.pregen_shard_items[slot] += shard.items;
-            self.pregen_shard_seconds[slot] += shard.seconds;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -141,20 +114,6 @@ mod tests {
         assert_eq!(p.events_per_sec(), 0.0);
         let p = SimProfile { events_popped: 100, wall: 2.0, ..SimProfile::default() };
         assert!((p.events_per_sec() - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn note_pregen_accumulates_per_slot() {
-        let mut p = SimProfile::default();
-        p.note_pregen(&[
-            ShardTiming { items: 600, seconds: 0.5 },
-            ShardTiming { items: 424, seconds: 0.4 },
-        ]);
-        p.note_pregen(&[ShardTiming { items: 1024, seconds: 0.9 }]);
-        assert_eq!(p.pregen_batches, 2);
-        assert_eq!(p.pregen_items, 2048);
-        assert_eq!(p.pregen_shard_items, vec![1624, 424]);
-        assert!((p.pregen_shard_seconds[0] - 1.4).abs() < 1e-12);
     }
 
     #[test]

@@ -601,7 +601,6 @@ impl World {
                     }
                 }
                 Ev::Snapshot => {
-                    let t = Instant::now();
                     self.profile.snapshot_ticks += 1;
                     let now_secs = now_ms / 1_000;
                     // The primary observer inside an outage window records
@@ -613,22 +612,28 @@ impl World {
                     let detailed =
                         self.snapshot_counter.is_multiple_of(self.scenario.snapshot_detail_every);
                     self.snapshot_counter += 1;
-                    if !down {
-                        // Enforce the primary observer's maxmempool before
-                        // recording.
-                        if let Some(cap) = self.scenario.observers[0].max_mempool_vsize {
-                            if let Some(pool) = self.network.mempool_mut(self.observer) {
+                    // Every observer shares the cadence and detail stride
+                    // and enforces its own maxmempool before recording. The
+                    // observer faults (outage, truncation) model the primary
+                    // daemon only. Observer 0's time is `snapshot`, the rest
+                    // of the fleet's is `fleet`.
+                    let obs_faults = self.scenario.faults.observer;
+                    for j in 0..self.observer_count {
+                        let t = Instant::now();
+                        let recording = j > 0 || !down;
+                        if let Some(pool) =
+                            self.network.mempool_mut(self.observer + j).filter(|_| recording)
+                        {
+                            if let Some(cap) = self.scenario.observers[j].max_mempool_vsize {
                                 pool.limit_size(cap);
                             }
-                        }
-                        if let Some(pool) = self.network.mempool_mut(self.observer) {
                             let mut snap = if detailed {
                                 pool.snapshot(now_secs)
                             } else {
                                 pool.snapshot_light(now_secs)
                             };
-                            let obs_faults = self.scenario.faults.observer;
-                            if detailed
+                            if j == 0
+                                && detailed
                                 && obs_faults.truncate_prob > 0.0
                                 && self.rng_fault.next_bool(obs_faults.truncate_prob)
                             {
@@ -640,42 +645,19 @@ impl World {
                             // coverage accounting discounts. Deterministic:
                             // no RNG draw, so the empty adversary plan
                             // stays bit-inert.
-                            if self.scenario.adversaries.eclipsed(0, now_ms) {
+                            if self.scenario.adversaries.eclipsed(j, now_ms) {
                                 snap = snap.mark_degraded();
-                                self.profile.observer_degraded[0] += 1;
+                                self.profile.observer_degraded[j] += 1;
                             }
-                            self.profile.observer_snapshots[0] += 1;
-                            self.observer_streams[0].push(snap);
+                            self.profile.observer_snapshots[j] += 1;
+                            self.observer_streams[j].push(snap);
                         }
-                    }
-                    SimProfile::credit(&mut self.profile.snapshot, t.elapsed());
-                    // The rest of the fleet: same cadence and detail
-                    // stride, per-observer caps, no legacy observer
-                    // faults (those model the primary daemon's outages).
-                    if self.observer_count > 1 {
-                        let t_fleet = Instant::now();
-                        for j in 1..self.observer_count {
-                            let node = self.observer + j;
-                            if let Some(cap) = self.scenario.observers[j].max_mempool_vsize {
-                                if let Some(pool) = self.network.mempool_mut(node) {
-                                    pool.limit_size(cap);
-                                }
-                            }
-                            if let Some(pool) = self.network.mempool_mut(node) {
-                                let mut snap = if detailed {
-                                    pool.snapshot(now_secs)
-                                } else {
-                                    pool.snapshot_light(now_secs)
-                                };
-                                if self.scenario.adversaries.eclipsed(j, now_ms) {
-                                    snap = snap.mark_degraded();
-                                    self.profile.observer_degraded[j] += 1;
-                                }
-                                self.profile.observer_snapshots[j] += 1;
-                                self.observer_streams[j].push(snap);
-                            }
-                        }
-                        SimProfile::credit(&mut self.profile.fleet, t_fleet.elapsed());
+                        let bucket = if j == 0 {
+                            &mut self.profile.snapshot
+                        } else {
+                            &mut self.profile.fleet
+                        };
+                        SimProfile::credit(bucket, t.elapsed());
                     }
                     tap.snapshot_tick(self);
                     let next = now_ms + self.scenario.snapshot_interval * 1_000;
@@ -791,18 +773,17 @@ impl World {
     fn refill_draws(&mut self) {
         let started = Instant::now();
         let start = self.user_tx_drawn;
-        let (batch, shards) = {
+        let batch = {
             let base = &self.rng_tx;
             let workload = &self.workload;
             let providers = self.providers.len() as u64;
             let relays = self.relay_count as u64;
-            self.pool.build_timed(PREGEN_BATCH, |i| {
+            self.pool.build(PREGEN_BATCH, |i| {
                 Self::draw_user_tx(base, workload, providers, relays, start + i as u64)
             })
         };
         self.user_tx_drawn += PREGEN_BATCH as u64;
         self.pregen.extend(batch);
-        self.profile.note_pregen(&shards);
         SimProfile::credit(&mut self.profile.pregen, started.elapsed());
     }
 
@@ -1170,7 +1151,7 @@ impl World {
         // independent, so they fan across the pool; timed as `eviction`
         // (schema ≤ 5 buried this inside `assembly`).
         let t_eviction = Instant::now();
-        self.network.apply_block_parallel(&block, &self.pool);
+        self.network.apply_block(&block, &self.pool);
         SimProfile::credit(&mut self.profile.eviction, t_eviction.elapsed());
         self.block_miners.push(idx);
         self.profile.blocks += 1;

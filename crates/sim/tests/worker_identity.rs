@@ -65,16 +65,6 @@ fn full_feature_scenario_is_worker_invariant() {
     }
 }
 
-#[test]
-fn pregen_profile_accounts_for_all_draws() {
-    let out = World::new(scenario(42)).with_workers(4).run();
-    let p = &out.profile;
-    assert!(p.pregen_batches > 0, "user traffic must trigger pre-generation");
-    let per_slot: u64 = p.pregen_shard_items.iter().sum();
-    assert_eq!(per_slot, p.pregen_items, "shard breakdown must cover every item");
-    assert!(p.pregen_items >= p.user_txs, "every issued tx consumes one pre-drawn record");
-}
-
 /// Near-zero link latency collapses every broadcast's fan-out onto one
 /// millisecond (delivery delays floor at `now + 1`), so deliveries of
 /// different transactions and to different views tie on due time

@@ -43,7 +43,7 @@ pub use fisher::fisher_combine;
 pub use ks::{ks_two_sample, KsTest};
 pub use lgamma::{ln_binomial, ln_factorial, ln_gamma};
 pub use normal::{normal_cdf, normal_sf};
-pub use parwork::{Pool, ShardTiming};
+pub use parwork::Pool;
 pub use rng::SimRng;
 pub use stream::{Histogram, MinerAccumulator};
 pub use summary::Summary;

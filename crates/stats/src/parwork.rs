@@ -14,20 +14,10 @@
 //! join keeps the output identical to the serial loop.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// Environment variable overriding the detected worker count (used by the
 /// CI dual-run gate to force 1-worker and N-worker runs on the same box).
 pub const WORKERS_ENV: &str = "CN_WORKERS";
-
-/// Per-worker timing record from a [`Pool::map_timed`] region.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ShardTiming {
-    /// Number of items this worker claimed.
-    pub items: u64,
-    /// Wall seconds this worker spent inside the region.
-    pub seconds: f64,
-}
 
 /// A fixed-width fork-join pool descriptor.
 ///
@@ -77,33 +67,18 @@ impl Pool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.map_timed(items, f).0
-    }
-
-    /// [`Pool::map`] plus per-worker shard timings (items claimed + wall
-    /// seconds), for the `SimProfile` shard breakdown.
-    pub fn map_timed<T, R, F>(&self, items: &[T], f: F) -> (Vec<R>, Vec<ShardTiming>)
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
         let n = items.len();
         let width = self.workers.min(n.max(1));
         if width <= 1 {
-            let start = Instant::now();
-            let out: Vec<R> = items.iter().map(&f).collect();
-            let timing = ShardTiming { items: n as u64, seconds: start.elapsed().as_secs_f64() };
-            return (out, vec![timing]);
+            return items.iter().map(&f).collect();
         }
 
         let next = AtomicUsize::new(0);
-        let mut shards: Vec<(Vec<(usize, R)>, ShardTiming)> = Vec::with_capacity(width);
+        let mut shards: Vec<Vec<(usize, R)>> = Vec::with_capacity(width);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..width)
                 .map(|_| {
                     scope.spawn(|| {
-                        let start = Instant::now();
                         let mut out = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -112,11 +87,7 @@ impl Pool {
                             }
                             out.push((i, f(&items[i])));
                         }
-                        let timing = ShardTiming {
-                            items: out.len() as u64,
-                            seconds: start.elapsed().as_secs_f64(),
-                        };
-                        (out, timing)
+                        out
                     })
                 })
                 .collect();
@@ -125,19 +96,11 @@ impl Pool {
             }
         });
 
-        let mut timings = Vec::with_capacity(width);
         let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (pairs, timing) in shards {
-            timings.push(timing);
-            for (i, r) in pairs {
-                slots[i] = Some(r);
-            }
+        for (i, r) in shards.into_iter().flatten() {
+            slots[i] = Some(r);
         }
-        let out = slots
-            .into_iter()
-            .map(|s| s.expect("every index claimed exactly once"))
-            .collect();
-        (out, timings)
+        slots.into_iter().map(|s| s.expect("every index claimed exactly once")).collect()
     }
 
     /// Runs `f` once over every item **in place** — the batch-join shape
@@ -189,17 +152,8 @@ impl Pool {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        self.build_timed(count, f).0
-    }
-
-    /// [`Pool::build`] plus per-worker shard timings.
-    pub fn build_timed<R, F>(&self, count: usize, f: F) -> (Vec<R>, Vec<ShardTiming>)
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
         let idx: Vec<usize> = (0..count).collect();
-        self.map_timed(&idx, |&i| f(i))
+        self.map(&idx, |&i| f(i))
     }
 }
 
@@ -231,15 +185,6 @@ mod tests {
         let serial = Pool::serial().map(&items, work);
         let parallel = Pool::with_workers(7).map(&items, work);
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn timings_cover_all_items() {
-        let items: Vec<u32> = (0..100).collect();
-        let (_, shards) = Pool::with_workers(4).map_timed(&items, |&x| x + 1);
-        assert!(shards.len() <= 4 && !shards.is_empty());
-        let claimed: u64 = shards.iter().map(|s| s.items).sum();
-        assert_eq!(claimed, 100);
     }
 
     #[test]
