@@ -21,10 +21,11 @@
 //! on-demand verdict at the end, then records ingestion throughput and
 //! peak-RSS counters into the run's record.
 //!
-//! Experiments run on `cn_stats::Pool::auto()`, the width every simulation
-//! in the process uses: `CN_WORKERS` when set, else one worker per core
-//! (the pool never runs more workers than there are ids). `CN_WORKERS=1`
-//! is the plain in-thread loop. Reports are joined in presentation order
+//! Experiments run on `cn_stats::Pool::auto()`, the one pool width in the
+//! process: `CN_WORKERS` when set, else one worker per core (the pool
+//! never runs more workers than there are ids). Simulations and audits
+//! run on their caller's thread, so `CN_WORKERS=1` is the plain in-thread
+//! loop throughout. Reports are joined in presentation order
 //! and printed after the join, so runs at any width are byte-identical
 //! modulo the wall-clock figures in `[... took ...]` lines; the record
 //! states the width.
@@ -130,10 +131,12 @@ fn main() {
         run_stream_service(&lab);
     } else {
         let _ = std::fs::create_dir_all("results");
-        // Warm all three datasets concurrently when the whole suite runs
-        // (it touches all of them anyway); targeted invocations stay lazy
-        // so e.g. `experiments fig1` never pays for dataset 𝒞.
-        if run_all && pool.workers() > 1 {
+        // Warm all three datasets before any experiment starts when the
+        // whole suite runs (it touches all of them anyway), so dataset
+        // simulation is charged to `dataset_sim_seconds`, not to whichever
+        // experiment asks first; targeted invocations stay lazy so e.g.
+        // `experiments fig1` never pays for dataset 𝒞.
+        if run_all {
             lab.prewarm();
         }
         // The pool joins in id order, so the reports print in presentation

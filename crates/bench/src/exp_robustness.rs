@@ -26,6 +26,7 @@ use cn_data::{dataset_c, Scale};
 use cn_net::FaultPlan;
 use cn_sim::scenario::{PoolBehavior, Scenario};
 use cn_sim::WorldCheckpoint;
+use cn_stats::Pool;
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
@@ -244,35 +245,12 @@ pub fn robustness(lab: &Lab) -> String {
         "darkfee R",
     ]);
     // The five levels are independent sims over clones of the same base
-    // scenario, so they run on a claim-counter worker pool (one worker per
-    // available core, capped at the level count — oversubscribing a small
-    // box with five live worlds costs more in cache pressure than the
-    // overlap buys). Results land in per-level slots and are rendered in
-    // level order, so the table is byte-identical to a serial sweep.
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(INTENSITIES.len());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<SweepRow>>> =
-        INTENSITIES.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= INTENSITIES.len() {
-                    break;
-                }
-                let is_last = i + 1 == INTENSITIES.len();
-                let row = sweep_level(&checkpoint, &base, &truth, INTENSITIES[i], is_last);
-                *slots[i].lock().expect("sweep slot") = Some(row);
-            });
-        }
+    // scenario; `Pool::map` claims them across workers and joins in level
+    // order, so the table is byte-identical to a serial sweep.
+    let levels: Vec<usize> = (0..INTENSITIES.len()).collect();
+    let rows = Pool::auto().map(&levels, |&i| {
+        sweep_level(&checkpoint, &base, &truth, INTENSITIES[i], i + 1 == INTENSITIES.len())
     });
-    let rows: Vec<SweepRow> = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("sweep slot").expect("sweep level ran"))
-        .collect();
 
     let mut floor_demo = String::new();
     for row in rows {

@@ -4,6 +4,7 @@
 use cn_core::ChainIndex;
 use cn_data::{dataset_a, dataset_b, dataset_c, Scale};
 use cn_sim::{SimOutput, SimProfile, World};
+use cn_stats::Pool;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -193,19 +194,17 @@ impl Lab {
         self.dataset(2)
     }
 
-    /// Materializes all three datasets on parallel scoped threads.
+    /// Materializes all three datasets over `Pool::auto()` (in turn at
+    /// width 1), so no experiment's time includes a dataset simulation.
     ///
     /// Each `World` is seeded from its scenario and owns its RNG streams,
     /// so warming concurrently produces bit-identical outputs to the lazy
     /// serial path; `OnceLock` guarantees each cell still initializes
-    /// exactly once even if experiments race with the warmers.
+    /// exactly once even if experiments race with the warmers. 𝒞, the
+    /// longest, is claimed first, so at width 2 the other two run beside it.
     pub fn prewarm(&self) {
-        std::thread::scope(|s| {
-            for which in 0..DATASET_COUNT {
-                s.spawn(move || {
-                    self.dataset(which);
-                });
-            }
+        Pool::auto().map(&[2, 0, 1], |&which| {
+            self.dataset(which);
         });
     }
 

@@ -114,7 +114,7 @@ pub struct Run<'a> {
     pub scale: Scale,
     /// True for the `--stream` service loop.
     pub stream: bool,
-    /// The `Pool::auto()` width of every pool in the process.
+    /// The `Pool::auto()` width of every fan-out in the process.
     pub workers: usize,
     /// Wall seconds per experiment that ran, in presentation order.
     pub experiment_seconds: &'a [(String, f64)],

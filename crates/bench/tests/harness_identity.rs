@@ -1,12 +1,13 @@
 //! Determinism guards for the parallel harness: a pre-warmed `Lab` driven
-//! by worker threads must be byte-identical to a lazy serial one, and the
+//! by `Pool` workers must be byte-identical to a lazy serial one, and the
 //! `FaultPlan::none()` bit-inertness from the fault-injection layer must
-//! survive running worlds on spawned threads.
+//! survive running worlds on worker threads.
 
 use cn_bench::{run_experiment, Lab};
 use cn_data::{dataset_a, Scale};
 use cn_net::FaultPlan;
 use cn_sim::{SimOutput, World};
+use cn_stats::Pool;
 
 /// A cheap-but-covering experiment subset: `table1` touches all three
 /// datasets, `fig2` reads the 𝒜/ℬ snapshot streams, `table2` exercises the
@@ -21,11 +22,8 @@ fn parallel_prewarm_matches_serial_byte_for_byte() {
 
     let parallel = Lab::quick();
     parallel.prewarm();
-    let parallel_reports: Vec<String> = std::thread::scope(|s| {
-        let handles: Vec<_> =
-            IDS.iter().map(|id| s.spawn(|| run_experiment(id, &parallel).expect("known id"))).collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    });
+    let parallel_reports: Vec<String> = Pool::with_workers(IDS.len())
+        .map(&IDS, |id| run_experiment(id, &parallel).expect("known id"));
 
     for ((id, serial_report), parallel_report) in
         IDS.iter().zip(&serial_reports).zip(&parallel_reports)
@@ -48,15 +46,12 @@ fn fault_plan_none_stays_bit_inert_on_worker_threads() {
     let mut explicit_none = dataset_a(Scale::Quick);
     explicit_none.faults = FaultPlan::none();
 
-    let (stock_out, none_out) = std::thread::scope(|s| {
-        let a = s.spawn(|| World::new(stock).run());
-        let b = s.spawn(|| World::new(explicit_none).run());
-        (a.join().expect("stock run"), b.join().expect("none run"))
-    });
+    let runs = Pool::with_workers(2).map(&[stock, explicit_none], |s| World::new(s.clone()).run());
+    let (stock_out, none_out) = (&runs[0], &runs[1]);
 
     assert_eq!(
-        fingerprint(&stock_out),
-        fingerprint(&none_out),
+        fingerprint(stock_out),
+        fingerprint(none_out),
         "FaultPlan::none() must not perturb a run, threaded or not"
     );
     assert_eq!(stock_out.snapshots, none_out.snapshots, "snapshot streams diverged");

@@ -12,7 +12,6 @@
 //! (or derived from one) gets no mixing here and can be driven into
 //! collisions. Every use in this workspace keys on digests.
 
-use crate::hash::Hash256;
 use crate::transaction::{OutPoint, Txid};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -20,7 +19,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// ignores everything else (including the length prefixes `Hash` impls
 /// write for composite keys).
 ///
-/// [`Txid`]/[`Hash256`] feed it one 32-byte `write`; [`OutPoint`] adds a
+/// [`Txid`]/[`Hash256`](crate::Hash256) feed it one 32-byte `write`; [`OutPoint`] adds a
 /// `write_u32` for the output index, which is mixed in multiplicatively so
 /// `(txid, 0)` and `(txid, 1)` land in different buckets.
 #[derive(Clone, Copy, Default)]
@@ -66,7 +65,7 @@ impl Hasher for DigestHasher {
 /// free and hashes are stable within a process run.
 pub type DigestHashBuilder = BuildHasherDefault<DigestHasher>;
 
-/// A `HashMap` keyed by digests ([`Txid`], [`Hash256`], [`OutPoint`], …).
+/// A `HashMap` keyed by digests ([`Txid`], [`Hash256`](crate::Hash256), [`OutPoint`], …).
 pub type FastMap<K, V> = std::collections::HashMap<K, V, DigestHashBuilder>;
 
 /// A `HashSet` over digest-shaped keys.
@@ -82,13 +81,6 @@ pub fn fold_txid(txid: &Txid) -> u64 {
 #[inline]
 pub fn fold_outpoint(op: &OutPoint) -> u64 {
     op.txid.0.to_u64() ^ (op.vout as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// Debug-readable digest prefix check: the fold must agree with hashing
-/// the key through the `Hash` trait (keeps the two paths in lockstep).
-#[inline]
-pub fn fold_hash256(h: &Hash256) -> u64 {
-    h.to_u64()
 }
 
 #[cfg(test)]

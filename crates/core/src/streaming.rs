@@ -49,6 +49,13 @@
 //! (observed∩confirmed, self-interest unions, attribution) happens at
 //! `verdict()` time. Any interleaving of the same events therefore yields
 //! the same verdict — the property `tests/streaming_equivalence.rs` pins.
+//!
+//! # Threads
+//!
+//! The auditor runs on the calling thread. A seal compares one block's
+//! rows with at most `window_blocks` partners, too little work for a
+//! fork-join fan-out to win back its thread spawns (DESIGN.md §11).
+//! Callers that want parallelism run whole audits side by side.
 
 use crate::attribution::attribute;
 use crate::auditor::{audit_attributed, AuditConfig, AuditReport};
@@ -62,7 +69,7 @@ use crate::sppe::block_sppes;
 use cn_chain::{Address, Block, FastMap, FastSet, FeeRate, Timestamp, Txid, UtxoSet};
 use cn_mempool::MempoolSnapshot;
 use cn_stats::stream::{Histogram, MinerAccumulator};
-use cn_stats::{binomial_test, fisher_combine, Pool, Tail};
+use cn_stats::{binomial_test, fisher_combine, Tail};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// One event of the interleaved audit input stream.
@@ -317,10 +324,6 @@ pub struct StreamingAuditor {
     delay_hist: Histogram,
     feerate_hist: Histogram,
 
-    /// Fork-join pool for the window pair scans (deterministic join; a
-    /// width-1 pool is exactly the serial loop).
-    pool: Pool,
-
     counters: StreamCounters,
 }
 
@@ -347,15 +350,14 @@ impl StreamingAuditor {
             // 30 s buckets out to 2 h; 1 sat/vB buckets out to 500.
             delay_hist: Histogram::new(0.0, 7_200.0, 240),
             feerate_hist: Histogram::new(0.0, 500.0, 500),
-            pool: Pool::auto(),
             counters: StreamCounters::default(),
         }
     }
 
-    /// Overrides the fork-join width for the window pair scans. Output is
-    /// byte-identical at any width; this only moves wall time.
-    pub fn with_workers(mut self, workers: usize) -> StreamingAuditor {
-        self.pool = Pool::with_workers(workers);
+    /// A no-op: the auditor always runs on the calling thread. Kept
+    /// because the `perfbench` benchmark calls it with 1; nothing in the
+    /// workspace does.
+    pub fn with_workers(self, _workers: usize) -> StreamingAuditor {
         self
     }
 
@@ -560,23 +562,13 @@ impl StreamingAuditor {
                 .filter(|r| !r.excluded)
                 .filter_map(|r| r.seen.map(|s| (s.received, r.fee_rate))),
         );
-        let partners: Vec<(&str, &BlockPairSet)> = self
-            .window
-            .range(lo..height)
-            .filter_map(|(_, earlier)| match (earlier.miner.as_deref(), earlier.pairs.as_ref()) {
-                (Some(miner), Some(pairs)) => Some((miner, pairs)),
-                _ => None,
-            })
-            .collect();
-        // Each window comparison is independent; fan out only when the
-        // kernel has real work, otherwise thread spawn dominates.
-        let work: usize =
-            sealed_set.len() * partners.iter().map(|(_, p)| p.len()).sum::<usize>();
-        let pool =
-            if work >= 1 << 16 { self.pool } else { Pool::serial() };
-        let counts = pool.map(&partners, |&(_, pairs)| count_cross_block(&sealed_set, pairs, eps));
         let mut charges: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-        for (&(miner, _), stats) in partners.iter().zip(&counts) {
+        for earlier in self.window.range(lo..height).map(|(_, b)| b) {
+            let (Some(miner), Some(pairs)) = (earlier.miner.as_deref(), earlier.pairs.as_ref())
+            else {
+                continue;
+            };
+            let stats = count_cross_block(&sealed_set, pairs, eps);
             if stats.candidates > 0 {
                 let c = charges.entry(miner).or_default();
                 c.0 += stats.violating;

@@ -9,7 +9,7 @@
 //! what makes simulated fee-rates track congestion the way Figure 4(c)
 //! shows real ones do.
 
-use cn_chain::{Block, FeeRate, UtxoSet};
+use cn_chain::FeeRate;
 use std::collections::VecDeque;
 
 /// Rolling fee estimator over recent blocks.
@@ -47,24 +47,6 @@ impl FeeEstimator {
         self.pooled_sorted.clear();
         self.pooled_sorted.extend(self.recent.iter().flatten().copied());
         self.pooled_sorted.sort_unstable();
-    }
-
-    /// Convenience: extracts body fee rates from a block given the UTXO
-    /// view *before* the block (so input values resolve) and records them.
-    pub fn record_block(&mut self, block: &Block, utxos_before: &UtxoSet) {
-        let mut view = utxos_before.clone();
-        let mut rates = Vec::with_capacity(block.body().len());
-        if let Some(cb) = block.coinbase() {
-            view.insert_outputs(cb);
-        }
-        for tx in block.body() {
-            if let Ok(fee) = view.fee(tx) {
-                rates.push(FeeRate::from_fee_and_vsize(fee, tx.vsize()));
-            }
-            // Keep the view advancing even for unresolvable entries.
-            let _ = view.apply_tx(tx);
-        }
-        self.record_rates(rates);
     }
 
     /// Suggests the fee rate at quantile `q` of the pooled recent sample

@@ -185,8 +185,8 @@ pub struct Mempool {
     next_sequence: u64,
 }
 
-// Node views cross the fork-join pool's threads and are cloned into
-// checkpoint forks.
+// Node views run inside whole worlds on `cn_stats::Pool` workers, and a
+// checkpoint shared by those workers clones its views into each fork.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Mempool>();

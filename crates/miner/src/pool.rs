@@ -1,28 +1,23 @@
 //! A mining pool operator: identity, wallets, policy, block production.
 
-use crate::acceleration::AccelerationService;
 use crate::policy::{MinerPolicy, NormPolicy, TxContext};
 use crate::template::{AssemblyStats, BlockAssembler, BlockTemplate};
 use cn_chain::{
     Address, Block, BlockHash, CoinbaseBuilder, OutPoint, Params, PoolMarker, Timestamp,
 };
 use cn_mempool::Mempool;
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 /// A mining pool operator (MPO).
 ///
 /// Owns a marker tag (stamped into every coinbase, the attribution signal
 /// of §5.2), one or more reward wallets (Figure 8(a) shows real pools use
-/// up to dozens), a hash-rate weight, a prioritization policy, and
-/// optionally a dark-fee acceleration service.
+/// up to dozens), a hash-rate weight, and a prioritization policy.
 pub struct MiningPool {
     name: String,
     marker: PoolMarker,
     wallets: Vec<Address>,
     hash_rate: f64,
     policy: Box<dyn MinerPolicy>,
-    acceleration: Option<Arc<Mutex<AccelerationService>>>,
     blocks_mined: u64,
     /// Created on the first build and reused for every later block, so the
     /// incremental-vs-full assembly counters accumulate per pool. Chain
@@ -54,7 +49,6 @@ impl MiningPool {
             wallets,
             hash_rate,
             policy: Box::new(NormPolicy),
-            acceleration: None,
             blocks_mined: 0,
             assembler: None,
         }
@@ -63,12 +57,6 @@ impl MiningPool {
     /// Replaces the prioritization policy.
     pub fn with_policy(mut self, policy: Box<dyn MinerPolicy>) -> MiningPool {
         self.policy = policy;
-        self
-    }
-
-    /// Attaches a dark-fee acceleration service.
-    pub fn with_acceleration(mut self, svc: Arc<Mutex<AccelerationService>>) -> MiningPool {
-        self.acceleration = Some(svc);
         self
     }
 
@@ -95,11 +83,6 @@ impl MiningPool {
     /// The policy in force.
     pub fn policy(&self) -> &dyn MinerPolicy {
         self.policy.as_ref()
-    }
-
-    /// The acceleration service handle, if the pool sells acceleration.
-    pub fn acceleration(&self) -> Option<&Arc<Mutex<AccelerationService>>> {
-        self.acceleration.as_ref()
     }
 
     /// Blocks this pool has produced so far.
@@ -169,12 +152,6 @@ impl MiningPool {
             coinbase,
             template.transactions,
         )
-    }
-
-    /// Convenience for tests and examples: the wallet the *next* block's
-    /// reward would go to.
-    pub fn next_reward_wallet(&self) -> Address {
-        self.wallets[(self.blocks_mined as usize) % self.wallets.len()]
     }
 }
 

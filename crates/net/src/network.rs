@@ -8,7 +8,6 @@ use crate::latency::LatencyModel;
 use crate::topology::Topology;
 use cn_chain::{Amount, Block, Transaction, Txid};
 use cn_mempool::{AdmissionPrecheck, Mempool, MempoolPolicy};
-use cn_stats::Pool;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
@@ -219,20 +218,16 @@ impl Network {
         })
     }
 
-    /// Connects a freshly mined block on every stakeholder Mempool, fanning
-    /// the views across `pool`'s workers.
+    /// Connects a freshly mined block on every stakeholder Mempool.
     ///
     /// Block propagation (seconds) is far shorter than the inter-block
     /// interval (minutes) and does not influence ordering metrics, so the
     /// connect is applied instantaneously; stale-tip races are out of
-    /// scope. Every view connects the same block independently (no shared
-    /// state, no RNG), so the result is identical at any width, and a
-    /// width-1 pool is the serial loop.
-    pub fn apply_block(&mut self, block: &Block, pool: &Pool) {
-        let mut views: Vec<&mut Mempool> = self.mempools.iter_mut().flatten().collect();
-        pool.for_each_mut(&mut views, |view| {
+    /// scope.
+    pub fn apply_block(&mut self, block: &Block) {
+        for view in self.mempools.iter_mut().flatten() {
             view.apply_block(block);
-        });
+        }
     }
 }
 
@@ -336,16 +331,14 @@ mod tests {
             cb,
             vec![(*t).clone()],
         );
-        for workers in [1, 2] {
-            let mut net = network(MempoolPolicy::default());
-            for node in [0, 5] {
-                let view = net.mempool_mut(node).expect("stakeholder");
-                view.add_shared(Arc::clone(&t), fee, 0).expect("admitted");
-            }
-            net.apply_block(&block, &Pool::with_workers(workers));
-            assert!(!net.mempool(0).expect("obs").contains(&t.txid()), "workers={workers}");
-            assert!(!net.mempool(5).expect("hub").contains(&t.txid()), "workers={workers}");
+        let mut net = network(MempoolPolicy::default());
+        for node in [0, 5] {
+            let view = net.mempool_mut(node).expect("stakeholder");
+            view.add_shared(Arc::clone(&t), fee, 0).expect("admitted");
         }
+        net.apply_block(&block);
+        assert!(!net.mempool(0).expect("obs").contains(&t.txid()));
+        assert!(!net.mempool(5).expect("hub").contains(&t.txid()));
     }
 
     #[test]

@@ -83,8 +83,8 @@ pub struct SimProfile {
     /// Seconds recording the non-primary fleet observers' snapshots —
     /// the marginal cost of running a fleet instead of one node.
     pub fleet: f64,
-    /// Seconds pre-generating user-transaction draw batches (fork-join
-    /// region, wall time as seen by the event loop).
+    /// Seconds drawing user transactions' random inputs from their
+    /// indexed RNG forks (the rest of issuance is `issue`).
     pub pregen: f64,
 }
 

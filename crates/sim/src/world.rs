@@ -1,5 +1,10 @@
 //! The simulation runner: turns a [`Scenario`] into a chain, a snapshot
 //! stream, and ground truth.
+//!
+//! A world runs on the calling thread. Each user transaction draws its
+//! random inputs from its own indexed RNG fork when it is issued, and
+//! every stakeholder view connects a block in turn. Parallelism lives
+//! one level up: callers run whole worlds on `cn_stats::Pool` workers.
 
 use crate::event::{EventQueue, SimMillis};
 use crate::profile::SimProfile;
@@ -14,7 +19,7 @@ use cn_miner::{
     MinerPolicy, MiningPool,
 };
 use cn_net::{LatencyModel, Network, NodeId, NodeRole, RelayPayload, Topology};
-use cn_stats::{Exponential, LogNormal, Pool, SimRng, WeightedIndex};
+use cn_stats::{Exponential, LogNormal, SimRng, WeightedIndex};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -23,20 +28,15 @@ use std::time::Instant;
 /// The urgency-quantile menu users draw their fee target from.
 const URGENCY_QUANTILES: [f64; 5] = [0.3, 0.5, 0.7, 0.9, 0.97];
 
-/// How many user-transaction draw records one pre-generation batch holds.
-const PREGEN_BATCH: usize = 1024;
-
-/// Every random value the `index`-th user transaction will consume,
-/// sampled from that transaction's own RNG fork
-/// (`fork_indexed("user-tx", index)`) before the event fires.
+/// Every random value the `index`-th user transaction consumes, sampled
+/// from that transaction's own RNG fork (`fork_indexed("user-tx", index)`)
+/// when the event fires.
 ///
 /// The draws are *unconditional* — flips are stored as raw uniforms and
 /// compared against their probabilities at application time — so the
-/// record's shape never depends on simulation state. That makes the whole
-/// batch a pure function of (seed, index): any number of workers can
-/// produce any slice of it, in any order, and the order-preserving join
-/// hands the serial event loop exactly the values it would have drawn
-/// itself.
+/// record's shape never depends on simulation state: it is a pure
+/// function of (seed, index), and the fee math that reads live state
+/// consumes no RNG.
 struct TxDraws {
     /// Uniform for the scam-donation flip.
     scam_u: f64,
@@ -164,17 +164,10 @@ pub struct World {
     /// transaction root so `rng_tx` itself is never advanced — it serves
     /// purely as the base for per-transaction indexed forks.
     rng_arrival: SimRng,
-    /// Pre-generated user-transaction draws, consumed strictly in arrival
-    /// order; refilled a batch at a time by the fork-join pool.
-    pregen: VecDeque<TxDraws>,
-    /// Index of the next user transaction to pre-generate.
-    user_tx_drawn: u64,
-    /// Self-transfers issued so far (indexed-fork input; self-transfers
-    /// are rare, so their draws are taken inline rather than batched).
+    /// User transactions issued so far (indexed-fork input).
+    user_tx_count: u64,
+    /// Self-transfers issued so far (indexed-fork input).
     self_tx_count: u64,
-    /// Fork-join pool for pre-generation batches and the per-view block
-    /// connect. Worker count never affects output bytes — only wall time.
-    pool: Pool,
     /// Dedicated fault stream; forked unconditionally (forking never
     /// advances the parent) but only drawn from when faults are enabled,
     /// keeping `FaultPlan::none()` runs bit-identical.
@@ -432,10 +425,8 @@ impl WorldCheckpoint {
             scam_address,
             snapshot_counter: 0,
             rng_arrival,
-            pregen: VecDeque::new(),
-            user_tx_drawn: 0,
+            user_tx_count: 0,
             self_tx_count: 0,
-            pool: Pool::auto(),
             rng_fault,
             downtime_ms,
             orphaned_blocks: 0,
@@ -458,15 +449,10 @@ impl World {
         WorldCheckpoint::new(&scenario).fork(scenario)
     }
 
-    /// Overrides the fork-join worker count for pre-generation batches and
-    /// the per-view block connect.
-    ///
-    /// Output bytes are identical at any width (the byte-identity property
-    /// tests run the same scenario at 1 and N workers and compare
-    /// everything); this exists so those tests — and the CI dual-run gate
-    /// — can pin widths regardless of the host or `CN_WORKERS`.
-    pub fn with_workers(mut self, workers: usize) -> World {
-        self.pool = Pool::with_workers(workers);
+    /// A no-op: a world always runs on the calling thread. Kept because
+    /// the `perfbench` benchmark calls it with 1; nothing in the workspace
+    /// does.
+    pub fn with_workers(self, _workers: usize) -> World {
         self
     }
 
@@ -717,8 +703,7 @@ impl World {
     /// the estimator's positive feedback loop (bids quote recent blocks,
     /// which quote bids) is broken by a heavy-tailed per-transaction
     /// willingness-to-pay cap. The random parts live in [`TxDraws`]; the
-    /// state reads happen here, in event order, so pre-generation cannot
-    /// perturb them.
+    /// state reads happen here, in event order, and consume no RNG.
     fn user_fee_rate(&self, q_idx: usize, noise: f64, wtp: f64) -> FeeRate {
         // Users differ in urgency: quantile of recent block fee rates.
         let q = URGENCY_QUANTILES[q_idx];
@@ -744,16 +729,10 @@ impl World {
     }
 
     /// Samples the full draw record for user transaction `index` from its
-    /// own RNG fork. Pure: reads only the fork base and run constants, so
-    /// any worker can produce any index.
-    fn draw_user_tx(
-        base: &SimRng,
-        workload: &Workload,
-        providers: u64,
-        relays: u64,
-        index: u64,
-    ) -> TxDraws {
-        let mut r = base.fork_indexed("user-tx", index);
+    /// own RNG fork. Pure: reads only the fork base and run constants.
+    fn draw_user_tx(&self, index: u64) -> TxDraws {
+        let providers = self.providers.len() as u64;
+        let mut r = self.rng_tx.fork_indexed("user-tx", index);
         TxDraws {
             scam_u: r.next_f64(),
             accel_u: r.next_f64(),
@@ -762,41 +741,20 @@ impl World {
             noise: LogNormal::new(0.0, 0.35).sample(&mut r),
             wtp: LogNormal::with_median(120_000.0, 1.2).sample(&mut r),
             allow_pending_u: r.next_f64(),
-            payment: workload.draw_payment(&mut r),
+            payment: self.workload.draw_payment(&mut r),
             provider: if providers > 0 { r.next_below(providers) as u32 } else { 0 },
-            origin: r.next_below(relays) as u32,
+            origin: r.next_below(self.relay_count as u64) as u32,
         }
-    }
-
-    /// Refills the pre-generation queue with the next [`PREGEN_BATCH`]
-    /// user-transaction draw records, sharded across the fork-join pool.
-    fn refill_draws(&mut self) {
-        let started = Instant::now();
-        let start = self.user_tx_drawn;
-        let batch = {
-            let base = &self.rng_tx;
-            let workload = &self.workload;
-            let providers = self.providers.len() as u64;
-            let relays = self.relay_count as u64;
-            self.pool.build(PREGEN_BATCH, |i| {
-                Self::draw_user_tx(base, workload, providers, relays, start + i as u64)
-            })
-        };
-        self.user_tx_drawn += PREGEN_BATCH as u64;
-        self.pregen.extend(batch);
-        SimProfile::credit(&mut self.profile.pregen, started.elapsed());
     }
 
     fn issue_user_tx(&mut self, now_ms: SimMillis, queue: &mut EventQueue<Ev>) {
-        // Top up the pre-generated draw queue before the issue timer
-        // starts, so batch production is attributed to `pregen`, not
-        // `issue`.
-        if self.pregen.is_empty() {
-            self.refill_draws();
-        }
+        // The draws are timed as `pregen`, the rest of issuance as `issue`.
+        let draw_started = Instant::now();
+        let draws = self.draw_user_tx(self.user_tx_count);
+        self.user_tx_count += 1;
         let issue_started = Instant::now();
+        SimProfile::credit(&mut self.profile.pregen, issue_started - draw_started);
         let now_secs = now_ms / 1_000;
-        let draws = self.pregen.pop_front().expect("refilled above");
         // Scam donation? (The flip's uniform was pre-drawn; the window
         // check reads the clock, which only exists at application time.)
         let is_scam = match &self.scenario.scam {
@@ -866,9 +824,8 @@ impl World {
     fn issue_self_tx(&mut self, pool: usize, now_ms: SimMillis, queue: &mut EventQueue<Ev>) {
         let issue_started = Instant::now();
         let now_secs = now_ms / 1_000;
-        // Self-transfers are orders of magnitude rarer than user traffic,
-        // so their draws come from an inline indexed fork (same
-        // determinism contract as pre-generation, no batching machinery).
+        // Self-transfers draw from their own indexed fork, like user
+        // transactions.
         let mut r = self.rng_tx.fork_indexed("self-tx", self.self_tx_count);
         self.self_tx_count += 1;
         // Indexing after the draw keeps the wallet slice borrow disjoint
@@ -1147,11 +1104,10 @@ impl World {
         self.workload.on_block_confirmed(&block);
         SimProfile::credit(&mut self.profile.assembly, t_assembly.elapsed());
         // The block tick proper: every stakeholder view evicts the
-        // confirmed set and repairs its ancestor scores. Views are
-        // independent, so they fan across the pool; timed as `eviction`
-        // (schema ≤ 5 buried this inside `assembly`).
+        // confirmed set and repairs its ancestor scores; timed as
+        // `eviction` (schema ≤ 5 buried this inside `assembly`).
         let t_eviction = Instant::now();
-        self.network.apply_block(&block, &self.pool);
+        self.network.apply_block(&block);
         SimProfile::credit(&mut self.profile.eviction, t_eviction.elapsed());
         self.block_miners.push(idx);
         self.profile.blocks += 1;

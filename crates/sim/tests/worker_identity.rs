@@ -1,9 +1,11 @@
-//! Byte-identity of the simulator's fork-join work (sharded workload
-//! pre-generation and the per-view block connect): the same scenario run
-//! at any fork-join worker count must produce exactly the same artifacts
-//! as the serial loop — chain, snapshot streams, miner sequence, and
-//! event counters. This is the determinism-join contract (DESIGN.md §8)
-//! enforced end-to-end through the simulator.
+//! Run-to-run byte-identity of the simulator: the same scenario run twice
+//! in one process must produce exactly the same artifacts — chain,
+//! snapshot streams, miner sequence, and event counters. Every `World`
+//! runs on the calling thread, so what varies between the two runs is the
+//! process-random seed of each std `HashMap` the run builds; a result that
+//! leaked hash-iteration order would differ here. Each scenario targets
+//! one path: every pre-drawn transaction field, same-millisecond fan-outs,
+//! faulted partial deliveries, and a fleet of views connecting each block.
 
 use cn_net::FaultPlan;
 use cn_sim::scenario::ObserverConfig;
@@ -36,33 +38,35 @@ fn full_feature_scenario(seed: u64) -> Scenario {
     s
 }
 
-fn assert_identical(serial: &SimOutput, parallel: &SimOutput, workers: usize) {
-    assert_eq!(serial.chain.tip_hash(), parallel.chain.tip_hash(), "workers={workers}");
-    assert_eq!(serial.chain.height(), parallel.chain.height(), "workers={workers}");
-    assert_eq!(serial.block_miners, parallel.block_miners, "workers={workers}");
-    assert_eq!(serial.snapshots, parallel.snapshots, "workers={workers}");
-    assert_eq!(serial.observer_streams, parallel.observer_streams, "workers={workers}");
-    assert_eq!(serial.orphaned_blocks, parallel.orphaned_blocks, "workers={workers}");
-    assert_eq!(serial.profile.user_txs, parallel.profile.user_txs, "workers={workers}");
-    assert_eq!(serial.profile.self_txs, parallel.profile.self_txs, "workers={workers}");
-    assert_eq!(serial.profile.deliveries, parallel.profile.deliveries, "workers={workers}");
-    assert_eq!(serial.profile.events_popped, parallel.profile.events_popped, "workers={workers}");
-    assert_eq!(
-        serial.profile.admission_precheck_hits, parallel.profile.admission_precheck_hits,
-        "workers={workers}"
-    );
+fn assert_identical(first: &SimOutput, second: &SimOutput) {
+    assert_eq!(first.chain.tip_hash(), second.chain.tip_hash());
+    assert_eq!(first.chain.height(), second.chain.height());
+    assert_eq!(first.block_miners, second.block_miners);
+    assert_eq!(first.snapshots, second.snapshots);
+    assert_eq!(first.observer_streams, second.observer_streams);
+    assert_eq!(first.orphaned_blocks, second.orphaned_blocks);
+    assert_eq!(first.profile.user_txs, second.profile.user_txs);
+    assert_eq!(first.profile.self_txs, second.profile.self_txs);
+    assert_eq!(first.profile.deliveries, second.profile.deliveries);
+    assert_eq!(first.profile.events_popped, second.profile.events_popped);
+    assert_eq!(first.profile.admission_precheck_hits, second.profile.admission_precheck_hits);
+}
+
+/// Runs `scenario` twice, asserts the two runs' artifacts are identical,
+/// and returns the first for the caller's coverage checks.
+fn run_twice(scenario: &Scenario) -> SimOutput {
+    let first = World::new(scenario.clone()).run();
+    let second = World::new(scenario.clone()).run();
+    assert_identical(&first, &second);
+    first
 }
 
 #[test]
 fn full_feature_scenario_is_worker_invariant() {
-    let serial = World::new(full_feature_scenario(41)).with_workers(1).run();
-    assert!(serial.profile.user_txs > 100, "scenario must generate real traffic");
-    assert!(serial.profile.self_txs > 0, "scenario must exercise self-transfers");
-    assert!(!serial.truth.accelerated_txids().is_empty(), "must exercise provider draws");
-    for workers in [2, 3, 8] {
-        let parallel = World::new(full_feature_scenario(41)).with_workers(workers).run();
-        assert_identical(&serial, &parallel, workers);
-    }
+    let run = run_twice(&full_feature_scenario(41));
+    assert!(run.profile.user_txs > 100, "scenario must generate real traffic");
+    assert!(run.profile.self_txs > 0, "scenario must exercise self-transfers");
+    assert!(!run.truth.accelerated_txids().is_empty(), "must exercise provider draws");
 }
 
 /// Near-zero link latency collapses every broadcast's fan-out onto one
@@ -79,68 +83,45 @@ fn floored_latency_scenario(seed: u64) -> Scenario {
     s
 }
 
-/// Same-millisecond fan-outs at widths 1–8: pre-generation and the
-/// per-view block connect must not change a single byte of output.
+/// Same-millisecond fan-outs: tied delivery times must pop in the same
+/// order on every run.
 #[test]
 fn floored_latency_fanout_is_worker_invariant() {
-    let serial = World::new(floored_latency_scenario(7)).with_workers(1).run();
-    let p = &serial.profile;
-    assert!(p.admission_precheck_hits > 0, "fan-out must reuse the relay precheck memo");
-    for workers in [2, 3, 5, 8] {
-        let parallel = World::new(floored_latency_scenario(7)).with_workers(workers).run();
-        assert_identical(&serial, &parallel, workers);
-    }
+    let run = run_twice(&floored_latency_scenario(7));
+    assert!(run.profile.admission_precheck_hits > 0, "fan-out must reuse the relay precheck memo");
 }
 
 /// Same-millisecond fan-outs under an aggressive fault plan: losses carve
 /// partial fan-outs (some nodes never see a tx), duplicates re-deliver
 /// into pools that already hold the tx, and reorder jitter shuffles pop
-/// order. Every width must agree with serial through all of it.
+/// order. Both runs must agree through all of it.
 #[test]
 fn faulted_partial_deliveries_are_worker_invariant() {
-    let faulted = |seed| {
-        let mut s = floored_latency_scenario(seed);
-        s.faults = FaultPlan::scaled(0.6);
-        s
-    };
-    let serial = World::new(faulted(11)).with_workers(1).run();
-    assert!(serial.profile.deliveries > 0, "faulted run must still deliver");
-    for workers in [2, 4, 8] {
-        let parallel = World::new(faulted(11)).with_workers(workers).run();
-        assert_identical(&serial, &parallel, workers);
-    }
+    let mut s = floored_latency_scenario(11);
+    s.faults = FaultPlan::scaled(0.6);
+    let run = run_twice(&s);
+    assert!(run.profile.deliveries > 0, "faulted run must still deliver");
 }
 
-/// Parallel per-pool block ticks at widths 1–8: every mined block fans
-/// `apply_block` across all node mempools on the worker pool, so a run
-/// with a fleet of views exercises the parallel eviction path on every
-/// block. Chain, streams, and counters must be width-invariant.
+/// Per-view block ticks: every mined block connects on all node
+/// mempools, so a run with a fleet of views exercises eviction across
+/// many views on every block. Chain, streams, and counters must repeat.
 #[test]
 fn parallel_block_tick_is_worker_invariant() {
-    let fleet = |seed| {
-        let mut s = full_feature_scenario(seed);
-        s.observers =
-            (0..4).map(|i| ObserverConfig::default_node().named(format!("v{i}"))).collect();
-        s.relay_nodes = 3;
-        s
-    };
-    let serial = World::new(fleet(19)).with_workers(1).run();
-    assert!(serial.profile.blocks > 0, "scenario must mine blocks");
-    assert!(serial.chain.height() > 0, "blocks must connect");
-    for workers in [2, 6, 8] {
-        let parallel = World::new(fleet(19)).with_workers(workers).run();
-        assert_identical(&serial, &parallel, workers);
-    }
+    let mut s = full_feature_scenario(19);
+    s.observers = (0..4).map(|i| ObserverConfig::default_node().named(format!("v{i}"))).collect();
+    s.relay_nodes = 3;
+    let run = run_twice(&s);
+    assert!(run.profile.blocks > 0, "scenario must mine blocks");
+    assert!(run.chain.height() > 0, "blocks must connect");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    // Randomized: any seed, any worker count 2..=8, bit-identical output.
+    // Randomized: any seed, bit-identical output on every run.
     #[test]
-    fn any_worker_count_matches_serial(seed in 0u64..1_000_000, workers in 2usize..=8) {
-        let serial = World::new(scenario(seed)).with_workers(1).run();
-        let parallel = World::new(scenario(seed)).with_workers(workers).run();
-        assert_identical(&serial, &parallel, workers);
+    fn any_worker_count_matches_serial(seed in 0u64..1_000_000) {
+        run_twice(&scenario(seed));
     }
 }

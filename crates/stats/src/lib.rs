@@ -18,8 +18,10 @@
 //!   implemented here rather than via `rand_distr` to stay within the
 //!   sanctioned offline dependency set,
 //! * a deterministic fork-join worker pool with an order-preserving join
-//!   ([`parwork`]), the substrate for byte-identical intra-simulation
-//!   parallelism.
+//!   ([`parwork`]), the workspace's one thread spawner. It runs only
+//!   coarse fan-outs (whole experiments, whole simulations, per-window
+//!   fleet fusion); every simulation and block-by-block audit step is
+//!   serial.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,6 @@
-//! Deterministic fork-join parallelism on `std::thread::scope`.
+//! Deterministic fork-join parallelism on `std::thread::scope`, and the
+//! only code in the workspace that spawns threads (`clippy.toml` bans
+//! `std::thread::{scope, spawn, available_parallelism}` everywhere else).
 //!
 //! The simulator and auditor must be byte-for-byte reproducible at any
 //! worker count, so this layer enforces one discipline everywhere it is
@@ -7,6 +9,10 @@
 //! A caller that needs an order-sensitive fold performs it serially over
 //! the joined vector — the parallel region only ever computes pure
 //! per-item values (the "deterministic join" contract, see DESIGN.md §8).
+//!
+//! Only coarse fan-outs use it — whole experiments, whole simulations,
+//! per-window fleet fusion — because per-block and per-batch fan-outs
+//! cost more in thread spawns than they overlap.
 //!
 //! No work-stealing runtime and no new dependencies: workers are scoped
 //! threads pulling indices off a shared atomic claim counter, which gives
@@ -29,6 +35,7 @@ pub struct Pool {
     workers: usize,
 }
 
+#[allow(clippy::disallowed_methods, reason = "fork-join goes through cn_stats::Pool")]
 impl Pool {
     /// A pool sized from `CN_WORKERS` if set (clamped to `1..=64`), else
     /// from [`std::thread::available_parallelism`].
@@ -44,11 +51,6 @@ impl Pool {
     /// A pool of exactly `workers` workers (minimum 1).
     pub fn with_workers(workers: usize) -> Pool {
         Pool { workers: workers.max(1) }
-    }
-
-    /// A serial pool (width 1); `map` degenerates to the plain loop.
-    pub fn serial() -> Pool {
-        Pool { workers: 1 }
     }
 
     /// The pool width.
@@ -102,59 +104,6 @@ impl Pool {
         }
         slots.into_iter().map(|s| s.expect("every index claimed exactly once")).collect()
     }
-
-    /// Runs `f` once over every item **in place** — the batch-join shape
-    /// for fan-outs that mutate disjoint state (one mempool view per item)
-    /// instead of returning values.
-    ///
-    /// Items are claimed off the same atomic counter as [`Pool::map`];
-    /// because each index is claimed exactly once, each item's mutex is
-    /// locked exactly once and never contended — it exists only to let the
-    /// scoped threads share the slice safely without `unsafe`. `f` must
-    /// treat items as independent (no cross-item reads or writes); under
-    /// that discipline the final state is identical to the serial
-    /// `for item in items { f(item) }` at any worker count.
-    pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(&mut T) + Sync,
-    {
-        let n = items.len();
-        let width = self.workers.min(n.max(1));
-        if width <= 1 {
-            for item in items.iter_mut() {
-                f(item);
-            }
-            return;
-        }
-        let cells: Vec<std::sync::Mutex<&mut T>> =
-            items.iter_mut().map(std::sync::Mutex::new).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..width {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let mut cell = cells[i].lock().expect("uncontended per-item lock");
-                    f(&mut cell);
-                });
-            }
-        });
-    }
-
-    /// Generates `count` values from an index-addressed constructor, in
-    /// index order. Sugar for [`Pool::map`] over `0..count` without
-    /// materializing the index vector's contents into item payloads.
-    pub fn build<R, F>(&self, count: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let idx: Vec<usize> = (0..count).collect();
-        self.map(&idx, |&i| f(i))
-    }
 }
 
 #[cfg(test)]
@@ -182,7 +131,7 @@ mod tests {
             }
             (i, acc)
         };
-        let serial = Pool::serial().map(&items, work);
+        let serial = Pool::with_workers(1).map(&items, work);
         let parallel = Pool::with_workers(7).map(&items, work);
         assert_eq!(serial, parallel);
     }
@@ -195,45 +144,9 @@ mod tests {
     }
 
     #[test]
-    fn build_is_index_order() {
-        let out = Pool::with_workers(5).build(33, |i| i * i);
-        let expect: Vec<usize> = (0..33).map(|i| i * i).collect();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
     fn width_clamps_to_item_count() {
         // More workers than items must not deadlock or drop items.
         let out = Pool::with_workers(16).map(&[1u8, 2], |&b| b);
         assert_eq!(out, vec![1, 2]);
-    }
-
-    #[test]
-    fn for_each_mut_touches_every_item_once() {
-        for w in [1, 2, 3, 8] {
-            let mut items: Vec<u64> = (0..257).collect();
-            Pool::with_workers(w).for_each_mut(&mut items, |x| *x = *x * 3 + 1);
-            let expect: Vec<u64> = (0..257).map(|x| x * 3 + 1).collect();
-            assert_eq!(items, expect, "workers={w}");
-        }
-    }
-
-    #[test]
-    fn for_each_mut_handles_empty_and_skew() {
-        let mut empty: Vec<u8> = Vec::new();
-        Pool::with_workers(8).for_each_mut(&mut empty, |_| unreachable!());
-        let mut items: Vec<(usize, u64)> = (0..64).map(|i| (i, 0)).collect();
-        Pool::with_workers(7).for_each_mut(&mut items, |(i, acc)| {
-            for k in 0..(*i * 500) as u64 {
-                *acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-            }
-        });
-        let mut expect: Vec<(usize, u64)> = (0..64).map(|i| (i, 0)).collect();
-        for (i, acc) in &mut expect {
-            for k in 0..(*i * 500) as u64 {
-                *acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-            }
-        }
-        assert_eq!(items, expect);
     }
 }

@@ -49,11 +49,9 @@ impl SimRng {
     /// Derives an independent child generator for item `index` of a named
     /// family, without advancing `self`.
     ///
-    /// This is the sharding primitive: giving transaction *i* the stream
-    /// `fork_indexed("user-tx", i)` makes its draws a pure function of
-    /// `(parent seed, label, i)`, so a worker pool can pre-generate items
-    /// in any order — or any batch size — and still produce byte-identical
-    /// values to the serial loop.
+    /// Giving transaction *i* the stream `fork_indexed("user-tx", i)` makes
+    /// its draws a pure function of `(parent seed, label, i)`: no other
+    /// item's draws, and no order of drawing, can change them.
     pub fn fork_indexed(&self, label: &str, index: u64) -> SimRng {
         let mut acc = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
         for &b in label.as_bytes() {
