@@ -233,7 +233,7 @@ fn run_stream_service(lab: &Lab) {
         StreamingAuditor::new(out.chain.initial_utxos(), StreamingConfig::new(exp));
     let started = Instant::now();
     let mut last_report = 0u64;
-    for ev in interleave(out.chain.blocks(), &out.snapshots) {
+    for ev in interleave(out.chain.blocks(), &out.observer_streams[0]) {
         if let Err(e) = auditor.push_event(&ev) {
             eprintln!("stream: unrecoverable ingest error: {e}");
             std::process::exit(2);

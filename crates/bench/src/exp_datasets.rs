@@ -106,13 +106,13 @@ pub fn fig3(lab: &Lab) -> String {
     let _ = writeln!(out, "\nFigure 3(b) — Mempool size distributions (vbytes)");
     for (label, sim) in [("A", out_a), ("B", out_b)] {
         let sizes: Vec<f64> =
-            sim.snapshots.iter().map(|s| s.total_vsize() as f64).collect();
+            sim.observer_streams[0].iter().map(|s| s.total_vsize() as f64).collect();
         let ecdf = Ecdf::new(sizes);
         let cap = block_capacity(sim) as f64;
         let _ = writeln!(
             out,
             "dataset {label}: congested {} of snapshots (paper: {}), median {:.0} vB, max {:.1}x capacity",
-            fmt_pct(congested_fraction(&sim.snapshots, block_capacity(sim))),
+            fmt_pct(congested_fraction(&sim.observer_streams[0], block_capacity(sim))),
             if label == "A" { "~75%" } else { "~92%" },
             ecdf.quantile(0.5),
             ecdf.max() / cap
@@ -120,7 +120,7 @@ pub fn fig3(lab: &Lab) -> String {
     }
 
     let _ = writeln!(out, "\nFigure 3(c) — Mempool size over time (dataset A, sampled)");
-    let series = size_series(&out_a.snapshots).unwrap_or_default();
+    let series = size_series(&out_a.observer_streams[0]).unwrap_or_default();
     let stride = (series.len() / 20).max(1);
     let mut table = Table::new(&["t (h)", "mempool vB", "x capacity"]);
     for (t, v) in series.iter().step_by(stride) {
@@ -135,7 +135,7 @@ pub fn fig3(lab: &Lab) -> String {
 }
 
 fn delay_records(sim: &SimOutput, index: &ChainIndex) -> Vec<DelayRecord> {
-    let first = first_seen_times(&sim.snapshots).unwrap_or_default();
+    let first = first_seen_times(&sim.observer_streams[0]).unwrap_or_default();
     commit_delays(index, &first)
 }
 
@@ -192,7 +192,7 @@ pub fn fig4(lab: &Lab) -> String {
 
     let (out_a, _) = lab.a();
     let _ = writeln!(out, "\nFigure 4(c) — fee rates by congestion at issue time (dataset A)");
-    let bins = fee_rates_by_congestion(&out_a.snapshots, block_capacity(out_a));
+    let bins = fee_rates_by_congestion(&out_a.observer_streams[0], block_capacity(out_a));
     let mut table = Table::new(&["congestion bin", "n", "median BTC/KB", "p90 BTC/KB"]);
     for (i, name) in ["<1x (none)", "1-2x", "2-4x", ">4x"].iter().enumerate() {
         if bins[i].is_empty() {
@@ -270,7 +270,7 @@ pub fn fig9(lab: &Lab) -> String {
     let (out_b, _) = lab.b();
     let mut out = String::new();
     let _ = writeln!(out, "Figure 9 — Mempool size over time (dataset B, sampled)");
-    let series = size_series(&out_b.snapshots).unwrap_or_default();
+    let series = size_series(&out_b.observer_streams[0]).unwrap_or_default();
     let stride = (series.len() / 20).max(1);
     let mut table = Table::new(&["t (h)", "mempool vB", "x capacity"]);
     for (t, v) in series.iter().step_by(stride) {
@@ -281,7 +281,7 @@ pub fn fig9(lab: &Lab) -> String {
         ]);
     }
     out.push_str(&table.render());
-    let congested = congested_fraction(&out_b.snapshots, block_capacity(out_b));
+    let congested = congested_fraction(&out_b.observer_streams[0], block_capacity(out_b));
     let _ = writeln!(out, "congested fraction: {} (paper: ~92%)", fmt_pct(congested));
     out
 }
@@ -323,7 +323,7 @@ pub fn fig11(lab: &Lab) -> String {
     let (out_b, _) = lab.b();
     let mut out = String::new();
     let _ = writeln!(out, "Figure 11 — fee rates by congestion at issue time (dataset B)");
-    let bins = fee_rates_by_congestion(&out_b.snapshots, block_capacity(out_b));
+    let bins = fee_rates_by_congestion(&out_b.observer_streams[0], block_capacity(out_b));
     let mut table = Table::new(&["congestion bin", "n", "median BTC/KB", "p90 BTC/KB"]);
     for (i, name) in ["<1x (none)", "1-2x", "2-4x", ">4x"].iter().enumerate() {
         if bins[i].is_empty() {

@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 /// §4.2.3: below-floor transactions — who sees them, who mines them.
 pub fn norm3(lab: &Lab) -> String {
     let (sim, index) = lab.b();
-    let report = low_fee_report(&sim.snapshots, index, FeeRate::MIN_RELAY);
+    let report = low_fee_report(&sim.observer_streams[0], index, FeeRate::MIN_RELAY);
     let mut out = String::new();
     let _ = writeln!(out, "Norm III (section 4.2.3) — below-floor transactions in dataset B");
     let _ = writeln!(out, "(paper: 1084 observed, 489 zero-fee, 53 confirmed — only by");

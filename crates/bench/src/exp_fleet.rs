@@ -9,7 +9,7 @@
 //! primary observer, fleet-wide selective withholding of high-fee and
 //! miner-origin transactions, and spy-resistant diffusion delays — then
 //! reconciles the first N ∈ {1, 2, 4, 8} streams through
-//! [`cn_core::reconcile`] and reports, per (scenario, N):
+//! [`cn_core::reconcile()`] and reports, per (scenario, N):
 //!
 //! * fused coverage confidence and degraded-window count — whether the
 //!   audit would *refuse* below the coverage floor;
@@ -30,8 +30,9 @@
 
 use crate::exp_robustness::{detected_pairs, precision_recall, sweep_config, truth_pairs};
 use crate::lab::Lab;
-use cn_chain::{FastMap, FastSet, Timestamp, Txid};
+use cn_chain::{FastSet, Timestamp, Txid};
 use cn_core::darkfee::score_detector;
+use cn_core::delay::first_seen_times;
 use cn_core::report::{fmt_pct, Table};
 use cn_core::{
     audit_chain, audit_with_fleet, reconcile, ChainIndex, ObserverView, StreamExpectation,
@@ -40,7 +41,7 @@ use cn_data::{dataset_c, Scale};
 use cn_mempool::MempoolPolicy;
 use cn_net::{AdversaryPlan, DiffusionDelay, EclipseWindow, WithholdPredicate, WithholdRule};
 use cn_sim::scenario::ObserverConfig;
-use cn_sim::{SimOutput, WorldCheckpoint};
+use cn_sim::{SimOutput, World};
 use std::fmt::Write as _;
 
 /// The swept fleet sizes (prefixes of the eight-observer roster).
@@ -167,7 +168,6 @@ fn fleet_views(sim: &SimOutput, n: usize, expectation: StreamExpectation) -> Vec
 /// roster, audit the chain once (it is snapshot-independent), then sweep
 /// the fleet sizes as pure post-processing over the recorded streams.
 fn run_scenario(
-    checkpoint: &WorldCheckpoint,
     base: &cn_sim::scenario::Scenario,
     truth: &std::collections::HashSet<(String, String)>,
     name: &str,
@@ -176,7 +176,7 @@ fn run_scenario(
     let mut scenario = base.clone();
     scenario.name = format!("fleet-{name}");
     scenario.adversaries = adversaries.clone();
-    let sim = checkpoint.fork(scenario).run();
+    let sim = World::new(scenario).run();
     let index = ChainIndex::build(&sim.chain);
     let expectation = StreamExpectation::from_run(
         sim.scenario.duration,
@@ -226,27 +226,14 @@ fn run_scenario(
         let confidence = coverage.confidence();
         let refused = confidence < FLOOR;
 
-        let observed: FastSet<Txid> = fleet
-            .fused
-            .iter()
-            .filter(|s| s.is_detailed())
-            .flat_map(|s| s.entries.iter().map(|e| e.txid))
-            .collect();
-        let seen = targets.iter().filter(|t| observed.contains(t)).count();
+        // The fused first-seen map: its keys are the txids the fleet
+        // observed pending.
+        let first_seen = first_seen_times(&fleet.fused).unwrap_or_default();
+        let seen = targets.iter().filter(|t| first_seen.contains_key(t)).count();
         let seen_r = if targets.is_empty() { 1.0 } else { seen as f64 / targets.len() as f64 };
 
         // Mean fused first-seen lag vs true issue time over the observed
-        // targets: the diffusion adversary's signature. Keyed by the same
-        // digest-based fast hasher every other audit path uses.
-        let mut first_seen: FastMap<Txid, Timestamp> = FastMap::default();
-        for snap in fleet.fused.iter().filter(|s| s.is_detailed()) {
-            for e in snap.entries.iter() {
-                first_seen
-                    .entry(e.txid)
-                    .and_modify(|t| *t = (*t).min(e.received))
-                    .or_insert(e.received);
-            }
-        }
+        // targets: the diffusion adversary's signature.
         let lags: Vec<f64> = targets
             .iter()
             .filter_map(|t| {
@@ -326,10 +313,6 @@ pub fn observer_fleet(lab: &Lab) -> String {
     base.snapshot_detail_every = 8;
     let truth = truth_pairs(&base);
     let scenarios = network_scenarios(base.duration);
-    // One topology/funding build shared by all four scenarios: the forks
-    // differ only in adversary plan, which consumes no construction-time
-    // randomness (fork-and-replay, bit-identical to fresh builds).
-    let checkpoint = WorldCheckpoint::new(&base);
 
     let mut out = String::new();
     let _ = writeln!(out, "Observer fleet — audit quality vs vantage-point count under adversarial networks");
@@ -359,12 +342,12 @@ pub fn observer_fleet(lab: &Lab) -> String {
     let _ = writeln!(out, "\nground-truth acceleration pairs: {}", truth.len());
     out.push('\n');
 
-    // The four scenarios are independent sims over forks of one
-    // checkpoint; `Pool::map` claims them across workers and joins in
-    // input order, so output is byte-identical to a serial sweep.
-    let results = cn_stats::Pool::auto().map(&scenarios, |(name, plan)| {
-        run_scenario(&checkpoint, &base, &truth, name, plan)
-    });
+    // The four scenarios are independent sims, each building its own
+    // world from the base scenario and its adversary plan; `Pool::map`
+    // claims them across workers and joins in input order, so output is
+    // byte-identical to a serial sweep.
+    let results = cn_stats::Pool::auto()
+        .map(&scenarios, |(name, plan)| run_scenario(&base, &truth, name, plan));
 
     let mut table = Table::new(&[
         "scenario",

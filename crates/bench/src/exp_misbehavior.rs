@@ -284,8 +284,7 @@ pub fn fig14(lab: &Lab) -> String {
 
     // Pick the most congested *detailed* snapshot, as §G did (the paper
     // used one live Mempool snapshot from Nov 24, 2020).
-    let snapshot = sim
-        .snapshots
+    let snapshot = sim.observer_streams[0]
         .iter()
         .filter(|s| s.is_detailed())
         .max_by_key(|s| s.total_vsize())

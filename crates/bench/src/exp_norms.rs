@@ -71,8 +71,7 @@ pub fn fig6(lab: &Lab) -> String {
     let (out_a, index) = lab.a();
     let mut rng = SimRng::seed_from_u64(6);
     // Sample 30 snapshots with a decent backlog, uniformly at random.
-    let eligible: Vec<&MempoolSnapshot> = out_a
-        .snapshots
+    let eligible: Vec<&MempoolSnapshot> = out_a.observer_streams[0]
         .iter()
         .filter(|s| s.is_detailed() && s.len() >= 30)
         .collect();

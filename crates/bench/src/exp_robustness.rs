@@ -25,7 +25,7 @@ use cn_core::{audit_with_snapshots, AuditConfig, ChainIndex, Finding, StreamExpe
 use cn_data::{dataset_c, Scale};
 use cn_net::FaultPlan;
 use cn_sim::scenario::{PoolBehavior, Scenario};
-use cn_sim::WorldCheckpoint;
+use cn_sim::World;
 use cn_stats::Pool;
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -105,7 +105,6 @@ struct SweepRow {
 /// detector families. Pure function of its inputs, so levels can run on
 /// separate workers.
 fn sweep_level(
-    checkpoint: &WorldCheckpoint,
     base: &Scenario,
     truth: &HashSet<(String, String)>,
     intensity: f64,
@@ -114,7 +113,7 @@ fn sweep_level(
     let mut scenario = base.clone();
     scenario.name = format!("robustness-{intensity:.2}");
     scenario.faults = FaultPlan::scaled(intensity);
-    let sim = checkpoint.fork(scenario).run();
+    let sim = World::new(scenario).run();
     let index = ChainIndex::build(&sim.chain);
     let expectation = StreamExpectation::from_run(
         sim.scenario.duration,
@@ -125,7 +124,7 @@ fn sweep_level(
     let (confidence, windows, detailed, pair_p, pair_r) = match audit_with_snapshots(
         &sim.chain,
         &index,
-        &sim.snapshots,
+        &sim.observer_streams[0],
         expectation,
         sweep_config(),
     ) {
@@ -171,7 +170,13 @@ fn sweep_level(
     // stream against a 95 % coverage floor.
     let floor_demo = is_last.then(|| {
         let strict = expectation.with_min_coverage(0.95);
-        match audit_with_snapshots(&sim.chain, &index, &sim.snapshots, strict, sweep_config()) {
+        match audit_with_snapshots(
+            &sim.chain,
+            &index,
+            &sim.observer_streams[0],
+            strict,
+            sweep_config(),
+        ) {
             Ok(_) => {
                 format!("coverage floor 0.95 at intensity {intensity:.2}: audit still passed")
             }
@@ -205,11 +210,6 @@ pub fn robustness(lab: &Lab) -> String {
         base.duration = 48 * 3_600;
     }
     let truth = truth_pairs(&base);
-    // Fork-and-replay: the five levels differ only in fault plan and
-    // name, so topology sampling and chain/workload funding are built
-    // once here and forked per level (bit-identical to five fresh
-    // constructions — see `WorldCheckpoint`).
-    let checkpoint = WorldCheckpoint::new(&base);
 
     let mut out = String::new();
     let _ = writeln!(out, "Robustness — detector quality vs injected-fault intensity");
@@ -244,12 +244,13 @@ pub fn robustness(lab: &Lab) -> String {
         "darkfee P",
         "darkfee R",
     ]);
-    // The five levels are independent sims over clones of the same base
-    // scenario; `Pool::map` claims them across workers and joins in level
-    // order, so the table is byte-identical to a serial sweep.
+    // The five levels are independent sims, each building its own world
+    // from a clone of the base scenario; `Pool::map` claims them across
+    // workers and joins in level order, so the table is byte-identical to
+    // a serial sweep.
     let levels: Vec<usize> = (0..INTENSITIES.len()).collect();
     let rows = Pool::auto().map(&levels, |&i| {
-        sweep_level(&checkpoint, &base, &truth, INTENSITIES[i], i + 1 == INTENSITIES.len())
+        sweep_level(&base, &truth, INTENSITIES[i], i + 1 == INTENSITIES.len())
     });
 
     let mut floor_demo = String::new();

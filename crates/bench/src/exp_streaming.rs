@@ -46,7 +46,7 @@ fn fresh(out: &SimOutput, exp: StreamExpectation) -> StreamingAuditor {
 }
 
 fn batch_report(out: &SimOutput, index: &cn_core::ChainIndex, exp: StreamExpectation) -> AuditReport {
-    audit_with_snapshots(&out.chain, index, &out.snapshots, exp, AuditConfig::default())
+    audit_with_snapshots(&out.chain, index, &out.observer_streams[0], exp, AuditConfig::default())
         .expect("batch audits the pinned dataset")
 }
 
@@ -55,7 +55,7 @@ fn batch_report(out: &SimOutput, index: &cn_core::ChainIndex, exp: StreamExpecta
 /// next event is a coin flip.
 fn random_interleaving<'a>(out: &'a SimOutput, rng: &mut SimRng) -> Vec<StreamEvent<'a>> {
     let blocks = out.chain.blocks();
-    let snapshots = &out.snapshots;
+    let snapshots = &out.observer_streams[0];
     let mut events = Vec::with_capacity(blocks.len() + snapshots.len());
     let (mut bi, mut si) = (0usize, 0usize);
     while bi < blocks.len() || si < snapshots.len() {
@@ -106,7 +106,7 @@ pub fn streaming(lab: &Lab) -> String {
     for (name, (out, index)) in datasets {
         let exp = expectation(out);
         let batch = batch_report(out, index, exp);
-        let events = interleave(out.chain.blocks(), &out.snapshots);
+        let events = interleave(out.chain.blocks(), &out.observer_streams[0]);
 
         // Canonical time-ordered replay — the one the throughput counters
         // are taken from.

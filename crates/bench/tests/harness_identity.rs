@@ -37,7 +37,7 @@ fn parallel_prewarm_matches_serial_byte_for_byte() {
 /// cannot simply derive `PartialEq`.)
 fn fingerprint(out: &SimOutput) -> (Vec<cn_chain::BlockHash>, usize, Vec<usize>, usize) {
     let hashes = out.chain.blocks().iter().map(|b| b.block_hash()).collect();
-    (hashes, out.snapshots.len(), out.block_miners.clone(), out.orphaned_blocks)
+    (hashes, out.observer_streams[0].len(), out.block_miners.clone(), out.orphaned_blocks)
 }
 
 #[test]
@@ -54,5 +54,5 @@ fn fault_plan_none_stays_bit_inert_on_worker_threads() {
         fingerprint(none_out),
         "FaultPlan::none() must not perturb a run, threaded or not"
     );
-    assert_eq!(stock_out.snapshots, none_out.snapshots, "snapshot streams diverged");
+    assert_eq!(stock_out.observer_streams, none_out.observer_streams, "snapshot streams diverged");
 }

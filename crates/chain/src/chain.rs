@@ -6,7 +6,7 @@ use crate::params::Params;
 use crate::transaction::Txid;
 use crate::utxo::UtxoSet;
 use crate::validation::{connect_block, ValidationError};
-use crate::fasthash::FastMap;
+use crate::fasthash::FastSet;
 use std::fmt;
 
 /// Errors from extending a [`Chain`].
@@ -58,7 +58,7 @@ pub struct BlockRecord {
     pub subsidy: Amount,
 }
 
-/// A single-branch, fully validated blockchain with txid and height indexes.
+/// A single-branch, fully validated blockchain with a confirmed-txid index.
 ///
 /// Reorgs are out of scope: the audit operates on the confirmed main chain,
 /// exactly as the paper's datasets do.
@@ -67,8 +67,8 @@ pub struct Chain {
     params: Params,
     blocks: Vec<Block>,
     records: Vec<BlockRecord>,
-    by_hash: FastMap<BlockHash, u64>,
-    tx_index: FastMap<Txid, u64>,
+    /// Every txid confirmed in the retained blocks.
+    tx_index: FastSet<Txid>,
     utxos: UtxoSet,
     seeds: Vec<crate::transaction::Transaction>,
     /// Number of leading blocks dropped by [`Chain::prune_below`];
@@ -98,12 +98,6 @@ impl Chain {
         self.height() == 0
     }
 
-    /// Height of the lowest block still held in memory (0 unless
-    /// [`Chain::prune_below`] ran).
-    pub fn pruned_below(&self) -> u64 {
-        self.pruned
-    }
-
     /// Hash of the tip block, or the zero hash for an empty chain.
     pub fn tip_hash(&self) -> BlockHash {
         self.blocks.last().map_or(BlockHash::ZERO, |b| b.block_hash())
@@ -120,25 +114,9 @@ impl Chain {
         &self.records
     }
 
-    /// The block at `height` (`None` if pruned or beyond the tip).
-    pub fn block_at(&self, height: u64) -> Option<&Block> {
-        let idx = height.checked_sub(self.pruned)?;
-        self.blocks.get(idx as usize)
-    }
-
-    /// Looks up a block by hash.
-    pub fn block_by_hash(&self, hash: &BlockHash) -> Option<&Block> {
-        self.by_hash.get(hash).and_then(|&h| self.block_at(h))
-    }
-
-    /// The height of the block containing `txid`, if confirmed.
-    pub fn height_of_tx(&self, txid: &Txid) -> Option<u64> {
-        self.tx_index.get(txid).copied()
-    }
-
-    /// True when `txid` is confirmed anywhere in the chain.
+    /// True when `txid` is confirmed in a retained block.
     pub fn contains_tx(&self, txid: &Txid) -> bool {
-        self.tx_index.contains_key(txid)
+        self.tx_index.contains(txid)
     }
 
     /// The current UTXO set.
@@ -179,10 +157,7 @@ impl Chain {
         let tx_fees = connect_block(&block, &mut self.utxos, height, &self.params)?;
         let fees: Amount = tx_fees.iter().copied().sum();
         let hash = block.block_hash();
-        for tx in &block.transactions {
-            self.tx_index.insert(tx.txid(), height);
-        }
-        self.by_hash.insert(hash, height);
+        self.tx_index.extend(block.transactions.iter().map(|tx| tx.txid()));
         self.records.push(BlockRecord {
             height,
             hash,
@@ -195,14 +170,14 @@ impl Chain {
     }
 
     /// Drops every block strictly below `height` from memory: the block
-    /// bodies, their per-block records, and their `by_hash`/`tx_index`
-    /// entries. The UTXO set, seeds, and tip bookkeeping are untouched, so
-    /// the chain keeps validating and connecting new blocks exactly as
-    /// before — this is how the chunked simulation keeps resident state
-    /// O(epoch) instead of O(chain).
+    /// bodies, their per-block records, and their `tx_index` entries. The
+    /// UTXO set, seeds, and tip bookkeeping are untouched, so the chain
+    /// keeps validating and connecting new blocks exactly as before — this
+    /// is how the chunked simulation keeps resident state O(epoch) instead
+    /// of O(chain).
     ///
     /// At least the tip block is always retained. Pruned history is gone:
-    /// `block_at`/`block_by_hash` return `None` and `contains_tx` returns
+    /// `blocks` and `records` start above it and `contains_tx` returns
     /// `false` for it — callers that need full history (the batch audit
     /// pipeline) simply never prune. Returns the number of blocks dropped.
     pub fn prune_below(&mut self, height: u64) -> usize {
@@ -214,7 +189,6 @@ impl Chain {
             return 0;
         }
         for block in self.blocks.drain(..dropped) {
-            self.by_hash.remove(&block.block_hash());
             for tx in &block.transactions {
                 self.tx_index.remove(&tx.txid());
             }
@@ -271,7 +245,9 @@ mod tests {
         let b1 = extend(&mut chain, vec![]);
         assert_eq!(chain.height(), 2);
         assert_eq!(chain.tip_hash(), b1);
-        assert_eq!(chain.block_by_hash(&g).expect("genesis").header.prev_hash, BlockHash::ZERO);
+        assert_eq!(chain.blocks()[0].block_hash(), g);
+        assert_eq!(chain.blocks()[0].header.prev_hash, BlockHash::ZERO);
+        assert_eq!(chain.blocks()[1].header.prev_hash, g);
         assert_eq!(chain.empty_block_count(), 2);
     }
 
@@ -297,9 +273,10 @@ mod tests {
             .pay_to(Address::from_label("r"), Amount::from_sat(400_000))
             .build();
         let txid = spend.txid();
+        assert!(!chain.contains_tx(&txid), "not confirmed yet");
         extend(&mut chain, vec![spend]);
-        assert_eq!(chain.height_of_tx(&txid), Some(1));
         assert!(chain.contains_tx(&txid));
+        assert!(chain.blocks()[1].transactions.iter().any(|tx| tx.txid() == txid));
         assert_eq!(chain.body_tx_count(), 1);
         assert_eq!(chain.total_fees(), Amount::from_sat(100_000));
     }
@@ -337,13 +314,10 @@ mod tests {
         hashes.push(extend(&mut chain, vec![spend]));
 
         assert_eq!(chain.prune_below(2), 2);
-        assert_eq!(chain.pruned_below(), 2);
         assert_eq!(chain.height(), 4, "height counts pruned blocks");
         assert_eq!(chain.tip_hash(), hashes[3]);
-        assert_eq!(chain.blocks().len(), 2);
-        assert!(chain.block_at(1).is_none(), "pruned history is gone");
-        assert!(chain.block_by_hash(&hashes[0]).is_none());
-        assert_eq!(chain.block_at(3).map(Block::block_hash), Some(hashes[3]));
+        assert_eq!(chain.blocks().len(), 2, "pruned history is gone");
+        assert_eq!(chain.blocks()[0].block_hash(), hashes[2]);
         assert!(chain.contains_tx(&txid), "retained txs still indexed");
         assert_eq!(chain.records().first().map(|r| r.height), Some(2));
 
@@ -358,7 +332,7 @@ mod tests {
         let next = extend(&mut chain, vec![]);
         assert_eq!(chain.height(), 5);
         assert_eq!(chain.tip_hash(), next);
-        assert_eq!(chain.block_at(4).map(Block::block_hash), Some(next));
+        assert_eq!(chain.blocks().last().map(Block::block_hash), Some(next));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Transactions with BIP-141 weight and virtual-size accounting.
 //!
-//! A [`Transaction`] is immutable once built; its txid, wtxid, weight, and
-//! virtual size are computed at construction and cached, because the audit
+//! A [`Transaction`] is immutable once built; its txid, weight, and virtual
+//! size are computed at construction and cached, because the audit
 //! pipeline looks these up in tight loops over hundreds of thousands of
-//! transactions.
+//! transactions. The wtxid, which nothing on those paths reads, is hashed
+//! on demand.
 
 use crate::address::Address;
 use crate::amount::Amount;
@@ -186,7 +187,6 @@ pub struct Transaction {
     lock_time: u32,
     // Cached at construction:
     txid: Txid,
-    wtxid: Hash256,
     weight: u64,
 }
 
@@ -221,9 +221,15 @@ impl Transaction {
         self.txid
     }
 
-    /// The cached witness transaction id.
+    /// The witness transaction id: the hash of the full serialization
+    /// (the txid when there is no witness), computed on each call.
     pub fn wtxid(&self) -> Hash256 {
-        self.wtxid
+        if !self.has_witness() {
+            return self.txid.0;
+        }
+        let mut full = BytesMut::with_capacity(full_parts_len(&self.inputs, &self.outputs));
+        self.encode_full(&mut full);
+        sha256d(&full)
     }
 
     /// BIP-141 weight: `3 * base_size + total_size`.
@@ -505,7 +511,7 @@ impl TransactionBuilder {
         self.weight().div_ceil(4)
     }
 
-    /// Finalizes the transaction, computing txid, wtxid, and weight.
+    /// Finalizes the transaction, computing its txid and weight.
     pub fn build(self) -> Transaction {
         let mut tx = Transaction {
             version: self.version,
@@ -513,7 +519,6 @@ impl TransactionBuilder {
             outputs: self.outputs,
             lock_time: self.lock_time,
             txid: Txid::ZERO,
-            wtxid: Hash256::ZERO,
             weight: 0,
         };
         let base_len = base_parts_len(&tx.inputs, &tx.outputs);
@@ -521,17 +526,11 @@ impl TransactionBuilder {
         tx.encode_base(&mut base);
         debug_assert_eq!(base.len(), base_len);
         tx.txid = Txid(sha256d(&base));
-        if tx.has_witness() {
-            let full_len = full_parts_len(&tx.inputs, &tx.outputs);
-            let mut full = BytesMut::with_capacity(full_len);
-            tx.encode_full(&mut full);
-            debug_assert_eq!(full.len(), full_len);
-            tx.wtxid = sha256d(&full);
-            tx.weight = 3 * base_len as u64 + full_len as u64;
+        tx.weight = if tx.has_witness() {
+            3 * base_len as u64 + full_parts_len(&tx.inputs, &tx.outputs) as u64
         } else {
-            tx.wtxid = tx.txid.0;
-            tx.weight = 4 * base_len as u64;
-        }
+            4 * base_len as u64
+        };
         tx
     }
 }

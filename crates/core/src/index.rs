@@ -1,9 +1,24 @@
 //! One replay of the chain into the per-transaction facts every audit
-//! metric consumes.
+//! metric consumes, and the chain digest the exact streaming verdict reads.
+//!
+//! [`ChainIndex`] holds the per-block and per-transaction facts. A
+//! streaming audit also keeps two facts the batch audit derives after the
+//! fact: the txids its observer saw, and the address→txid log that stands
+//! in for the batch auditor's UTXO replay. The crate-private `ChainDigest`
+//! holds all three, and it is their only shape. The streaming auditor grows
+//! one, a spilling auditor drains its settled prefix into a store through
+//! its codec and appends the decoded prefixes back, and the exact verdict
+//! reads one digest, live or restored.
 
 use crate::cpfp::cpfp_txids_in_block;
+use bytes::{Buf, BufMut, Bytes, BytesMut};
+use cn_chain::encode::{
+    ensure_remaining, read_compact_size, read_var_bytes, write_compact_size, write_var_bytes,
+    Decodable, DecodeError, MAX_DECODE_LEN,
+};
 use cn_chain::{
-    Address, Amount, Block, BlockHash, Chain, FastMap, FeeRate, PoolMarker, Timestamp, Txid,
+    Address, Amount, Block, BlockHash, Chain, FastMap, FastSet, FeeRate, Hash256, PoolMarker,
+    Timestamp, Txid,
 };
 
 /// Per-transaction audit facts.
@@ -62,16 +77,13 @@ impl BlockInfo {
 
 /// The chain, digested for auditing.
 ///
-/// Supports *epoch checkpointing*: [`ChainIndex::drain_below`] hands the
-/// oldest block digests off (for a caller to spill to disk) and records the
-/// offset in `base`, so a long-running streaming audit retains O(window)
-/// digests in memory. Heights stay absolute throughout — a drained index
-/// answers [`ChainIndex::block`] for retained heights and `None` below the
-/// base, and [`ChainIndex::from_blocks`] rebuilds a full index from
-/// re-read segments.
+/// Heights are absolute. A streaming audit that spills its settled prefix
+/// keeps an index whose blocks start at some `base` height; such an index
+/// answers [`ChainIndex::block`] for the heights it holds and `None` below
+/// them.
 #[derive(Clone, Debug, Default)]
 pub struct ChainIndex {
-    /// Heights below this have been drained; `blocks[0]` is height `base`.
+    /// Heights below this are not held; `blocks[0]` is height `base`.
     base: u64,
     blocks: Vec<BlockInfo>,
     by_txid: FastMap<Txid, (u64, u32)>,
@@ -91,25 +103,6 @@ impl ChainIndex {
             index.push_block(block, &record.tx_fees);
         }
         index
-    }
-
-    /// Rebuilds an index from previously drained (or otherwise digested)
-    /// blocks — the restore half of the [`ChainIndex::drain_below`]
-    /// checkpoint contract. Blocks must be contiguous and in height order;
-    /// the first block's height becomes the base.
-    ///
-    /// # Panics
-    /// Panics when the heights are not contiguous.
-    pub fn from_blocks(blocks: Vec<BlockInfo>) -> ChainIndex {
-        let base = blocks.first().map(|b| b.height).unwrap_or(0);
-        let mut by_txid = FastMap::default();
-        for (i, block) in blocks.iter().enumerate() {
-            assert_eq!(block.height, base + i as u64, "blocks must be contiguous");
-            for tx in &block.txs {
-                by_txid.insert(tx.txid, (block.height, tx.position as u32));
-            }
-        }
-        ChainIndex { base, blocks, by_txid }
     }
 
     /// Appends one connected block to the index — the incremental form of
@@ -136,20 +129,24 @@ impl ChainIndex {
             .coinbase()
             .map(|cb| cb.output_addresses().collect())
             .unwrap_or_default();
-        let mut txs = Vec::with_capacity(block.body().len());
-        for (position, (tx, fee)) in block.body().iter().zip(tx_fees).enumerate() {
-            let txid = tx.txid();
-            self.by_txid.insert(txid, (height, position as u32));
-            txs.push(TxRecord {
-                txid,
-                height,
-                position,
-                fee: *fee,
-                vsize: tx.vsize(),
-                is_cpfp: cpfp.contains(&txid),
-            });
-        }
-        self.blocks.push(BlockInfo {
+        let txs = block
+            .body()
+            .iter()
+            .zip(tx_fees)
+            .enumerate()
+            .map(|(position, (tx, fee))| {
+                let txid = tx.txid();
+                TxRecord {
+                    txid,
+                    height,
+                    position,
+                    fee: *fee,
+                    vsize: tx.vsize(),
+                    is_cpfp: cpfp.contains(&txid),
+                }
+            })
+            .collect();
+        self.push_info(BlockInfo {
             height,
             hash: block.block_hash(),
             time: block.header.time,
@@ -159,39 +156,27 @@ impl ChainIndex {
         });
     }
 
-    /// All retained blocks, by height (every block unless
-    /// [`ChainIndex::drain_below`] has checkpointed a prefix off).
+    /// Appends an already digested block, indexing its txids at the height
+    /// it carries. `push_block` derives that height and `ChainDigest::drain`
+    /// moves blocks in order; the heights of a decoded digest are checked
+    /// when `ChainDigest::append` appends it.
+    fn push_info(&mut self, info: BlockInfo) {
+        for tx in &info.txs {
+            self.by_txid.insert(tx.txid, (info.height, tx.position as u32));
+        }
+        self.blocks.push(info);
+    }
+
+    /// The blocks held, by height (every block of the chain unless a
+    /// streaming audit spilled a prefix).
     pub fn blocks(&self) -> &[BlockInfo] {
         &self.blocks
     }
 
-    /// The height below which blocks have been drained (0 for a full
-    /// index).
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// The block at `height`, `None` when unknown or drained.
+    /// The block at `height`, `None` when unknown or not held.
     pub fn block(&self, height: u64) -> Option<&BlockInfo> {
         let offset = height.checked_sub(self.base)?;
         self.blocks.get(offset as usize)
-    }
-
-    /// Drains every retained block below `height`, returning them in
-    /// height order and forgetting their per-transaction locations. The
-    /// caller owns their persistence; [`ChainIndex::from_blocks`] over the
-    /// concatenated drained segments (plus the retained tail) reproduces
-    /// the undrained index exactly.
-    pub fn drain_below(&mut self, height: u64) -> Vec<BlockInfo> {
-        let cut = height.clamp(self.base, self.base + self.blocks.len() as u64);
-        let drained: Vec<BlockInfo> = self.blocks.drain(..(cut - self.base) as usize).collect();
-        for block in &drained {
-            for tx in &block.txs {
-                self.by_txid.remove(&tx.txid);
-            }
-        }
-        self.base = cut;
-        drained
     }
 
     /// Locates a confirmed transaction as `(height, position)`.
@@ -205,7 +190,7 @@ impl ChainIndex {
         self.block(h).and_then(|b| b.txs.get(p as usize))
     }
 
-    /// Chain height covered: drained prefix plus retained blocks.
+    /// Chain height covered: any spilled prefix plus the blocks held.
     pub fn len(&self) -> usize {
         self.base as usize + self.blocks.len()
     }
@@ -215,7 +200,7 @@ impl ChainIndex {
         self.len() == 0
     }
 
-    /// Total body transactions across the *retained* blocks.
+    /// Total body transactions across the blocks held.
     pub fn tx_count(&self) -> usize {
         self.blocks.iter().map(|b| b.txs.len()).sum()
     }
@@ -240,6 +225,208 @@ impl ChainIndex {
     /// Block timestamps in height order (monotone for simulated chains).
     pub fn block_times(&self) -> Vec<Timestamp> {
         self.blocks.iter().map(|b| b.time).collect()
+    }
+}
+
+/// The exact verdict's chain digest: the [`ChainIndex`], the txids seen in
+/// detailed snapshots, and every confirmed txid under each address it
+/// touched (resolved input funding addresses and output addresses). Pool
+/// wallets are known only at verdict time, because attribution is
+/// retroactive, so the log is keyed by address, not by pool.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ChainDigest {
+    pub(crate) index: ChainIndex,
+    pub(crate) observed: FastSet<Txid>,
+    pub(crate) addr_txids: FastMap<Address, Vec<Txid>>,
+}
+
+/// Why [`ChainDigest::append`] refused a digest: its blocks do not continue
+/// the heights of the digest it was appended to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct HeightGap {
+    /// The height the next block should have had.
+    pub(crate) expected: u64,
+    /// The height it had.
+    pub(crate) found: u64,
+}
+
+impl ChainDigest {
+    /// Drains the settled prefix: every block below height `below`, and
+    /// all observed txids and address entries. Those two are read only at
+    /// verdict time, and appending is a set union and a per-address
+    /// concatenation, so a txid observed again later lands in a later
+    /// drain without changing the verdict.
+    pub(crate) fn drain(&mut self, below: u64) -> ChainDigest {
+        let index = &mut self.index;
+        let cut = below.clamp(index.base, index.len() as u64);
+        let mut settled = ChainIndex { base: index.base, ..ChainIndex::default() };
+        for info in index.blocks.drain(..(cut - index.base) as usize) {
+            for tx in &info.txs {
+                index.by_txid.remove(&tx.txid);
+            }
+            settled.push_info(info);
+        }
+        index.base = cut;
+        ChainDigest {
+            index: settled,
+            observed: std::mem::take(&mut self.observed),
+            addr_txids: std::mem::take(&mut self.addr_txids),
+        }
+    }
+
+    /// Appends `later`, whose blocks must continue this digest's heights;
+    /// a digest that does not is refused and nothing is appended.
+    pub(crate) fn append(&mut self, later: ChainDigest) -> Result<(), HeightGap> {
+        let next = self.index.len() as u64;
+        for (i, info) in later.index.blocks.iter().enumerate() {
+            let expected = next + i as u64;
+            if info.height != expected {
+                return Err(HeightGap { expected, found: info.height });
+            }
+        }
+        self.index.blocks.extend(later.index.blocks);
+        self.index.by_txid.extend(later.index.by_txid);
+        self.observed.extend(later.observed);
+        for (addr, txids) in later.addr_txids {
+            self.addr_txids.entry(addr).or_default().extend(txids);
+        }
+        Ok(())
+    }
+
+    /// Serializes the digest with the chain's wire primitives. Observed
+    /// txids and addresses are written sorted, so equal digests encode to
+    /// equal bytes.
+    pub(crate) fn encode(&self) -> Bytes {
+        let mut buf = BytesMut::new();
+        write_compact_size(&mut buf, self.index.blocks.len() as u64);
+        for block in &self.index.blocks {
+            write_compact_size(&mut buf, block.height);
+            buf.put_slice(block.hash.0.as_bytes());
+            write_compact_size(&mut buf, block.time);
+            match &block.miner {
+                Some(miner) => {
+                    buf.put_u8(1);
+                    write_var_bytes(&mut buf, miner.as_bytes());
+                }
+                None => buf.put_u8(0),
+            }
+            write_compact_size(&mut buf, block.coinbase_wallets.len() as u64);
+            for wallet in &block.coinbase_wallets {
+                put_address(&mut buf, wallet);
+            }
+            write_compact_size(&mut buf, block.txs.len() as u64);
+            for tx in &block.txs {
+                // Height and position are implied by block membership and
+                // row order; only the independent facts are stored.
+                buf.put_slice(tx.txid.0.as_bytes());
+                write_compact_size(&mut buf, tx.fee.to_sat());
+                write_compact_size(&mut buf, tx.vsize);
+                buf.put_u8(tx.is_cpfp as u8);
+            }
+        }
+        let mut observed: Vec<&Txid> = self.observed.iter().collect();
+        observed.sort_unstable();
+        write_compact_size(&mut buf, observed.len() as u64);
+        for txid in observed {
+            buf.put_slice(txid.0.as_bytes());
+        }
+        let mut addr_txids: Vec<(&Address, &Vec<Txid>)> = self.addr_txids.iter().collect();
+        addr_txids.sort_unstable_by_key(|(addr, _)| **addr);
+        write_compact_size(&mut buf, addr_txids.len() as u64);
+        for (addr, txids) in addr_txids {
+            put_address(&mut buf, addr);
+            write_compact_size(&mut buf, txids.len() as u64);
+            for txid in txids {
+                buf.put_slice(txid.0.as_bytes());
+            }
+        }
+        buf.freeze()
+    }
+
+    /// Decodes one digest, the inverse of [`ChainDigest::encode`]. Its
+    /// index starts at the first block's height; [`ChainDigest::append`]
+    /// checks the heights.
+    pub(crate) fn decode(buf: &mut Bytes) -> Result<ChainDigest, DecodeError> {
+        let mut digest = ChainDigest::default();
+        let block_count = checked_len(read_compact_size(buf)?)?;
+        for i in 0..block_count {
+            let height = read_compact_size(buf)?;
+            let hash = BlockHash(Hash256::decode(buf)?);
+            let time = read_compact_size(buf)?;
+            ensure_remaining(buf, 1)?;
+            let miner = if buf.get_u8() == 1 {
+                let raw = read_var_bytes(buf)?;
+                Some(String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::UnexpectedEnd)?)
+            } else {
+                None
+            };
+            let wallet_count = checked_len(read_compact_size(buf)?)?;
+            let mut coinbase_wallets = Vec::with_capacity(wallet_count.min(4_096));
+            for _ in 0..wallet_count {
+                coinbase_wallets.push(read_address(buf)?);
+            }
+            let tx_count = checked_len(read_compact_size(buf)?)?;
+            let mut txs = Vec::with_capacity(tx_count.min(65_536));
+            for position in 0..tx_count {
+                let txid = Txid(Hash256::decode(buf)?);
+                let fee = Amount::from_sat(read_compact_size(buf)?);
+                let vsize = read_compact_size(buf)?;
+                ensure_remaining(buf, 1)?;
+                let is_cpfp = buf.get_u8() != 0;
+                txs.push(TxRecord { txid, height, position, fee, vsize, is_cpfp });
+            }
+            if i == 0 {
+                digest.index.base = height;
+            }
+            digest.index.push_info(BlockInfo { height, hash, time, miner, coinbase_wallets, txs });
+        }
+        let observed_count = checked_len(read_compact_size(buf)?)?;
+        digest.observed.reserve(observed_count.min(1 << 20));
+        for _ in 0..observed_count {
+            digest.observed.insert(Txid(Hash256::decode(buf)?));
+        }
+        let addr_count = checked_len(read_compact_size(buf)?)?;
+        digest.addr_txids.reserve(addr_count.min(1 << 20));
+        for _ in 0..addr_count {
+            let addr = read_address(buf)?;
+            let n = checked_len(read_compact_size(buf)?)?;
+            let mut txids = Vec::with_capacity(n.min(1 << 20));
+            for _ in 0..n {
+                txids.push(Txid(Hash256::decode(buf)?));
+            }
+            digest.addr_txids.insert(addr, txids);
+        }
+        Ok(digest)
+    }
+}
+
+fn checked_len(n: u64) -> Result<usize, DecodeError> {
+    if n > MAX_DECODE_LEN {
+        return Err(DecodeError::OversizedLength(n));
+    }
+    Ok(n as usize)
+}
+
+fn put_address(buf: &mut BytesMut, addr: &Address) {
+    let kind = match addr {
+        Address::P2pkh(_) => 0u8,
+        Address::P2sh(_) => 1,
+        Address::P2wpkh(_) => 2,
+    };
+    buf.put_u8(kind);
+    buf.put_slice(addr.payload());
+}
+
+fn read_address(buf: &mut Bytes) -> Result<Address, DecodeError> {
+    ensure_remaining(buf, 21)?;
+    let kind = buf.get_u8();
+    let mut payload = [0u8; 20];
+    buf.copy_to_slice(&mut payload);
+    match kind {
+        0 => Ok(Address::P2pkh(payload)),
+        1 => Ok(Address::P2sh(payload)),
+        2 => Ok(Address::P2wpkh(payload)),
+        _ => Err(DecodeError::UnexpectedEnd),
     }
 }
 
@@ -352,54 +539,102 @@ mod tests {
         }
     }
 
-    #[test]
-    fn drain_below_checkpoints_and_from_blocks_restores() {
-        let chain = sample_chain();
-        let full = ChainIndex::build(&chain);
-        let mut drained = ChainIndex::build(&chain);
-
-        let segment = drained.drain_below(1);
-        assert_eq!(segment.len(), 1);
-        assert_eq!(segment[0].height, 0);
-        assert_eq!(drained.base(), 1);
-        assert_eq!(drained.len(), full.len(), "heights stay absolute");
-        assert!(drained.block(0).is_none(), "drained height is gone");
-        assert_eq!(drained.block(1).map(|b| b.hash), full.block(1).map(|b| b.hash));
-        // Drained txids are forgotten; retained ones still resolve.
-        for tx in &full.block(1).expect("b1").txs {
-            assert_eq!(drained.locate(&tx.txid), full.locate(&tx.txid));
-            assert_eq!(drained.record(&tx.txid), full.record(&tx.txid));
+    /// The sample chain's digest: every body txid observed and logged under
+    /// one address.
+    fn sample_digest() -> ChainDigest {
+        let index = ChainIndex::build(&sample_chain());
+        let txids: Vec<Txid> =
+            index.blocks().iter().flat_map(|b| b.txs.iter().map(|t| t.txid)).collect();
+        ChainDigest {
+            observed: txids.iter().copied().collect(),
+            addr_txids: [(Address::from_label("r"), txids)].into_iter().collect(),
+            index,
         }
-        // A no-op drain below the base returns nothing.
-        assert!(drained.drain_below(0).is_empty());
+    }
 
-        // Restore: drained segments + retained tail = the full index.
-        let mut all = segment;
-        all.extend(drained.blocks().iter().cloned());
-        let restored = ChainIndex::from_blocks(all);
-        assert_eq!(restored.base(), 0);
-        assert_eq!(restored.len(), full.len());
-        assert_eq!(restored.tx_count(), full.tx_count());
-        for block in full.blocks() {
+    #[test]
+    fn drain_settles_a_prefix_and_append_restores_it() {
+        let full = sample_digest();
+        let mut live = full.clone();
+        let settled = live.drain(1);
+        assert_eq!(settled.index.blocks().len(), 1);
+        assert_eq!(settled.index.blocks()[0].height, 0);
+        assert_eq!(settled.observed, full.observed, "observed txids drain whole");
+        assert_eq!(settled.addr_txids, full.addr_txids, "address entries drain whole");
+        assert!(live.observed.is_empty() && live.addr_txids.is_empty());
+        assert_eq!(live.index.len(), full.index.len(), "heights stay absolute");
+        assert!(live.index.block(0).is_none(), "drained height is gone");
+        assert_eq!(live.index.block(1).map(|b| b.hash), full.index.block(1).map(|b| b.hash));
+        for tx in &full.index.block(1).expect("b1").txs {
+            assert_eq!(live.index.locate(&tx.txid), full.index.locate(&tx.txid));
+            assert_eq!(live.index.record(&tx.txid), full.index.record(&tx.txid));
+        }
+        // Draining below what is already settled drains no blocks.
+        assert!(live.clone().drain(0).index.blocks().is_empty());
+
+        // The settled prefix followed by the live remainder is the full digest.
+        let mut restored = settled;
+        restored.append(live).expect("heights continue");
+        assert_eq!(restored.index.len(), full.index.len());
+        assert_eq!(restored.index.tx_count(), full.index.tx_count());
+        for block in full.index.blocks() {
             for tx in &block.txs {
-                assert_eq!(restored.locate(&tx.txid), full.locate(&tx.txid));
+                assert_eq!(restored.index.locate(&tx.txid), full.index.locate(&tx.txid));
             }
         }
+        assert_eq!(restored.observed, full.observed);
+        assert_eq!(restored.addr_txids, full.addr_txids);
+    }
+
+    #[test]
+    fn append_refuses_a_height_gap() {
+        let full = sample_digest();
+        let mut live = full.clone();
+        live.drain(1);
+        // The live remainder without its settled block 0 skips a height.
+        let mut restored = ChainDigest::default();
+        assert_eq!(restored.append(live), Err(HeightGap { expected: 0, found: 1 }));
+        assert!(restored.index.is_empty(), "a refused append appends nothing");
+        assert!(restored.observed.is_empty() && restored.addr_txids.is_empty());
+        // A digest appended to itself repeats heights.
+        let mut twice = full.clone();
+        assert_eq!(twice.append(full), Err(HeightGap { expected: 2, found: 0 }));
+    }
+
+    #[test]
+    fn drained_digest_round_trips_to_the_same_bytes() {
+        let mut live = sample_digest();
+        let settled = live.drain(2);
+        assert_eq!(settled.index.tx_count(), 3);
+        assert!(!settled.observed.is_empty() && !settled.addr_txids.is_empty());
+        let encoded = settled.encode();
+        let mut cursor = encoded.clone();
+        let decoded = ChainDigest::decode(&mut cursor).expect("decodes");
+        assert!(!cursor.has_remaining(), "decoder consumed everything");
+        assert_eq!(decoded.encode(), encoded);
+        for block in settled.index.blocks() {
+            for tx in &block.txs {
+                assert_eq!(decoded.index.record(&tx.txid), Some(tx));
+            }
+        }
+        // A torn digest is a typed decode error, not a panic.
+        let mut torn = Bytes::copy_from_slice(&encoded[..encoded.len() / 2]);
+        assert!(ChainDigest::decode(&mut torn).is_err());
     }
 
     #[test]
     fn push_block_continues_past_a_drain() {
         let chain = sample_chain();
         let full = ChainIndex::build(&chain);
-        let mut grown = ChainIndex::default();
+        let mut grown = ChainDigest::default();
         let (blocks, records): (Vec<_>, Vec<_>) =
             chain.blocks().iter().zip(chain.records()).unzip();
-        grown.push_block(blocks[0], &records[0].tx_fees);
-        let spilled = grown.drain_below(1);
-        grown.push_block(blocks[1], &records[1].tx_fees);
-        assert_eq!(grown.len(), 2, "height accounts for the drained prefix");
-        assert_eq!(grown.block(1).map(|b| b.hash), full.block(1).map(|b| b.hash));
-        assert_eq!(spilled[0].hash, full.block(0).expect("b0").hash);
+        grown.index.push_block(blocks[0], &records[0].tx_fees);
+        let spilled = grown.drain(1);
+        grown.index.push_block(blocks[1], &records[1].tx_fees);
+        assert_eq!(grown.index.len(), 2, "height accounts for the drained prefix");
+        assert_eq!(grown.index.block(1).map(|b| b.hash), full.block(1).map(|b| b.hash));
+        assert_eq!(spilled.index.blocks()[0].hash, full.block(0).expect("b0").hash);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //!   verdicts with bounded memory, and produces exact audits bit-identical
 //!   to `audit_with_snapshots` on demand
 //!   ([`streaming::StreamingAuditor`]).
-//! * [`reconcile`] — cross-observer reconciliation: fuses an observer
+//! * [`reconcile`](mod@reconcile) — cross-observer reconciliation: fuses an observer
 //!   *fleet*'s snapshot streams (union rows, min first-seen, unanimity
 //!   rules for degraded/truncated stamps), quantifies first-seen
 //!   disagreement between vantage points, and drives the standard audit

@@ -32,6 +32,7 @@
 
 use crate::auditor::{audit_with_snapshots, AuditConfig, AuditReport};
 use crate::coverage::{SnapshotCoverage, StreamExpectation};
+use crate::delay::first_seen_times;
 use crate::error::AuditError;
 use crate::index::ChainIndex;
 use cn_chain::{Chain, FastMap, Timestamp, Txid};
@@ -177,7 +178,8 @@ pub fn reconcile_with_pool(views: &[ObserverView], pool: Pool) -> Result<FleetVi
     // of its detailed snapshots, and the fused stream's detailed windows
     // hold the union of those, so coverage takes its `txs_observed` counts
     // from the maps instead of hashing the rows again.
-    let first_seen_maps = pool.map(&live, |view| first_seen_map(view));
+    let first_seen_maps =
+        pool.map(&live, |view| first_seen_times(&view.snapshots).unwrap_or_default());
     let per_observer: Vec<SnapshotCoverage> = live
         .iter()
         .zip(&first_seen_maps)
@@ -313,17 +315,6 @@ fn merge_rows(mut heads: Vec<&[SnapshotEntry]>) -> Option<(Vec<SnapshotEntry>, u
     }
     rows.shrink_to_fit();
     Some((rows, vsize))
-}
-
-/// One observer's earliest sighting per txid over its detailed snapshots.
-fn first_seen_map(view: &ObserverView) -> FastMap<Txid, Timestamp> {
-    let mut first: FastMap<Txid, Timestamp> = FastMap::default();
-    for snap in view.snapshots.iter().filter(|s| s.is_detailed()) {
-        for e in snap.entries.iter() {
-            first.entry(e.txid).and_modify(|t| *t = (*t).min(e.received)).or_insert(e.received);
-        }
-    }
-    first
 }
 
 /// Computes the cross-observer first-seen agreement statistics from the

@@ -1,48 +1,41 @@
-//! Epoch-checkpointed streaming audit: the chain-digest state spilled to a
-//! log-structured store, bounding auditor memory to O(window + epoch).
+//! Epoch-checkpointed streaming audit: the chain digest's settled prefix
+//! spilled to a log-structured store, bounding auditor memory to
+//! O(window + epoch).
 //!
 //! [`StreamingAuditor`]'s exact verdict is a function of the whole chain,
-//! so its digested per-transaction state (the [`ChainIndex`], the observed
-//! txid set, the address→txid log) necessarily grows with run length —
-//! the one O(chain) term its module docs concede. [`SpilledAuditor`] moves
-//! that term to disk: every `epoch_blocks` sealed heights it drains the
-//! settled digest slice out of the wrapped auditor and appends it,
-//! serialized with the chain's own wire primitives, to a seekable store.
-//! Push-path memory is then O(window + epoch).
-//!
-//! The drain and restore hooks (`drain_digest`, `digest_view`,
-//! `verdict_with_digest` and the `DigestSegment` they exchange) are
-//! private to this crate: this module is their only user. The wrapped
-//! auditor keeps its coverage counts, its refusal gate and its poisoning,
-//! so spilling never changes what a verdict says.
+//! so its chain digest (the [`ChainIndex`](crate::ChainIndex), the observed
+//! txid set, the address→txid log) necessarily grows with run length — the
+//! one O(chain) term its module docs concede. [`SpilledAuditor`] moves that
+//! term to a store: every `epoch_blocks` sealed heights it drains the
+//! digest's settled prefix and appends its encoding to a seekable store.
+//! Push-path memory is then O(window + epoch). The wrapped auditor keeps
+//! its coverage counts, its refusal gate and its poisoning, so spilling
+//! never changes what a verdict says.
 //!
 //! The exact verdict still needs the whole digest, so
-//! [`SpilledAuditor::verdict`] replays the spilled segments, rebuilds the
-//! full index/sets *transiently*, and hands them to the wrapped auditor's
-//! verdict — bit-identical to an unspilled auditor's
-//! [`StreamingAuditor::verdict`] over the same events. The peak is paid
-//! once at verdict time instead of held for the whole run, and
+//! [`SpilledAuditor::verdict`] decodes the spilled prefixes, appends the
+//! auditor's live remainder to them, and runs the wrapped auditor's one
+//! verdict over the restored digest — bit-identical to an unspilled
+//! auditor's [`StreamingAuditor::verdict`] over the same events. The peak
+//! is paid once at verdict time instead of held for the whole run, and
 //! [`StreamingAuditor::rolling`] stays available throughout at its usual
 //! O(window) cost.
 //!
 //! The store is outside the auditor's control, so the auditor keeps a
-//! keyed SipHash digest of every byte it appends (O(1) memory) and checks
+//! keyed SipHash checksum of every byte it appends (O(1) memory) and checks
 //! the bytes it reads back against it before decoding anything: a store
 //! that changed since it was written is refused with
-//! [`SpillError::DigestMismatch`], never audited. The digest lives in the
+//! [`SpillError::DigestMismatch`], never audited. The checksum lives in the
 //! auditor, not the store, so the store format and its byte count are
 //! unchanged.
 
 use crate::auditor::AuditReport;
 use crate::error::AuditError;
-use crate::index::{BlockInfo, ChainIndex, TxRecord};
-use crate::streaming::{DigestSegment, RollingVerdict, StreamEvent, StreamingAuditor};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use cn_chain::encode::{
-    ensure_remaining, read_compact_size, read_var_bytes, write_compact_size, write_var_bytes,
-    DecodeError, MAX_DECODE_LEN,
-};
-use cn_chain::{Address, Amount, Block, BlockHash, FastMap, FastSet, Hash256, Txid};
+use crate::index::{ChainDigest, HeightGap};
+use crate::streaming::{RollingVerdict, StreamEvent, StreamingAuditor};
+use bytes::{Bytes, BytesMut};
+use cn_chain::encode::{ensure_remaining, read_compact_size, write_compact_size, DecodeError};
+use cn_chain::Block;
 use cn_mempool::MempoolSnapshot;
 use std::fmt;
 use std::hash::{BuildHasher, DefaultHasher, Hasher, RandomState};
@@ -58,7 +51,7 @@ pub enum SpillError {
     /// The restored audit refused or failed.
     Audit(AuditError),
     /// The bytes read back from the store are not the bytes spilled into
-    /// it: their digest differs from the one kept while appending.
+    /// it: their checksum differs from the one kept while appending.
     DigestMismatch,
     /// The restored block heights do not run 0, 1, 2, …: the store does
     /// not hold the digest that was spilled into it.
@@ -115,6 +108,12 @@ impl From<AuditError> for SpillError {
     }
 }
 
+impl From<HeightGap> for SpillError {
+    fn from(HeightGap { expected, found }: HeightGap) -> Self {
+        SpillError::NonContiguous { expected, found }
+    }
+}
+
 /// A [`StreamingAuditor`] whose chain-digest state is epoch-checkpointed
 /// into a seekable byte store (a spill file at scale, an in-memory
 /// `Cursor` in tests). See the module docs for the memory contract.
@@ -128,10 +127,10 @@ pub struct SpilledAuditor<S: Read + Write + Seek> {
     spilled_bytes: u64,
     /// Segments appended.
     spilled_segments: u64,
-    /// Random keys of `digest`, so a corruption cannot be made to match.
-    digest_keys: RandomState,
+    /// Random keys of `checksum`, so a corruption cannot be made to match.
+    checksum_keys: RandomState,
     /// SipHash of every byte appended to the store, in order.
-    digest: DefaultHasher,
+    checksum: DefaultHasher,
 }
 
 impl<S: Read + Write + Seek> SpilledAuditor<S> {
@@ -139,7 +138,7 @@ impl<S: Read + Write + Seek> SpilledAuditor<S> {
     /// `epoch_blocks` sealed heights (0 disables spilling — the wrapper
     /// then behaves exactly like the inner auditor).
     pub fn new(auditor: StreamingAuditor, store: S, epoch_blocks: u64) -> SpilledAuditor<S> {
-        let digest_keys = RandomState::new();
+        let checksum_keys = RandomState::new();
         SpilledAuditor {
             auditor,
             store,
@@ -147,8 +146,8 @@ impl<S: Read + Write + Seek> SpilledAuditor<S> {
             spilled_blocks: 0,
             spilled_bytes: 0,
             spilled_segments: 0,
-            digest: digest_keys.build_hasher(),
-            digest_keys,
+            checksum: checksum_keys.build_hasher(),
+            checksum_keys,
         }
     }
 
@@ -196,18 +195,19 @@ impl<S: Read + Write + Seek> SpilledAuditor<S> {
         Ok(())
     }
 
-    /// Drains the settled digest slice and appends it to the store.
+    /// Drains the digest's settled prefix and appends it to the store.
     fn spill(&mut self) -> Result<(), SpillError> {
-        let segment = self.auditor.drain_digest();
-        self.spilled_blocks += segment.blocks.len() as u64;
-        let payload = encode_segment(&segment);
+        let frontier = self.auditor.sealed_blocks();
+        let settled = self.auditor.digest.drain(frontier);
+        self.spilled_blocks += settled.index.blocks().len() as u64;
+        let payload = settled.encode();
         let mut head = BytesMut::with_capacity(10);
         write_compact_size(&mut head, payload.len() as u64);
         self.store.seek(SeekFrom::Start(self.spilled_bytes))?;
         self.store.write_all(&head)?;
         self.store.write_all(&payload)?;
-        self.digest.write(&head);
-        self.digest.write(&payload);
+        self.checksum.write(&head);
+        self.checksum.write(&payload);
         self.spilled_bytes += (head.len() + payload.len()) as u64;
         self.spilled_segments += 1;
         Ok(())
@@ -218,9 +218,8 @@ impl<S: Read + Write + Seek> SpilledAuditor<S> {
         self.auditor.rolling()
     }
 
-    /// The exact audit: replays every spilled segment, rebuilds the full
-    /// chain digest transiently (drained segments + the auditor's retained
-    /// remainder), and produces the verdict an unspilled
+    /// The exact audit: decodes every spilled prefix, appends the wrapped
+    /// auditor's live remainder, and produces the verdict an unspilled
     /// [`StreamingAuditor::verdict`] would return over the same events —
     /// bit-identical, including refusal semantics. A store whose bytes
     /// differ from those spilled into it is refused with
@@ -228,183 +227,26 @@ impl<S: Read + Write + Seek> SpilledAuditor<S> {
     /// that does not decode, or whose heights do not run contiguously from
     /// 0, is refused with a typed error too.
     pub fn verdict(&mut self) -> Result<AuditReport, SpillError> {
-        let mut blocks: Vec<BlockInfo> = Vec::new();
-        let mut observed: FastSet<Txid> = FastSet::default();
-        let mut addr_txids: FastMap<Address, Vec<Txid>> = FastMap::default();
-
         self.store.seek(SeekFrom::Start(0))?;
         let mut raw = vec![0u8; self.spilled_bytes as usize];
         self.store.read_exact(&mut raw)?;
         // SipHash digests a byte stream (`write` carries partial words
         // over), so one call over the whole store equals the per-frame
         // calls made while appending.
-        let mut check = self.digest_keys.build_hasher();
+        let mut check = self.checksum_keys.build_hasher();
         check.write(&raw);
-        if check.finish() != self.digest.finish() {
+        if check.finish() != self.checksum.finish() {
             return Err(SpillError::DigestMismatch);
         }
         let mut cursor = Bytes::from(raw);
+        let mut restored = ChainDigest::default();
         for _ in 0..self.spilled_segments {
             let len = read_compact_size(&mut cursor)?;
             ensure_remaining(&cursor, len as usize)?;
-            let segment = decode_segment(&mut cursor)?;
-            blocks.extend(segment.blocks);
-            observed.extend(segment.observed);
-            for (addr, txids) in segment.addr_txids {
-                addr_txids.entry(addr).or_default().extend(txids);
-            }
+            restored.append(ChainDigest::decode(&mut cursor)?)?;
         }
-
-        // The retained remainder: live index blocks, live sets.
-        let live = self.auditor.digest_view();
-        blocks.extend(live.0.iter().cloned());
-        observed.extend(live.1.iter().copied());
-        for (addr, txids) in live.2 {
-            addr_txids.entry(*addr).or_default().extend(txids.iter().copied());
-        }
-
-        if let Some((expected, block)) =
-            blocks.iter().enumerate().find(|(i, b)| b.height != *i as u64)
-        {
-            return Err(SpillError::NonContiguous {
-                expected: expected as u64,
-                found: block.height,
-            });
-        }
-        let index = ChainIndex::from_blocks(blocks);
-        Ok(self.auditor.verdict_with_digest(&index, &observed, &addr_txids)?)
-    }
-}
-
-/// Serializes one digest segment with the chain's wire primitives.
-fn encode_segment(segment: &DigestSegment) -> Bytes {
-    let mut buf = BytesMut::new();
-    write_compact_size(&mut buf, segment.blocks.len() as u64);
-    for block in &segment.blocks {
-        write_compact_size(&mut buf, block.height);
-        buf.put_slice(block.hash.0.as_bytes());
-        write_compact_size(&mut buf, block.time);
-        match &block.miner {
-            Some(miner) => {
-                buf.put_u8(1);
-                write_var_bytes(&mut buf, miner.as_bytes());
-            }
-            None => buf.put_u8(0),
-        }
-        write_compact_size(&mut buf, block.coinbase_wallets.len() as u64);
-        for wallet in &block.coinbase_wallets {
-            put_address(&mut buf, wallet);
-        }
-        write_compact_size(&mut buf, block.txs.len() as u64);
-        for tx in &block.txs {
-            // Height and position are implied by block membership and row
-            // order; only the independent facts are stored.
-            buf.put_slice(tx.txid.0.as_bytes());
-            write_compact_size(&mut buf, tx.fee.to_sat());
-            write_compact_size(&mut buf, tx.vsize);
-            buf.put_u8(tx.is_cpfp as u8);
-        }
-    }
-    write_compact_size(&mut buf, segment.observed.len() as u64);
-    for txid in &segment.observed {
-        buf.put_slice(txid.0.as_bytes());
-    }
-    write_compact_size(&mut buf, segment.addr_txids.len() as u64);
-    for (addr, txids) in &segment.addr_txids {
-        put_address(&mut buf, addr);
-        write_compact_size(&mut buf, txids.len() as u64);
-        for txid in txids {
-            buf.put_slice(txid.0.as_bytes());
-        }
-    }
-    buf.freeze()
-}
-
-/// Decodes one digest segment (the inverse of [`encode_segment`]).
-fn decode_segment(buf: &mut Bytes) -> Result<DigestSegment, DecodeError> {
-    let block_count = checked_len(read_compact_size(buf)?)?;
-    let mut blocks = Vec::with_capacity(block_count.min(4_096));
-    for _ in 0..block_count {
-        let height = read_compact_size(buf)?;
-        let hash = BlockHash(read_hash(buf)?);
-        let time = read_compact_size(buf)?;
-        ensure_remaining(buf, 1)?;
-        let miner = if buf.get_u8() == 1 {
-            let raw = read_var_bytes(buf)?;
-            Some(String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::UnexpectedEnd)?)
-        } else {
-            None
-        };
-        let wallet_count = checked_len(read_compact_size(buf)?)?;
-        let mut coinbase_wallets = Vec::with_capacity(wallet_count.min(4_096));
-        for _ in 0..wallet_count {
-            coinbase_wallets.push(read_address(buf)?);
-        }
-        let tx_count = checked_len(read_compact_size(buf)?)?;
-        let mut txs = Vec::with_capacity(tx_count.min(65_536));
-        for position in 0..tx_count {
-            let txid = Txid(read_hash(buf)?);
-            let fee = Amount::from_sat(read_compact_size(buf)?);
-            let vsize = read_compact_size(buf)?;
-            ensure_remaining(buf, 1)?;
-            let is_cpfp = buf.get_u8() != 0;
-            txs.push(TxRecord { txid, height, position, fee, vsize, is_cpfp });
-        }
-        blocks.push(BlockInfo { height, hash, time, miner, coinbase_wallets, txs });
-    }
-    let observed_count = checked_len(read_compact_size(buf)?)?;
-    let mut observed = Vec::with_capacity(observed_count.min(1 << 20));
-    for _ in 0..observed_count {
-        observed.push(Txid(read_hash(buf)?));
-    }
-    let addr_count = checked_len(read_compact_size(buf)?)?;
-    let mut addr_txids = Vec::with_capacity(addr_count.min(1 << 20));
-    for _ in 0..addr_count {
-        let addr = read_address(buf)?;
-        let n = checked_len(read_compact_size(buf)?)?;
-        let mut txids = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            txids.push(Txid(read_hash(buf)?));
-        }
-        addr_txids.push((addr, txids));
-    }
-    Ok(DigestSegment { blocks, observed, addr_txids })
-}
-
-fn checked_len(n: u64) -> Result<usize, DecodeError> {
-    if n > MAX_DECODE_LEN {
-        return Err(DecodeError::OversizedLength(n));
-    }
-    Ok(n as usize)
-}
-
-fn read_hash(buf: &mut Bytes) -> Result<Hash256, DecodeError> {
-    ensure_remaining(buf, 32)?;
-    let mut raw = [0u8; 32];
-    buf.copy_to_slice(&mut raw);
-    Ok(Hash256(raw))
-}
-
-fn put_address(buf: &mut BytesMut, addr: &Address) {
-    let kind = match addr {
-        Address::P2pkh(_) => 0u8,
-        Address::P2sh(_) => 1,
-        Address::P2wpkh(_) => 2,
-    };
-    buf.put_u8(kind);
-    buf.put_slice(addr.payload());
-}
-
-fn read_address(buf: &mut Bytes) -> Result<Address, DecodeError> {
-    ensure_remaining(buf, 21)?;
-    let kind = buf.get_u8();
-    let mut payload = [0u8; 20];
-    buf.copy_to_slice(&mut payload);
-    match kind {
-        0 => Ok(Address::P2pkh(payload)),
-        1 => Ok(Address::P2sh(payload)),
-        2 => Ok(Address::P2wpkh(payload)),
-        _ => Err(DecodeError::UnexpectedEnd),
+        restored.append(self.auditor.digest.clone())?;
+        Ok(self.auditor.verdict_over(&restored)?)
     }
 }
 
@@ -413,7 +255,8 @@ mod tests {
     use super::*;
     use crate::coverage::StreamExpectation;
     use crate::streaming::{interleave, StreamingConfig};
-    use cn_chain::{Amount, Chain, CoinbaseBuilder, Params, PoolMarker, Transaction};
+    use bytes::Buf;
+    use cn_chain::{Address, Amount, Chain, CoinbaseBuilder, Params, PoolMarker, Transaction};
     use cn_mempool::SnapshotEntry;
     use std::io::Cursor;
 
@@ -495,7 +338,7 @@ mod tests {
             }
             assert!(spilled.spilled_segments() > 0, "epoch {epoch} never spilled");
             assert!(
-                spilled.auditor().digest_view().0.len() < chain.blocks().len(),
+                spilled.auditor().digest.index.blocks().len() < chain.blocks().len(),
                 "epoch {epoch} retained the whole index"
             );
             let want = plain.verdict().expect("audits");
@@ -564,18 +407,19 @@ mod tests {
         for ev in interleave(chain.blocks(), &snapshots) {
             auditor.push_event(&ev).expect("replays");
         }
-        let segment = auditor.drain_digest();
-        assert!(!segment.blocks.is_empty());
+        let frontier = auditor.sealed_blocks();
+        let segment = auditor.digest.drain(frontier);
+        assert!(!segment.index.blocks().is_empty());
         assert!(!segment.observed.is_empty());
         assert!(!segment.addr_txids.is_empty());
-        let encoded = encode_segment(&segment);
+        let encoded = segment.encode();
         let mut cursor = Bytes::copy_from_slice(&encoded);
-        let decoded = decode_segment(&mut cursor).expect("round trip");
+        let decoded = ChainDigest::decode(&mut cursor).expect("round trip");
         assert!(!cursor.has_remaining(), "decoder consumed everything");
         assert_eq!(decoded.observed, segment.observed);
         assert_eq!(decoded.addr_txids, segment.addr_txids);
-        assert_eq!(decoded.blocks.len(), segment.blocks.len());
-        for (a, b) in decoded.blocks.iter().zip(&segment.blocks) {
+        assert_eq!(decoded.index.blocks().len(), segment.index.blocks().len());
+        for (a, b) in decoded.index.blocks().iter().zip(segment.index.blocks()) {
             assert_eq!(a.height, b.height);
             assert_eq!(a.hash, b.hash);
             assert_eq!(a.time, b.time);
@@ -585,6 +429,26 @@ mod tests {
         }
         // A truncated segment is a typed decode error, not a panic.
         let mut torn = Bytes::copy_from_slice(&encoded[..encoded.len() / 2]);
-        assert!(decode_segment(&mut torn).is_err());
+        assert!(ChainDigest::decode(&mut torn).is_err());
+    }
+
+    #[test]
+    fn a_prefix_that_skips_heights_is_refused_as_non_contiguous() {
+        let (chain, snapshots) = sample(10);
+        let mut auditor = StreamingAuditor::new(chain.initial_utxos(), config(10, 2));
+        for ev in interleave(chain.blocks(), &snapshots) {
+            auditor.push_event(&ev).expect("replays");
+        }
+        let frontier = auditor.sealed_blocks();
+        auditor.digest.drain(frontier / 2);
+        let second = auditor.digest.drain(frontier);
+        // Restoring the second prefix without the first skips heights.
+        let gap = ChainDigest::default().append(second).expect_err("skips heights");
+        let err = SpillError::from(gap);
+        let want = frontier / 2;
+        assert!(
+            matches!(err, SpillError::NonContiguous { expected: 0, found } if found == want),
+            "{err}"
+        );
     }
 }

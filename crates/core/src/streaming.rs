@@ -5,10 +5,11 @@
 //! mempool-snapshot events ([`StreamEvent`]) and exposes two outputs:
 //!
 //! * [`StreamingAuditor::verdict`] — the **exact** audit. It maintains the
-//!   same digested facts the batch pipeline derives — a [`ChainIndex`]
-//!   grown block-by-block, a live UTXO view for fees and self-interest
-//!   classification, and one [`SnapshotCoverage`] counted snapshot by
-//!   snapshot with the batch tally's own per-window step — and then runs
+//!   same digested facts the batch pipeline derives — a
+//!   [`ChainIndex`](crate::ChainIndex) grown block-by-block, a live UTXO
+//!   view for fees and self-interest classification, and one
+//!   [`SnapshotCoverage`] counted snapshot by snapshot with the batch
+//!   tally's own per-window step — and then runs
 //!   the *same* downstream code ([`crate::auditor::audit_attributed`])
 //!   behind the *same* coverage gate. The result is bit-identical to
 //!   [`crate::auditor::audit_with_snapshots`] over the final chain and
@@ -31,11 +32,12 @@
 //! dropped. Windowed pair state holds rows for at most `2·window_blocks`
 //! confirmation heights (a sealed height stays one extra window as the
 //! comparison partner of later blocks). What necessarily grows with the
-//! chain is the same digested per-transaction state the batch
-//! [`ChainIndex`] carries (audit facts, the observed-txid set, and the
-//! address→txid log that replaces the batch auditor's post-hoc UTXO
-//! replay) — the exact verdict is a function of the whole chain, so no
-//! auditor can answer it from a window. [`StreamCounters`] reports both
+//! chain is the chain digest: the per-transaction facts of the index, the
+//! observed-txid set, and the address→txid log that replaces the batch
+//! auditor's post-hoc UTXO replay. The exact verdict is a function of the
+//! whole chain, so no auditor can answer it from a window;
+//! [`SpilledAuditor`](crate::SpilledAuditor) moves the digest's settled
+//! prefix to a store instead. [`StreamCounters`] reports both
 //! sides: `rows_processed` counts every snapshot row ever ingested, while
 //! `window_rows`/`peak_window_rows` track the retained sliding-window
 //! state, which stays O(window + backlog), not O(history).
@@ -61,7 +63,7 @@ use crate::attribution::attribute;
 use crate::auditor::{audit_attributed, AuditConfig, AuditReport};
 use crate::coverage::{SnapshotCoverage, StreamExpectation};
 use crate::error::AuditError;
-use crate::index::{BlockInfo, ChainIndex};
+use crate::index::ChainDigest;
 use crate::pairs::{count_cross_block, BlockPairSet};
 use crate::ppe::block_ppe;
 use crate::self_interest::SelfInterestMap;
@@ -296,16 +298,10 @@ pub struct StreamingAuditor {
     config: StreamingConfig,
 
     // ---- exact-verdict state (mirrors the batch pipeline's inputs) ----
-    index: ChainIndex,
+    /// The chain digest the exact verdict reads; a spilling auditor drains
+    /// its settled prefix.
+    pub(crate) digest: ChainDigest,
     utxos: UtxoSet,
-    /// Every confirmed tx, under each address it touched (resolved input
-    /// funding addresses + output addresses) — the streaming replacement
-    /// for the batch auditor's post-hoc UTXO replay. Pool wallets are only
-    /// known at verdict time (attribution is retroactive), so the log is
-    /// keyed by address, not pool.
-    addr_txids: FastMap<Address, Vec<Txid>>,
-    /// Distinct txids seen in any detailed snapshot.
-    observed: FastSet<Txid>,
     /// Window counters so far; the chain-side fields are filled at
     /// verdict time.
     coverage: SnapshotCoverage,
@@ -334,10 +330,8 @@ impl StreamingAuditor {
         let expectation = config.expectation;
         StreamingAuditor {
             config,
-            index: ChainIndex::default(),
+            digest: ChainDigest::default(),
             utxos: seed_utxos,
-            addr_txids: FastMap::default(),
-            observed: FastSet::default(),
             coverage: SnapshotCoverage::tally(&[], expectation.windows, expectation.detailed),
             poisoned: None,
             first_seen: FastMap::default(),
@@ -368,23 +362,13 @@ impl StreamingAuditor {
 
     /// Blocks ingested so far.
     pub fn tip_blocks(&self) -> u64 {
-        self.index.len() as u64
+        self.digest.index.len() as u64
     }
 
     /// Heights whose rolling state has sealed — everything below this is
     /// settled and eligible for a digest drain (see [`crate::spill`]).
     pub fn sealed_blocks(&self) -> u64 {
         self.seal_frontier
-    }
-
-    /// The retained (undrained) chain-digest state: indexed blocks, the
-    /// observed-txid set, and the address→txid log. A digest-checkpointing
-    /// caller appends these to its restored segments when rebuilding the
-    /// full digest for [`StreamingAuditor::verdict_with_digest`].
-    pub(crate) fn digest_view(
-        &self,
-    ) -> (&[crate::index::BlockInfo], &FastSet<Txid>, &FastMap<Address, Vec<Txid>>) {
-        (self.index.blocks(), &self.observed, &self.addr_txids)
     }
 
     /// Dispatches one event.
@@ -407,7 +391,7 @@ impl StreamingAuditor {
         self.coverage.count(snap);
         for row in snap.rows() {
             self.counters.rows_processed += 1;
-            self.observed.insert(row.txid);
+            self.digest.observed.insert(row.txid);
             let fact = self
                 .first_seen
                 .entry(row.txid)
@@ -419,8 +403,8 @@ impl StreamingAuditor {
     }
 
     /// Ingests one connected block: replays it against the UTXO view
-    /// (fees and the self-interest address log), extends the
-    /// [`ChainIndex`], and advances the sliding window (sealing heights
+    /// (fees and the self-interest address log), extends the chain
+    /// index, and advances the sliding window (sealing heights
     /// `window_blocks` behind the new tip).
     ///
     /// Blocks must arrive in connect (height) order; a block that does not
@@ -430,7 +414,7 @@ impl StreamingAuditor {
         if let Some(height) = self.poisoned {
             return Err(AuditError::UnreplayableBlock { height });
         }
-        let height = self.index.len() as u64;
+        let height = self.digest.index.len() as u64;
         self.counters.events += 1;
         self.counters.blocks += 1;
         if let Some(cb) = block.coinbase() {
@@ -455,11 +439,11 @@ impl StreamingAuditor {
             };
             let txid = tx.txid();
             for addr in touched {
-                self.addr_txids.entry(addr).or_default().push(txid);
+                self.digest.addr_txids.entry(addr).or_default().push(txid);
             }
             fees.push(fee);
         }
-        self.index.push_block(block, &fees);
+        self.digest.index.push_block(block, &fees);
         self.extend_window(height);
         while self.seal_frontier + self.config.window_blocks <= height {
             let h = self.seal_frontier;
@@ -485,7 +469,7 @@ impl StreamingAuditor {
 
     /// Captures the just-indexed block into the sliding window.
     fn extend_window(&mut self, height: u64) {
-        let info = self.index.block(height).expect("just pushed");
+        let info = self.digest.index.block(height).expect("just pushed");
         let sppes: FastMap<Txid, f64> = block_sppes(info).into_iter().collect();
         let rows = info
             .txs
@@ -524,7 +508,7 @@ impl StreamingAuditor {
 
         // Per-miner block/PPE/SPPE components.
         if let Some(miner) = sealed_block.miner.clone() {
-            let info = self.index.block(height).expect("indexed");
+            let info = self.digest.index.block(height).expect("indexed");
             let acc = self.epoch.entry(miner).or_default();
             acc.push_block(sealed_block.rows.len() as u64, block_ppe(info));
             for row in &sealed_block.rows {
@@ -645,7 +629,7 @@ impl StreamingAuditor {
         miners.truncate(self.config.audit.top_k);
         let q = |h: &Histogram| Some((h.quantile(0.5)?, h.quantile(0.9)?));
         RollingVerdict {
-            tip_blocks: self.index.len() as u64,
+            tip_blocks: self.digest.index.len() as u64,
             sealed_blocks: self.seal_frontier,
             miners,
             delay_p50_p90: q(&self.delay_hist),
@@ -659,27 +643,18 @@ impl StreamingAuditor {
     /// and snapshot set, with the same refusal semantics (empty stream,
     /// coverage floor).
     pub fn verdict(&self) -> Result<AuditReport, AuditError> {
-        self.verdict_with_digest(&self.index, &self.observed, &self.addr_txids)
+        self.verdict_over(&self.digest)
     }
 
-    /// The exact audit with the chain-digest side supplied by the caller —
-    /// the restore half of the [`StreamingAuditor::drain_digest`] contract.
-    /// A caller that checkpointed digest segments out of memory rebuilds
-    /// the full `index`, `observed` set, and `addr_txids` log (drained
-    /// segments + this auditor's retained remainder) and gets the verdict
-    /// [`StreamingAuditor::verdict`] would have produced had nothing been
-    /// drained. Coverage counters, refusal semantics, and poisoning are
-    /// still this auditor's own.
-    pub(crate) fn verdict_with_digest(
-        &self,
-        index: &ChainIndex,
-        observed: &FastSet<Txid>,
-        addr_txids: &FastMap<Address, Vec<Txid>>,
-    ) -> Result<AuditReport, AuditError> {
+    /// The exact audit over `digest`: this auditor's own, or the same
+    /// digest with its spilled prefix restored. Coverage counts, the
+    /// refusal gate and poisoning are this auditor's either way.
+    pub(crate) fn verdict_over(&self, digest: &ChainDigest) -> Result<AuditReport, AuditError> {
         if let Some(height) = self.poisoned {
             return Err(AuditError::UnreplayableBlock { height });
         }
-        let coverage = self.coverage.admit(observed, index, &self.config.expectation)?;
+        let index = &digest.index;
+        let coverage = self.coverage.admit(&digest.observed, index, &self.config.expectation)?;
         let attribution = attribute(index);
         // Rebuild the self-interest map from the address log: pool wallet
         // inventories are only known now (attribution is retroactive), and
@@ -688,7 +663,7 @@ impl StreamingAuditor {
         for pool in &attribution.pools {
             let mut set = FastSet::default();
             for wallet in &pool.wallets {
-                if let Some(txids) = addr_txids.get(wallet) {
+                if let Some(txids) = digest.addr_txids.get(wallet) {
                     set.extend(txids.iter().copied());
                 }
             }
@@ -700,49 +675,6 @@ impl StreamingAuditor {
         report.coverage = Some(coverage);
         Ok(report)
     }
-
-    /// Checkpoints the settled slice of the chain-digest state out of this
-    /// auditor, bounding its memory to O(window + epoch) regardless of
-    /// chain length. Returns:
-    ///
-    /// * every indexed block below the seal frontier (no push path reads
-    ///   them again — sealing touches only heights at or above the
-    ///   frontier, and pair partners live in the window map),
-    /// * the entire observed-txid set (only read at verdict time; txids
-    ///   re-observed after a drain reappear in a later segment, so restore
-    ///   is a set union),
-    /// * the entire address→txid log (ditto; per-address segments
-    ///   concatenate in drain order back to the undrained vectors).
-    ///
-    /// Rolling state and coverage counters are untouched —
-    /// [`StreamingAuditor::rolling`] is oblivious to drains. The exact
-    /// verdict requires handing the drained segments back via
-    /// [`StreamingAuditor::verdict_with_digest`]; calling
-    /// [`StreamingAuditor::verdict`] after a drain audits only the
-    /// retained remainder. Segment contents are sorted (observed txids,
-    /// address keys) so checkpoint bytes are deterministic.
-    pub(crate) fn drain_digest(&mut self) -> DigestSegment {
-        let blocks = self.index.drain_below(self.seal_frontier);
-        let mut observed: Vec<Txid> = std::mem::take(&mut self.observed).into_iter().collect();
-        observed.sort_unstable();
-        let mut addr_txids: Vec<(Address, Vec<Txid>)> =
-            std::mem::take(&mut self.addr_txids).into_iter().collect();
-        addr_txids.sort_unstable_by_key(|(addr, _)| *addr);
-        DigestSegment { blocks, observed, addr_txids }
-    }
-}
-
-/// One checkpointed slice of the chain-digest state; see
-/// [`StreamingAuditor::drain_digest`].
-#[derive(Clone, Debug, Default)]
-pub(crate) struct DigestSegment {
-    /// Indexed blocks below the seal frontier, in height order.
-    pub(crate) blocks: Vec<BlockInfo>,
-    /// Txids observed in detailed snapshots since the last drain, sorted.
-    pub(crate) observed: Vec<Txid>,
-    /// Address→confirmed-txid log entries since the last drain, sorted by
-    /// address; each list is in confirmation order.
-    pub(crate) addr_txids: Vec<(Address, Vec<Txid>)>,
 }
 
 #[cfg(test)]
@@ -816,7 +748,7 @@ mod tests {
         for ev in interleave(chain.blocks(), &snapshots) {
             auditor.push_event(&ev).expect("replays");
         }
-        let index = ChainIndex::build(&chain);
+        let index = crate::ChainIndex::build(&chain);
         let batch = crate::auditor::audit_with_snapshots(
             &chain,
             &index,
@@ -850,7 +782,7 @@ mod tests {
         for b in chain.blocks() {
             auditor.push_block(b).expect("replays");
         }
-        let index = ChainIndex::build(&chain);
+        let index = crate::ChainIndex::build(&chain);
         let batch = crate::auditor::audit_with_snapshots(
             &chain,
             &index,

@@ -30,7 +30,7 @@ pub enum Scale {
     /// Days — for the experiment harness and benches.
     Full,
     /// Weeks — the `megasim` scale tier (thousands of blocks through the
-    /// event-log path). The standard datasets treat this like [`Full`];
+    /// event-log path). The standard datasets treat this like [`Full`](Scale::Full);
     /// only [`dataset_mega`]'s block-count targets stretch with it.
     Large,
 }

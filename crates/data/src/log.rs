@@ -3,7 +3,7 @@
 //! A simulation's observable output is one canonical event stream: blocks
 //! and primary-observer mempool snapshots, time-sorted with blocks first on
 //! same-second ties (exactly what `cn_core::streaming::interleave` produces
-//! from a finished run, and what [`StreamingAuditor`] consumes). This
+//! from a finished run, and what [`StreamingAuditor`](cn_core::StreamingAuditor) consumes). This
 //! module serializes that stream into a segmented binary log and replays
 //! it, so run length becomes a disk cost instead of a RAM cost:
 //!
@@ -535,7 +535,7 @@ pub fn write_run<W: Write>(
 ) -> Result<LogStats, LogError> {
     let mut writer = LogWriter::new(to, epoch_blocks);
     writer.on_start(out.chain.seeded_transactions());
-    for event in cn_core::streaming::interleave(out.chain.blocks(), &out.snapshots) {
+    for event in cn_core::streaming::interleave(out.chain.blocks(), &out.observer_streams[0]) {
         match event {
             cn_core::StreamEvent::Block(b) => writer.on_block(b),
             cn_core::StreamEvent::Snapshot(s) => writer.on_snapshot(s),
@@ -622,7 +622,7 @@ mod tests {
         let stats = write_run(&out, 7, &mut log).expect("write");
         assert_eq!(stats.bytes, log.len() as u64);
         assert_eq!(stats.blocks, out.chain.blocks().len() as u64);
-        assert_eq!(stats.snapshots, out.snapshots.len() as u64);
+        assert_eq!(stats.snapshots, out.observer_streams[0].len() as u64);
         // Trailing snapshots after an epoch-closing final block open one
         // extra segment, so the count is ceil(blocks/7) or one more.
         let floor = stats.blocks.div_ceil(7).max(1);
@@ -631,7 +631,7 @@ mod tests {
         let (blocks, snaps, seeds, segments) = replay_all(&log);
         assert_eq!(seeds, out.chain.seeded_transactions());
         assert_eq!(blocks, out.chain.blocks());
-        assert_eq!(snaps, out.snapshots);
+        assert_eq!(snaps, out.observer_streams[0]);
         assert_eq!(segments, stats.segments);
     }
 

@@ -891,9 +891,9 @@ impl Mempool {
 
     /// Records the pool's full state at `now` — one paper-style dataset
     /// row with per-transaction entries, txid-sorted and CPFP-flagged.
-    /// The first call sorts the slab's rows. A later call merges the rows
-    /// admitted, removed or re-flagged since into the previous snapshot's
-    /// (see [`Mempool::row_changed`]), and consecutive snapshots of an
+    /// The first call sorts the slab's rows. A later call merges only the
+    /// rows admitted, removed or re-flagged since the previous snapshot
+    /// into that snapshot's rows, and consecutive snapshots of an
     /// unchanged pool share one allocation.
     pub fn snapshot(&mut self, now: Timestamp) -> MempoolSnapshot {
         let rows = match self.snapshot_cache.take() {

@@ -497,13 +497,6 @@ impl AdversaryPlan {
         withheld
     }
 
-    /// True when any withhold rule could match a delivery to observer
-    /// `obs` — the guard that keeps fee-rate computation off the
-    /// no-adversary fast path.
-    pub fn may_withhold(&self, obs: usize) -> bool {
-        self.withholds.iter().any(|w| w.control > 0.0 && w.observer.is_none_or(|t| t == obs))
-    }
-
     /// Extra announcement delay toward an observer, in milliseconds.
     /// Draws only when diffusion stalling is enabled.
     pub fn diffusion_extra_ms(&self, rng: &mut SimRng) -> u64 {
@@ -640,7 +633,6 @@ mod tests {
         assert!(!plan.enabled());
         assert_eq!(plan.validate(4), Ok(()));
         assert!(!plan.eclipsed(0, 0));
-        assert!(!plan.may_withhold(0));
         // No knob on: sampling must consume no RNG state.
         let mut a = SimRng::seed_from_u64(5);
         let mut b = SimRng::seed_from_u64(5);
@@ -726,8 +718,6 @@ mod tests {
             }],
             ..AdversaryPlan::none()
         };
-        assert!(plan.may_withhold(2));
-        assert!(!plan.may_withhold(1));
         let mut rng = SimRng::seed_from_u64(17);
         let hits =
             (0..10_000).filter(|_| plan.withholds_delivery(2, false, 0, &mut rng)).count();

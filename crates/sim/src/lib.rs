@@ -40,4 +40,4 @@ pub use profile::SimProfile;
 pub use scenario::{PoolBehavior, PoolConfig, ScamConfig, Scenario};
 pub use sink::{CollectingSink, EventSink};
 pub use truth::GroundTruth;
-pub use world::{SimOutput, StreamedSummary, World, WorldCheckpoint};
+pub use world::{SimOutput, StreamedSummary, World};

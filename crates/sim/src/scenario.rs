@@ -162,8 +162,8 @@ pub struct Scenario {
     pub snapshot_detail_every: u64,
     /// The observer fleet: one or more measurement nodes, each with its
     /// own peer count, policy, cap, and latency tier. The first entry is
-    /// the *primary* observer — its stream is what
-    /// `SimOutput::snapshots` carries, and legacy [`FaultPlan`] observer
+    /// the *primary* observer — its stream is
+    /// `SimOutput::observer_streams[0]`, and legacy [`FaultPlan`] observer
     /// faults (downtime, truncation) apply to it alone.
     pub observers: Vec<ObserverConfig>,
     /// Number of pure relay nodes in the P2P graph.

@@ -1,5 +1,9 @@
-//! The simulation runner: turns a [`Scenario`] into a chain, a snapshot
-//! stream, and ground truth.
+//! The simulation runner: turns a [`Scenario`] into a chain, one snapshot
+//! stream per observer, and ground truth.
+//!
+//! [`World::new`] is the only constructor. Every run builds its own world,
+//! sweep levels included: building one (topology, latencies, the funded
+//! chain) takes a few milliseconds, against seconds to run it.
 //!
 //! A world runs on the calling thread. Each user transaction draws its
 //! random inputs from its own indexed RNG fork when it is issued, and
@@ -67,14 +71,11 @@ pub struct SimOutput {
     pub scenario: Scenario,
     /// The confirmed chain.
     pub chain: Chain,
-    /// The *primary* observer's 15-second snapshot stream (datasets 𝒜/ℬ
-    /// analog) — identical to `observer_streams[0]`; kept as its own
-    /// field so every pre-fleet consumer reads exactly what it always
-    /// read.
-    pub snapshots: Vec<MempoolSnapshot>,
     /// One snapshot stream per fleet observer, index-aligned with the
-    /// scenario's `observers`. The cross-observer reconciliation layer
-    /// in `cn-core` merges these.
+    /// scenario's `observers`. Stream 0 is the *primary* observer's
+    /// (the datasets 𝒜/ℬ analog, and the one a single-observer audit
+    /// reads); the cross-observer reconciliation layer in `cn-core`
+    /// merges them all.
     pub observer_streams: Vec<Vec<MempoolSnapshot>>,
     /// Ground-truth labels.
     pub truth: GroundTruth,
@@ -94,17 +95,13 @@ pub struct SimOutput {
 
 /// What a chunked [`World::run_streamed`] run hands back: aggregate
 /// counters only — the artifacts themselves went to the
-/// [`EventSink`](crate::sink::EventSink) and were dropped from memory.
+/// [`EventSink`] and were dropped from memory.
 #[derive(Debug, Clone)]
 pub struct StreamedSummary {
     /// Blocks connected (and emitted to the sink).
     pub blocks: u64,
     /// Primary-observer snapshots emitted to the sink.
     pub snapshots: u64,
-    /// Blocks found but lost to a stale-tip race (never emitted).
-    pub orphaned_blocks: usize,
-    /// Pool names, indexed as in the scenario.
-    pub pool_names: Vec<String>,
     /// Where the run spent its time (observational).
     pub profile: SimProfile,
 }
@@ -184,46 +181,26 @@ pub struct World {
     record_truth: bool,
 }
 
-/// The fault-independent construction of a [`World`]: topology, link
-/// latencies, node roles, and the funding-seeded chain and workload.
-///
-/// None of these inputs read the scenario's `faults` or `name`, so a
-/// sweep that varies only fault intensity (like the robustness
-/// experiment) can build this once and [`fork`](WorldCheckpoint::fork)
-/// a fresh world per level instead of replaying topology sampling and
-/// chain seeding five times. Forked worlds are bit-identical to ones
-/// built directly with [`World::new`]: the topology RNG stream is a
-/// deterministic fork of the seed, and the per-run streams
-/// (transactions, mining, faults) are re-forked from the same root in
-/// `fork`, never shared.
-pub struct WorldCheckpoint {
-    seed: u64,
-    network: Network,
-    chain: Chain,
-    workload: Workload,
-    hub_of_pool: Vec<NodeId>,
-    observer: NodeId,
-    observer_count: usize,
-    relay_count: usize,
-    stakeholders: Vec<NodeId>,
-}
-
-impl WorldCheckpoint {
-    /// Builds the shared construction for `base`.
+impl World {
+    /// Builds the world for a scenario.
     ///
     /// # Panics
     /// Panics when the scenario fails validation.
-    pub fn new(base: &Scenario) -> WorldCheckpoint {
-        base.validate().unwrap_or_else(|e| panic!("invalid scenario: {e}"));
-        let root = SimRng::seed_from_u64(base.seed);
+    pub fn new(scenario: Scenario) -> World {
+        scenario.validate().unwrap_or_else(|e| panic!("invalid scenario: {e}"));
+        let root = SimRng::seed_from_u64(scenario.seed);
         let mut rng_topo = root.fork("topology");
+        let rng_tx = root.fork("transactions");
+        let rng_arrival = rng_tx.fork("arrivals");
+        let rng_mine = root.fork("mining");
+        let rng_fault = root.fork("faults");
+        let downtime_ms = scenario.faults.observer.downtime_windows_ms(scenario.duration * 1_000);
 
         // --- Node layout: relays | observer fleet | hubs ------------------
         // The primary observer sits at `relay_count`; fleet observer `j`
         // at `relay_count + j`; hubs after the whole fleet. A one-node
         // fleet reproduces the pre-fleet layout exactly (same node count,
         // same degree vector, same topology-RNG draws).
-        let scenario = base;
         let relay_count = scenario.relay_nodes.max(2);
         let observer: NodeId = relay_count;
         let observer_count = scenario.observers.len();
@@ -282,7 +259,7 @@ impl WorldCheckpoint {
         // --- Funding-seeded chain and workload ----------------------------
         // Pool reward wallets are a pure function of the roster
         // (name × wallet count), so the funding plan needs no constructed
-        // pools — forks rebuild those per run.
+        // pools.
         let mut chain = Chain::new(scenario.params.clone());
         let mut workload = Workload::new(scenario.users);
         workload.set_consolidation(scenario.wallet_consolidation);
@@ -297,45 +274,6 @@ impl WorldCheckpoint {
         stakeholders.extend(network.miner_hubs().iter().map(|(n, _)| *n));
         stakeholders.sort_unstable();
         stakeholders.dedup();
-
-        WorldCheckpoint {
-            seed: scenario.seed,
-            network,
-            chain,
-            workload,
-            hub_of_pool,
-            observer,
-            observer_count,
-            relay_count,
-            stakeholders,
-        }
-    }
-
-    /// Builds a runnable [`World`] for `scenario` on top of this shared
-    /// construction. Only inputs the checkpoint never baked in may vary:
-    /// the fault plan, the scenario name, the run duration, and the
-    /// traffic knobs drawn from the per-run RNG streams.
-    ///
-    /// # Panics
-    /// Panics when the scenario fails validation or disagrees with the
-    /// checkpoint on seed, relay-node count, or pool-roster size — the
-    /// baked topology and funding would silently misrepresent it.
-    pub fn fork(&self, scenario: Scenario) -> World {
-        scenario.validate().unwrap_or_else(|e| panic!("invalid scenario: {e}"));
-        assert_eq!(scenario.seed, self.seed, "checkpoint seed mismatch");
-        assert_eq!(scenario.relay_nodes.max(2), self.relay_count, "checkpoint relay-node mismatch");
-        assert_eq!(scenario.pools.len(), self.hub_of_pool.len(), "checkpoint pool-roster mismatch");
-        assert_eq!(
-            scenario.observers.len(),
-            self.observer_count,
-            "checkpoint observer-fleet mismatch"
-        );
-        let root = SimRng::seed_from_u64(scenario.seed);
-        let rng_tx = root.fork("transactions");
-        let rng_arrival = rng_tx.fork("arrivals");
-        let rng_mine = root.fork("mining");
-        let rng_fault = root.fork("faults");
-        let downtime_ms = scenario.faults.observer.downtime_windows_ms(scenario.duration * 1_000);
 
         // --- Pools, policies, services ------------------------------------
         let scam_address = Address::from_label(&format!("scam:{}", scenario.name));
@@ -400,20 +338,19 @@ impl WorldCheckpoint {
             truth.set_scam_address(scam_address);
         }
 
-        let observer_count = self.observer_count;
         World {
             estimator: FeeEstimator::new(12),
             scenario,
             rng_tx,
             rng_mine,
-            chain: self.chain.clone(),
-            network: self.network.clone(),
+            chain,
+            network,
             pools,
-            hub_of_pool: self.hub_of_pool.clone(),
-            observer: self.observer,
+            hub_of_pool,
+            observer,
             observer_count,
-            relay_count: self.relay_count,
-            workload: self.workload.clone(),
+            relay_count,
+            workload,
             truth,
             observer_streams: vec![Vec::new(); observer_count],
             services,
@@ -421,7 +358,7 @@ impl WorldCheckpoint {
             providers,
             delivery_state: FastMap::default(),
             pool_picker,
-            stakeholders: self.stakeholders.clone(),
+            stakeholders,
             scam_address,
             snapshot_counter: 0,
             rng_arrival,
@@ -438,16 +375,6 @@ impl WorldCheckpoint {
             },
         }
     }
-}
-
-impl World {
-    /// Builds the world for a scenario.
-    ///
-    /// # Panics
-    /// Panics when the scenario fails validation.
-    pub fn new(scenario: Scenario) -> World {
-        WorldCheckpoint::new(&scenario).fork(scenario)
-    }
 
     /// A no-op: a world always runs on the calling thread. Kept because
     /// the `perfbench` benchmark calls it with 1; nothing in the workspace
@@ -459,16 +386,10 @@ impl World {
     /// Runs the scenario to completion and returns its artifacts.
     pub fn run(mut self) -> SimOutput {
         self.run_loop(&mut NoTap);
-
-        // The primary stream is exposed twice: as the legacy `snapshots`
-        // field and as `observer_streams[0]`. Rows are Arc-shared, so the
-        // duplicate costs reference counts, not row copies.
-        let snapshots = self.observer_streams[0].clone();
         SimOutput {
             pool_names: self.pools.iter().map(|p| p.name().to_string()).collect(),
             scenario: self.scenario,
             chain: self.chain,
-            snapshots,
             observer_streams: self.observer_streams,
             truth: self.truth,
             block_miners: self.block_miners,
@@ -505,8 +426,6 @@ impl World {
         StreamedSummary {
             blocks: self.chain.height(),
             snapshots: snapshots_emitted,
-            orphaned_blocks: self.orphaned_blocks,
-            pool_names: self.pools.iter().map(|p| p.name().to_string()).collect(),
             profile: self.profile,
         }
     }
@@ -1243,7 +1162,7 @@ mod tests {
     fn produces_blocks_and_snapshots() {
         let out = World::new(quick_scenario(1)).run();
         assert!(out.chain.height() > 3, "height {}", out.chain.height());
-        assert!(out.snapshots.len() > 100);
+        assert!(out.observer_streams[0].len() > 100);
         assert!(out.chain.body_tx_count() > 100);
         assert_eq!(out.block_miners.len(), out.chain.height() as usize);
     }
@@ -1259,8 +1178,8 @@ mod tests {
         for (streamed, monolithic) in sink.blocks.iter().zip(out.chain.blocks()) {
             assert_eq!(streamed.block_hash(), monolithic.block_hash());
         }
-        assert_eq!(sink.snapshots, out.snapshots);
-        assert_eq!(summary.snapshots as usize, out.snapshots.len());
+        assert_eq!(sink.snapshots, out.observer_streams[0]);
+        assert_eq!(summary.snapshots as usize, out.observer_streams[0].len());
         assert_eq!(sink.seeds.len(), out.chain.seeded_transactions().len());
 
         // Canonical stream order: non-decreasing stamps, and within one
@@ -1294,37 +1213,8 @@ mod tests {
         let b = World::new(quick_scenario(7)).run();
         assert_eq!(a.chain.height(), b.chain.height());
         assert_eq!(a.chain.tip_hash(), b.chain.tip_hash());
-        assert_eq!(a.snapshots.len(), b.snapshots.len());
+        assert_eq!(a.observer_streams[0].len(), b.observer_streams[0].len());
         assert_eq!(a.block_miners, b.block_miners);
-    }
-
-    #[test]
-    fn checkpoint_fork_matches_direct_construction() {
-        // Fork-and-replay must be invisible in the output: a world forked
-        // off a shared checkpoint produces the same chain, snapshots, and
-        // miner sequence as one built from scratch — including when the
-        // fork varies the fault plan and name, the robustness sweep's
-        // exact usage.
-        let base = quick_scenario(11);
-        let checkpoint = WorldCheckpoint::new(&base);
-        for intensity in [0.0, 0.6] {
-            let mut scenario = quick_scenario(11);
-            scenario.name = format!("fork-{intensity:.2}");
-            scenario.faults = cn_net::FaultPlan::scaled(intensity);
-            let direct = World::new(scenario.clone()).run();
-            let forked = checkpoint.fork(scenario).run();
-            assert_eq!(direct.chain.tip_hash(), forked.chain.tip_hash());
-            assert_eq!(direct.block_miners, forked.block_miners);
-            assert_eq!(direct.snapshots.len(), forked.snapshots.len());
-            assert_eq!(direct.orphaned_blocks, forked.orphaned_blocks);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "checkpoint seed mismatch")]
-    fn checkpoint_rejects_foreign_seed() {
-        let checkpoint = WorldCheckpoint::new(&quick_scenario(1));
-        let _ = checkpoint.fork(quick_scenario(2));
     }
 
     #[test]

@@ -42,7 +42,6 @@ fn assert_identical(first: &SimOutput, second: &SimOutput) {
     assert_eq!(first.chain.tip_hash(), second.chain.tip_hash());
     assert_eq!(first.chain.height(), second.chain.height());
     assert_eq!(first.block_miners, second.block_miners);
-    assert_eq!(first.snapshots, second.snapshots);
     assert_eq!(first.observer_streams, second.observer_streams);
     assert_eq!(first.orphaned_blocks, second.orphaned_blocks);
     assert_eq!(first.profile.user_txs, second.profile.user_txs);

@@ -20,18 +20,18 @@ fn main() {
     let capacity = out.scenario.params.max_block_vsize();
 
     // Backlog over time.
-    let series = size_series(&out.snapshots).unwrap_or_default();
+    let series = size_series(&out.observer_streams[0]).unwrap_or_default();
     println!(
         "\nMempool backlog: {} snapshots, congested {:.1}% of the time (paper: ~75%)",
         series.len(),
-        100.0 * congested_fraction(&out.snapshots, capacity)
+        100.0 * congested_fraction(&out.observer_streams[0], capacity)
     );
     let peak = series.iter().map(|(_, v)| *v).max().unwrap_or(0);
     println!("peak backlog: {:.1}x block capacity", peak as f64 / capacity as f64);
 
     // Do users bid more when it is crowded?
     println!("\nfee rates by congestion level at issue time:");
-    let bins = fee_rates_by_congestion(&out.snapshots, capacity);
+    let bins = fee_rates_by_congestion(&out.observer_streams[0], capacity);
     for (i, label) in ["none (<1x)", "low (1-2x)", "mid (2-4x)", "high (>4x)"].iter().enumerate() {
         if bins[i].is_empty() {
             continue;
@@ -41,7 +41,7 @@ fn main() {
     }
 
     // Does bidding more help? (Figure 5.)
-    let first = first_seen_times(&out.snapshots).unwrap_or_default();
+    let first = first_seen_times(&out.observer_streams[0]).unwrap_or_default();
     let records = commit_delays(&index, &first);
     let by_band = delays_by_fee_band(&records);
     println!("\ncommit delays by fee band:");

@@ -29,8 +29,7 @@ fn main() {
 
     // How expensive is acceleration? (Figure 14.)
     let service = out.services[1].as_ref().expect("Accelerator sells").lock();
-    let snapshot = out
-        .snapshots
+    let snapshot = out.observer_streams[0]
         .iter()
         .max_by_key(|s| s.total_vsize())
         .expect("snapshots exist");

@@ -27,7 +27,7 @@ fn main() {
         "chain: {} blocks, {} transactions, {} snapshots recorded",
         out.chain.height(),
         out.chain.body_tx_count(),
-        out.snapshots.len()
+        out.observer_streams[0].len()
     );
 
     // 3. Audit: attribute blocks to pools from coinbase markers.

@@ -24,12 +24,13 @@ fn dataset_a_shape() {
     let out = run_a();
     let index = ChainIndex::build(&out.chain);
     assert!(out.chain.height() >= 20, "height {}", out.chain.height());
-    assert!(out.snapshots.len() > 1_000);
+    assert!(out.observer_streams[0].len() > 1_000);
     // CPFP share near Table 1's 26.45 %.
     let cpfp = index.cpfp_fraction();
     assert!((0.15..=0.40).contains(&cpfp), "CPFP fraction {cpfp}");
     // Congested most of the time, per Figure 3.
-    let congested = congested_fraction(&out.snapshots, out.scenario.params.max_block_vsize());
+    let congested =
+        congested_fraction(&out.observer_streams[0], out.scenario.params.max_block_vsize());
     assert!(congested > 0.5, "congested {congested}");
 }
 
@@ -38,19 +39,17 @@ fn dataset_b_is_more_congested_and_sees_zero_fee_txs() {
     let a = run_a();
     let b = run_b();
     let cap = a.scenario.params.max_block_vsize();
-    let ca = congested_fraction(&a.snapshots, cap);
-    let cb = congested_fraction(&b.snapshots, cap);
+    let ca = congested_fraction(&a.observer_streams[0], cap);
+    let cb = congested_fraction(&b.observer_streams[0], cap);
     assert!(cb > ca, "B ({cb}) must be more congested than A ({ca})");
     // The no-floor observer records zero-fee transactions that a default
     // observer would refuse.
-    let zero_fee_seen = b
-        .snapshots
+    let zero_fee_seen = b.observer_streams[0]
         .iter()
         .flat_map(|s| s.entries.iter())
         .any(|e| e.fee == Amount::ZERO);
     assert!(zero_fee_seen, "dataset B's observer accepts zero-fee txs");
-    let zero_fee_seen_a = a
-        .snapshots
+    let zero_fee_seen_a = a.observer_streams[0]
         .iter()
         .flat_map(|s| s.entries.iter())
         .any(|e| e.fee == Amount::ZERO);
@@ -86,10 +85,10 @@ fn runs_are_deterministic() {
     assert_eq!(one.chain.tip_hash(), two.chain.tip_hash());
     assert_eq!(one.chain.height(), two.chain.height());
     assert_eq!(one.block_miners, two.block_miners);
-    assert_eq!(one.snapshots.len(), two.snapshots.len());
+    assert_eq!(one.observer_streams[0].len(), two.observer_streams[0].len());
     // Snapshot streams agree byte-for-byte on a few samples.
-    for i in [0usize, one.snapshots.len() / 2, one.snapshots.len() - 1] {
-        assert_eq!(one.snapshots[i], two.snapshots[i], "snapshot {i}");
+    for i in [0usize, one.observer_streams[0].len() / 2, one.observer_streams[0].len() - 1] {
+        assert_eq!(one.observer_streams[0][i], two.observer_streams[0][i], "snapshot {i}");
     }
 }
 

@@ -29,8 +29,8 @@ fn none_plan_is_bit_inert() {
 
     assert_eq!(baseline.chain.tip_hash(), explicit.chain.tip_hash());
     assert_eq!(baseline.chain.height(), explicit.chain.height());
-    assert_eq!(baseline.snapshots.len(), explicit.snapshots.len());
-    for (a, b) in baseline.snapshots.iter().zip(&explicit.snapshots) {
+    assert_eq!(baseline.observer_streams[0].len(), explicit.observer_streams[0].len());
+    for (a, b) in baseline.observer_streams[0].iter().zip(&explicit.observer_streams[0]) {
         assert_eq!(a.time, b.time);
         assert_eq!(a.len(), b.len());
         assert_eq!(a.total_vsize(), b.total_vsize());
@@ -50,13 +50,13 @@ fn downtime_gaps_the_snapshot_stream() {
     let damaged = World::new(faulty).run();
 
     assert!(
-        damaged.snapshots.len() < intact.snapshots.len(),
+        damaged.observer_streams[0].len() < intact.observer_streams[0].len(),
         "downtime must drop windows: {} vs {}",
-        damaged.snapshots.len(),
-        intact.snapshots.len()
+        damaged.observer_streams[0].len(),
+        intact.observer_streams[0].len()
     );
     // Roughly the requested fraction is missing (spell placement rounds).
-    let kept = damaged.snapshots.len() as f64 / intact.snapshots.len() as f64;
+    let kept = damaged.observer_streams[0].len() as f64 / intact.observer_streams[0].len() as f64;
     assert!((0.55..=0.85).contains(&kept), "kept fraction {kept}");
 }
 
@@ -66,7 +66,7 @@ fn truncation_marks_detailed_snapshots() {
     scenario.faults.observer.truncate_prob = 1.0;
     scenario.faults.observer.truncate_keep_frac = 0.4;
     let out = World::new(scenario).run();
-    let detailed: Vec<_> = out.snapshots.iter().filter(|s| s.is_detailed()).collect();
+    let detailed: Vec<_> = out.observer_streams[0].iter().filter(|s| s.is_detailed()).collect();
     assert!(!detailed.is_empty());
     assert!(detailed.iter().all(|s| s.is_truncated()));
 }
@@ -96,7 +96,7 @@ fn audit_degrades_on_faulty_stream_instead_of_panicking() {
     let report = audit_with_snapshots(
         &out.chain,
         &index,
-        &out.snapshots,
+        &out.observer_streams[0],
         expectation,
         AuditConfig::default(),
     )
@@ -108,7 +108,13 @@ fn audit_degrades_on_faulty_stream_instead_of_panicking() {
 
     // The same stream against a strict floor refuses loudly.
     let strict = expectation.with_min_coverage(0.99);
-    let err = audit_with_snapshots(&out.chain, &index, &out.snapshots, strict, AuditConfig::default());
+    let err = audit_with_snapshots(
+        &out.chain,
+        &index,
+        &out.observer_streams[0],
+        strict,
+        AuditConfig::default(),
+    );
     assert!(matches!(err, Err(AuditError::InsufficientCoverage { .. })));
 }
 
@@ -128,10 +134,10 @@ fn metric_entry_points_survive_damaged_streams() {
     let out = World::new(scenario).run();
 
     // Ok on the damaged-but-nonempty stream, no panics on gapped input.
-    assert!(first_seen_times(&out.snapshots).is_ok());
-    let series = size_series(&out.snapshots).expect("the damaged stream is not empty");
-    assert_eq!(series.len(), out.snapshots.len());
-    let frac = congested_fraction(&out.snapshots, 100_000);
+    assert!(first_seen_times(&out.observer_streams[0]).is_ok());
+    let series = size_series(&out.observer_streams[0]).expect("the damaged stream is not empty");
+    assert_eq!(series.len(), out.observer_streams[0].len());
+    let frac = congested_fraction(&out.observer_streams[0], 100_000);
     assert!((0.0..=1.0).contains(&frac));
 
     // Typed errors on the hopeless streams.
@@ -141,7 +147,7 @@ fn metric_entry_points_survive_damaged_streams() {
 
     // A stream of only aggregate (light) snapshots has no per-tx rows.
     let lights: Vec<MempoolSnapshot> =
-        out.snapshots.iter().filter(|s| !s.is_detailed()).cloned().collect();
+        out.observer_streams[0].iter().filter(|s| !s.is_detailed()).cloned().collect();
     assert!(!lights.is_empty());
     assert_eq!(first_seen_times(&lights).unwrap_err(), AuditError::NoDetailedSnapshots);
 
@@ -151,8 +157,9 @@ fn metric_entry_points_survive_damaged_streams() {
         out.scenario.snapshot_interval,
         out.scenario.snapshot_detail_every,
     );
-    let cov = SnapshotCoverage::assess(&out.snapshots, expectation.windows, expectation.detailed)
-        .with_chain(&out.snapshots, &ChainIndex::build(&out.chain));
+    let stream = &out.observer_streams[0];
+    let cov = SnapshotCoverage::assess(stream, expectation.windows, expectation.detailed)
+        .with_chain(stream, &ChainIndex::build(&out.chain));
     for f in [cov.window_fraction(), cov.detail_fraction(), cov.confirmed_observed_fraction()] {
         assert!((0.0..=1.0).contains(&f), "fraction {f}");
     }

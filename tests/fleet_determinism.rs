@@ -48,26 +48,22 @@ fn n1_fleet_with_no_adversaries_is_bit_identical_to_default() {
 
     assert_eq!(baseline.chain.tip_hash(), fleet.chain.tip_hash());
     assert_eq!(baseline.chain.height(), fleet.chain.height());
-    assert_eq!(baseline.snapshots, fleet.snapshots);
+    assert_eq!(baseline.observer_streams[0], fleet.observer_streams[0]);
     assert_eq!(baseline.truth.len(), fleet.truth.len());
     assert_eq!(baseline.orphaned_blocks, fleet.orphaned_blocks);
 
-    // The legacy stream and the fleet's first stream are the same object
-    // in both runs.
+    // A one-node fleet records exactly one stream.
     assert_eq!(fleet.observer_streams.len(), 1);
-    assert_eq!(fleet.snapshots, fleet.observer_streams[0]);
-    assert_eq!(baseline.snapshots, baseline.observer_streams[0]);
-    assert!(fleet.snapshots.iter().all(|s| !s.is_degraded()));
-    assert_eq!(fleet.profile.observer_snapshots, vec![fleet.snapshots.len() as u64]);
+    assert!(fleet.observer_streams[0].iter().all(|s| !s.is_degraded()));
+    assert_eq!(fleet.profile.observer_snapshots, vec![fleet.observer_streams[0].len() as u64]);
     assert_eq!(fleet.profile.observer_degraded, vec![0]);
 }
 
 #[test]
 fn multi_observer_fleet_runs_deterministically_per_stream() {
     // A grown fleet is a *different* world (extra nodes shift the
-    // topology draws), but it must still be deterministic run-to-run,
-    // keep the legacy stream aliased to the primary's, and record every
-    // stream on the same window schedule.
+    // topology draws), but it must still be deterministic run-to-run and
+    // record every stream on the same window schedule.
     let mut grown = short_scenario(0xF1EE8);
     grown.observers = vec![
         ObserverConfig::default_node(),
@@ -79,7 +75,6 @@ fn multi_observer_fleet_runs_deterministically_per_stream() {
 
     assert_eq!(fleet.chain.tip_hash(), again.chain.tip_hash());
     assert_eq!(fleet.observer_streams, again.observer_streams);
-    assert_eq!(fleet.snapshots, fleet.observer_streams[0]);
     assert_eq!(fleet.observer_streams.len(), 2);
     // The slow observer records the same window schedule with its own
     // (latency-shifted) first-seen times.
@@ -104,7 +99,7 @@ fn eclipse_window_boundaries_are_half_open() {
     };
     let out = World::new(s).run();
 
-    for snap in &out.snapshots {
+    for snap in &out.observer_streams[0] {
         let inside = snap.time >= start && snap.time < end;
         assert_eq!(
             snap.is_degraded(),
@@ -115,9 +110,9 @@ fn eclipse_window_boundaries_are_half_open() {
     }
     // The boundary instants themselves were exercised: a snapshot exactly
     // at the open is degraded, exactly at the close is not.
-    assert!(out.snapshots.iter().any(|s| s.time == start && s.is_degraded()));
-    assert!(out.snapshots.iter().any(|s| s.time == end && !s.is_degraded()));
-    let degraded = out.snapshots.iter().filter(|s| s.is_degraded()).count() as u64;
+    assert!(out.observer_streams[0].iter().any(|s| s.time == start && s.is_degraded()));
+    assert!(out.observer_streams[0].iter().any(|s| s.time == end && !s.is_degraded()));
+    let degraded = out.observer_streams[0].iter().filter(|s| s.is_degraded()).count() as u64;
     assert_eq!(out.profile.observer_degraded, vec![degraded]);
 }
 
@@ -140,8 +135,8 @@ fn eclipsed_observer_degrades_to_coverage_stamped_verdicts() {
 
     // Graceful degradation: the stream exists and every window is
     // coverage-stamped; nothing crashed.
-    assert!(!out.snapshots.is_empty());
-    assert!(out.snapshots.iter().all(|snap| snap.is_degraded()));
+    assert!(!out.observer_streams[0].is_empty());
+    assert!(out.observer_streams[0].iter().all(|snap| snap.is_degraded()));
     // The eclipse drops deliveries, so the frozen view must stay behind
     // the healthy observer's.
     let primary_rows: usize = out.observer_streams[0].iter().map(|s| s.len()).sum();

@@ -89,9 +89,14 @@ fn log_replay_reproduces_the_batch_verdict() {
         let out = World::new(scenario).run();
         let exp = expectation(&out);
         let index = ChainIndex::build(&out.chain);
-        let batch =
-            audit_with_snapshots(&out.chain, &index, &out.snapshots, exp, AuditConfig::default())
-                .expect("batch audits");
+        let batch = audit_with_snapshots(
+            &out.chain,
+            &index,
+            &out.observer_streams[0],
+            exp,
+            AuditConfig::default(),
+        )
+        .expect("batch audits");
 
         let mut bytes = Vec::new();
         write_run(&out, 50, &mut bytes).expect("log encodes");

@@ -35,8 +35,14 @@ fn expectation(out: &SimOutput) -> StreamExpectation {
 
 fn batch_report(out: &SimOutput, expectation: StreamExpectation) -> AuditReport {
     let index = ChainIndex::build(&out.chain);
-    audit_with_snapshots(&out.chain, &index, &out.snapshots, expectation, AuditConfig::default())
-        .expect("batch audits")
+    audit_with_snapshots(
+        &out.chain,
+        &index,
+        &out.observer_streams[0],
+        expectation,
+        AuditConfig::default(),
+    )
+    .expect("batch audits")
 }
 
 fn fresh_auditor(out: &SimOutput, expectation: StreamExpectation) -> StreamingAuditor {
@@ -48,7 +54,7 @@ fn fresh_auditor(out: &SimOutput, expectation: StreamExpectation) -> StreamingAu
 /// but which source supplies the next event is a coin flip.
 fn random_interleaving<'a>(out: &'a SimOutput, rng: &mut SimRng) -> Vec<StreamEvent<'a>> {
     let blocks = out.chain.blocks();
-    let snapshots = &out.snapshots;
+    let snapshots = &out.observer_streams[0];
     let mut events = Vec::with_capacity(blocks.len() + snapshots.len());
     let (mut bi, mut si) = (0usize, 0usize);
     while bi < blocks.len() || si < snapshots.len() {
@@ -78,7 +84,7 @@ fn whole_stream_at_once_matches_batch() {
     assert!(!batch.findings.is_empty(), "the world must produce findings to pin");
 
     let mut auditor = fresh_auditor(&out, exp);
-    for ev in interleave(out.chain.blocks(), &out.snapshots) {
+    for ev in interleave(out.chain.blocks(), &out.observer_streams[0]) {
         auditor.push_event(&ev).expect("replays");
     }
     let stream = auditor.verdict().expect("audits");
@@ -96,7 +102,7 @@ fn single_event_chunks_and_interior_verdicts_match_batch() {
     let batch = batch_report(&out, exp);
 
     let mut auditor = fresh_auditor(&out, exp);
-    let events = interleave(out.chain.blocks(), &out.snapshots);
+    let events = interleave(out.chain.blocks(), &out.observer_streams[0]);
     for (i, ev) in events.iter().enumerate() {
         auditor.push_event(ev).expect("replays");
         if i % 97 == 0 {
@@ -119,7 +125,7 @@ fn randomized_chunkings_and_interleavings_match_batch() {
     // Three seeded random chunkings of the canonical time-ordered stream:
     // chunk boundaries are administrative, so rolling telemetry must agree
     // too (same ingested prefix at the end).
-    let canonical = interleave(out.chain.blocks(), &out.snapshots);
+    let canonical = interleave(out.chain.blocks(), &out.observer_streams[0]);
     let mut rollings = Vec::new();
     for seed in [1u64, 2, 3] {
         let mut rng = SimRng::seed_from_u64(seed);
@@ -170,7 +176,7 @@ fn refusal_parity_with_batch() {
     // including the measured coverage payload.
     let strict = exp.with_min_coverage(0.95);
     let kept: Vec<MempoolSnapshot> =
-        out.snapshots.iter().step_by(5).cloned().collect();
+        out.observer_streams[0].iter().step_by(5).cloned().collect();
     let mut auditor =
         StreamingAuditor::new(out.chain.initial_utxos(), StreamingConfig::new(strict));
     for b in out.chain.blocks() {
@@ -201,22 +207,27 @@ fn faulted_stream_matches_batch_with_and_without_refusal() {
         ..AdversaryPlan::none()
     };
     let out = World::new(faulted).run();
-    assert!(out.snapshots.iter().any(|s| s.is_detailed() && s.is_truncated()));
-    assert!(out.snapshots.iter().any(|s| s.is_degraded()));
-    assert!(out.snapshots.iter().any(|s| !s.is_detailed()));
+    assert!(out.observer_streams[0].iter().any(|s| s.is_detailed() && s.is_truncated()));
+    assert!(out.observer_streams[0].iter().any(|s| s.is_degraded()));
+    assert!(out.observer_streams[0].iter().any(|s| !s.is_detailed()));
 
     let index = ChainIndex::build(&out.chain);
     let exp = expectation(&out);
-    let batch =
-        audit_with_snapshots(&out.chain, &index, &out.snapshots, exp, AuditConfig::default())
-            .expect("degrades without a floor");
+    let batch = audit_with_snapshots(
+        &out.chain,
+        &index,
+        &out.observer_streams[0],
+        exp,
+        AuditConfig::default(),
+    )
+    .expect("degrades without a floor");
     let coverage = batch.coverage.expect("coverage block present");
     assert!(coverage.present_windows < coverage.expected_windows, "downtime must gap the stream");
     assert!(coverage.truncated_detailed > 0);
     assert!(coverage.degraded_windows > 0);
 
     let mut auditor = fresh_auditor(&out, exp);
-    for ev in interleave(out.chain.blocks(), &out.snapshots) {
+    for ev in interleave(out.chain.blocks(), &out.observer_streams[0]) {
         auditor.push_event(&ev).expect("replays");
     }
     assert_eq!(auditor.verdict(), Ok(batch));
@@ -225,14 +236,19 @@ fn faulted_stream_matches_batch_with_and_without_refusal() {
     // measured coverage in the error.
     assert!(coverage.confidence() < 0.99);
     let strict = exp.with_min_coverage(0.99);
-    let refused =
-        audit_with_snapshots(&out.chain, &index, &out.snapshots, strict, AuditConfig::default());
+    let refused = audit_with_snapshots(
+        &out.chain,
+        &index,
+        &out.observer_streams[0],
+        strict,
+        AuditConfig::default(),
+    );
     assert_eq!(
         refused,
         Err(AuditError::InsufficientCoverage { coverage: coverage.confidence(), required: 0.99 })
     );
     let mut auditor = fresh_auditor(&out, strict);
-    for ev in interleave(out.chain.blocks(), &out.snapshots) {
+    for ev in interleave(out.chain.blocks(), &out.observer_streams[0]) {
         auditor.push_event(&ev).expect("replays");
     }
     assert_eq!(auditor.verdict(), refused);
@@ -243,7 +259,7 @@ fn windowed_state_stays_far_below_processed_volume() {
     let out = world(45);
     let exp = expectation(&out);
     let mut auditor = fresh_auditor(&out, exp);
-    for ev in interleave(out.chain.blocks(), &out.snapshots) {
+    for ev in interleave(out.chain.blocks(), &out.observer_streams[0]) {
         auditor.push_event(&ev).expect("replays");
     }
     let c = auditor.counters();
