@@ -222,13 +222,13 @@ fn run_scenario(
     for n in FLEET_SIZES {
         let views = fleet_views(&sim, n, expectation);
         let fleet = reconcile(&views).expect("a recording fleet always reconciles");
-        let coverage = fleet.coverage.with_chain(&fleet.fused, &index);
+        // The fused first-seen map: its keys are the txids the fleet
+        // observed pending, so they also join the fused stream to the chain.
+        let first_seen = first_seen_times(&fleet.fused).unwrap_or_default();
+        let coverage = fleet.coverage.with_first_seen(&first_seen, &index);
         let confidence = coverage.confidence();
         let refused = confidence < FLOOR;
 
-        // The fused first-seen map: its keys are the txids the fleet
-        // observed pending.
-        let first_seen = first_seen_times(&fleet.fused).unwrap_or_default();
         let seen = targets.iter().filter(|t| first_seen.contains_key(t)).count();
         let seen_r = if targets.is_empty() { 1.0 } else { seen as f64 / targets.len() as f64 };
 

@@ -8,12 +8,12 @@
 
 use crate::attribution::{attribute, Attribution};
 use crate::coverage::{observed_txids, SnapshotCoverage, StreamExpectation};
-use crate::darkfee::miner_tx_sppes;
+use crate::darkfee::detect_accelerated;
 use crate::error::AuditError;
 use crate::index::ChainIndex;
 use crate::ppe::ppe_by_miner;
 use crate::prioritization::{differential_prioritization, DifferentialTest};
-use crate::self_interest::find_self_interest_transactions;
+use crate::self_interest::{find_self_interest_transactions, SelfInterestMap};
 use crate::sppe::sppe_for_miner;
 use cn_chain::{Chain, FastSet, Txid};
 use cn_mempool::MempoolSnapshot;
@@ -189,7 +189,7 @@ pub fn audit_chain(chain: &Chain, index: &ChainIndex, config: AuditConfig) -> Au
 pub fn audit_attributed(
     index: &ChainIndex,
     attribution: Attribution,
-    self_map: &crate::self_interest::SelfInterestMap,
+    self_map: &SelfInterestMap,
     config: AuditConfig,
 ) -> AuditReport {
     // Per-miner PPE (Figure 7b).
@@ -215,14 +215,13 @@ pub fn audit_attributed(
         if c_txids.len() < config.min_c_txs {
             continue;
         }
-        let c_txids: FastSet<Txid> = c_txids.clone();
         for miner in attribution.top(config.top_k) {
             let Some(theta0) = attribution.hash_rate(&miner.name) else { continue };
-            let test = differential_prioritization(index, &c_txids, &miner.name, theta0);
+            let test = differential_prioritization(index, c_txids, &miner.name, theta0);
             if !test.accelerates_at(config.alpha) {
                 continue;
             }
-            let sppe = sppe_for_miner(index, &c_txids, &miner.name).unwrap_or(0.0);
+            let sppe = sppe_for_miner(index, c_txids, &miner.name).unwrap_or(0.0);
             if owner.name == miner.name {
                 findings.push(Finding::SelfAcceleration { miner: miner.name.clone(), test, sppe });
             } else {
@@ -237,11 +236,7 @@ pub fn audit_attributed(
     }
     // Dark-fee suspects per miner.
     for miner in attribution.top(config.top_k) {
-        let suspects: Vec<Txid> = miner_tx_sppes(index, &miner.name)
-            .into_iter()
-            .filter(|(_, s)| *s >= config.sppe_threshold)
-            .map(|(t, _)| t)
-            .collect();
+        let suspects = detect_accelerated(index, &miner.name, config.sppe_threshold);
         if !suspects.is_empty() {
             findings.push(Finding::DarkFeeSuspects { miner: miner.name.clone(), suspects });
         }
@@ -281,9 +276,30 @@ pub fn audit_with_snapshots(
     expectation: StreamExpectation,
     config: AuditConfig,
 ) -> Result<AuditReport, AuditError> {
-    let coverage = SnapshotCoverage::tally(snapshots, expectation.windows, expectation.detailed)
-        .admit(&observed_txids(snapshots), index, &expectation)?;
-    let mut report = audit_chain(chain, index, config);
+    audit_observed(
+        SnapshotCoverage::tally(snapshots, expectation.windows, expectation.detailed),
+        &observed_txids(snapshots),
+        index,
+        &expectation,
+        config,
+        |attribution| find_self_interest_transactions(chain, attribution),
+    )
+}
+
+/// The end of every snapshot audit, batch or streaming: the coverage gate,
+/// then attribution, the touch log's classification and [`audit_attributed`].
+pub(crate) fn audit_observed(
+    counted: SnapshotCoverage,
+    observed: &FastSet<Txid>,
+    index: &ChainIndex,
+    expectation: &StreamExpectation,
+    config: AuditConfig,
+    classify: impl FnOnce(&Attribution) -> SelfInterestMap,
+) -> Result<AuditReport, AuditError> {
+    let coverage = counted.admit(observed, index, expectation)?;
+    let attribution = attribute(index);
+    let self_map = classify(&attribution);
+    let mut report = audit_attributed(index, attribution, &self_map, config);
     report.coverage = Some(coverage);
     Ok(report)
 }

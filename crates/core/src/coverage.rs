@@ -20,7 +20,7 @@
 
 use crate::error::AuditError;
 use crate::index::ChainIndex;
-use cn_chain::{FastSet, Txid};
+use cn_chain::{FastMap, FastSet, Timestamp, Txid};
 use cn_mempool::MempoolSnapshot;
 
 /// How complete a snapshot stream is relative to what the observer was
@@ -105,12 +105,28 @@ impl SnapshotCoverage {
     /// Fills the chain-side fields: how many confirmed transactions the
     /// stream saw pending before they committed.
     pub fn with_chain(self, snapshots: &[MempoolSnapshot], index: &ChainIndex) -> Self {
-        self.join_chain(&observed_txids(snapshots), index)
+        self.join_chain(observed_txids(snapshots).iter(), index)
     }
 
-    fn join_chain(mut self, observed: &FastSet<Txid>, index: &ChainIndex) -> Self {
+    /// [`SnapshotCoverage::with_chain`] from the stream's first-seen map
+    /// ([`crate::delay::first_seen_times`]), whose keys are its observed
+    /// txids.
+    pub fn with_first_seen(
+        self,
+        first_seen: &FastMap<Txid, Timestamp>,
+        index: &ChainIndex,
+    ) -> Self {
+        self.join_chain(first_seen.keys(), index)
+    }
+
+    /// Joins distinct observed txids to the chain.
+    fn join_chain<'a>(
+        mut self,
+        observed: impl Iterator<Item = &'a Txid>,
+        index: &ChainIndex,
+    ) -> Self {
         self.txs_confirmed = index.tx_count();
-        self.confirmed_observed = observed.iter().filter(|t| index.record(t).is_some()).count();
+        self.confirmed_observed = observed.filter(|t| index.record(t).is_some()).count();
         self
     }
 
@@ -129,8 +145,8 @@ impl SnapshotCoverage {
         if self.present_windows == 0 {
             return Err(AuditError::EmptySnapshotStream);
         }
-        let coverage =
-            SnapshotCoverage { txs_observed: observed.len(), ..self }.join_chain(observed, index);
+        let coverage = SnapshotCoverage { txs_observed: observed.len(), ..self }
+            .join_chain(observed.iter(), index);
         let confidence = coverage.confidence();
         if confidence < expectation.min_coverage {
             return Err(AuditError::InsufficientCoverage {

@@ -111,7 +111,6 @@ pub fn score_detector(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{BlockInfo, TxRecord};
     use cn_chain::{Amount, BlockHash};
     use std::collections::HashSet;
 
@@ -201,9 +200,4 @@ mod tests {
         let rows = sppe_threshold_table(&index, "Other", &[50.0], &|_| false);
         assert_eq!(rows[0].total, 0);
     }
-
-    // Silence the unused-import warning for the handmade path types used
-    // only through the chain construction above.
-    #[allow(dead_code)]
-    fn _touch(_: &BlockInfo, _: &TxRecord, _: BlockHash, _: Amount) {}
 }

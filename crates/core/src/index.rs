@@ -2,15 +2,15 @@
 //! metric consumes, and the chain digest the exact streaming verdict reads.
 //!
 //! [`ChainIndex`] holds the per-block and per-transaction facts. A
-//! streaming audit also keeps two facts the batch audit derives after the
-//! fact: the txids its observer saw, and the address→txid log that stands
-//! in for the batch auditor's UTXO replay. The crate-private `ChainDigest`
-//! holds all three, and it is their only shape. The streaming auditor grows
-//! one, a spilling auditor drains its settled prefix into a store through
-//! its codec and appends the decoded prefixes back, and the exact verdict
-//! reads one digest, live or restored.
+//! streaming audit also keeps the txids its observer saw and the
+//! self-interest touch log ([`crate::self_interest`]). The crate-private
+//! `ChainDigest` holds all three, and it is their only shape. The streaming
+//! auditor grows one, a spilling auditor drains its settled prefix into a
+//! store through its codec, and a restore decodes each prefix straight
+//! onto one digest, height-checked. The exact verdict reads one digest.
 
 use crate::cpfp::cpfp_txids_in_block;
+use crate::self_interest::TouchLog;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cn_chain::encode::{
     ensure_remaining, read_compact_size, read_var_bytes, write_compact_size, write_var_bytes,
@@ -158,8 +158,7 @@ impl ChainIndex {
 
     /// Appends an already digested block, indexing its txids at the height
     /// it carries. `push_block` derives that height and `ChainDigest::drain`
-    /// moves blocks in order; the heights of a decoded digest are checked
-    /// when `ChainDigest::append` appends it.
+    /// moves blocks in order; `ChainDigest::{decode, append}` check it.
     fn push_info(&mut self, info: BlockInfo) {
         for tx in &info.txs {
             self.by_txid.insert(tx.txid, (info.height, tx.position as u32));
@@ -229,19 +228,17 @@ impl ChainIndex {
 }
 
 /// The exact verdict's chain digest: the [`ChainIndex`], the txids seen in
-/// detailed snapshots, and every confirmed txid under each address it
-/// touched (resolved input funding addresses and output addresses). Pool
-/// wallets are known only at verdict time, because attribution is
-/// retroactive, so the log is keyed by address, not by pool.
+/// detailed snapshots, and the touch log that classifies self-interest
+/// transactions at verdict time.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ChainDigest {
     pub(crate) index: ChainIndex,
     pub(crate) observed: FastSet<Txid>,
-    pub(crate) addr_txids: FastMap<Address, Vec<Txid>>,
+    pub(crate) touches: TouchLog,
 }
 
-/// Why [`ChainDigest::append`] refused a digest: its blocks do not continue
-/// the heights of the digest it was appended to.
+/// Why a restore refused a block: its height does not continue the heights
+/// of the digest it was restored onto.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct HeightGap {
     /// The height the next block should have had.
@@ -252,8 +249,8 @@ pub(crate) struct HeightGap {
 
 impl ChainDigest {
     /// Drains the settled prefix: every block below height `below`, and
-    /// all observed txids and address entries. Those two are read only at
-    /// verdict time, and appending is a set union and a per-address
+    /// all observed txids and touch-log entries. Those two are read only at
+    /// verdict time, and restoring them is a set union and a per-address
     /// concatenation, so a txid observed again later lands in a later
     /// drain without changing the verdict.
     pub(crate) fn drain(&mut self, below: u64) -> ChainDigest {
@@ -270,26 +267,29 @@ impl ChainDigest {
         ChainDigest {
             index: settled,
             observed: std::mem::take(&mut self.observed),
-            addr_txids: std::mem::take(&mut self.addr_txids),
+            touches: std::mem::take(&mut self.touches),
         }
     }
 
-    /// Appends `later`, whose blocks must continue this digest's heights;
+    /// Refuses a block at `height` unless it comes next.
+    fn expect_next(&self, height: u64) -> Result<(), HeightGap> {
+        let expected = self.index.len() as u64;
+        if height == expected {
+            Ok(())
+        } else {
+            Err(HeightGap { expected, found: height })
+        }
+    }
+
+    /// Appends a copy of `later`, whose heights must continue this digest's;
     /// a digest that does not is refused and nothing is appended.
-    pub(crate) fn append(&mut self, later: ChainDigest) -> Result<(), HeightGap> {
-        let next = self.index.len() as u64;
-        for (i, info) in later.index.blocks.iter().enumerate() {
-            let expected = next + i as u64;
-            if info.height != expected {
-                return Err(HeightGap { expected, found: info.height });
-            }
+    pub(crate) fn append(&mut self, later: &ChainDigest) -> Result<(), HeightGap> {
+        self.expect_next(later.index.base)?;
+        for info in &later.index.blocks {
+            self.index.push_info(info.clone());
         }
-        self.index.blocks.extend(later.index.blocks);
-        self.index.by_txid.extend(later.index.by_txid);
-        self.observed.extend(later.observed);
-        for (addr, txids) in later.addr_txids {
-            self.addr_txids.entry(addr).or_default().extend(txids);
-        }
+        self.observed.extend(&later.observed);
+        self.touches.extend(&later.touches);
         Ok(())
     }
 
@@ -330,27 +330,21 @@ impl ChainDigest {
         for txid in observed {
             buf.put_slice(txid.0.as_bytes());
         }
-        let mut addr_txids: Vec<(&Address, &Vec<Txid>)> = self.addr_txids.iter().collect();
-        addr_txids.sort_unstable_by_key(|(addr, _)| **addr);
-        write_compact_size(&mut buf, addr_txids.len() as u64);
-        for (addr, txids) in addr_txids {
-            put_address(&mut buf, addr);
-            write_compact_size(&mut buf, txids.len() as u64);
-            for txid in txids {
-                buf.put_slice(txid.0.as_bytes());
-            }
-        }
+        self.touches.encode(&mut buf);
         buf.freeze()
     }
 
-    /// Decodes one digest, the inverse of [`ChainDigest::encode`]. Its
-    /// index starts at the first block's height; [`ChainDigest::append`]
-    /// checks the heights.
-    pub(crate) fn decode(buf: &mut Bytes) -> Result<ChainDigest, DecodeError> {
-        let mut digest = ChainDigest::default();
+    /// Decodes an encoding straight onto this digest, the inverse of
+    /// [`ChainDigest::encode`]. A block whose height does not continue this
+    /// digest's is a [`HeightGap`]; either error leaves it part-restored.
+    pub(crate) fn decode<E>(&mut self, buf: &mut Bytes) -> Result<(), E>
+    where
+        E: From<DecodeError> + From<HeightGap>,
+    {
         let block_count = checked_len(read_compact_size(buf)?)?;
-        for i in 0..block_count {
+        for _ in 0..block_count {
             let height = read_compact_size(buf)?;
+            self.expect_next(height)?;
             let hash = BlockHash(Hash256::decode(buf)?);
             let time = read_compact_size(buf)?;
             ensure_remaining(buf, 1)?;
@@ -375,39 +369,26 @@ impl ChainDigest {
                 let is_cpfp = buf.get_u8() != 0;
                 txs.push(TxRecord { txid, height, position, fee, vsize, is_cpfp });
             }
-            if i == 0 {
-                digest.index.base = height;
-            }
-            digest.index.push_info(BlockInfo { height, hash, time, miner, coinbase_wallets, txs });
+            self.index.push_info(BlockInfo { height, hash, time, miner, coinbase_wallets, txs });
         }
         let observed_count = checked_len(read_compact_size(buf)?)?;
-        digest.observed.reserve(observed_count.min(1 << 20));
+        self.observed.reserve(observed_count.min(1 << 20));
         for _ in 0..observed_count {
-            digest.observed.insert(Txid(Hash256::decode(buf)?));
+            self.observed.insert(Txid(Hash256::decode(buf)?));
         }
-        let addr_count = checked_len(read_compact_size(buf)?)?;
-        digest.addr_txids.reserve(addr_count.min(1 << 20));
-        for _ in 0..addr_count {
-            let addr = read_address(buf)?;
-            let n = checked_len(read_compact_size(buf)?)?;
-            let mut txids = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                txids.push(Txid(Hash256::decode(buf)?));
-            }
-            digest.addr_txids.insert(addr, txids);
-        }
-        Ok(digest)
+        self.touches.decode(buf)?;
+        Ok(())
     }
 }
 
-fn checked_len(n: u64) -> Result<usize, DecodeError> {
+pub(crate) fn checked_len(n: u64) -> Result<usize, DecodeError> {
     if n > MAX_DECODE_LEN {
         return Err(DecodeError::OversizedLength(n));
     }
     Ok(n as usize)
 }
 
-fn put_address(buf: &mut BytesMut, addr: &Address) {
+pub(crate) fn put_address(buf: &mut BytesMut, addr: &Address) {
     let kind = match addr {
         Address::P2pkh(_) => 0u8,
         Address::P2sh(_) => 1,
@@ -417,7 +398,7 @@ fn put_address(buf: &mut BytesMut, addr: &Address) {
     buf.put_slice(addr.payload());
 }
 
-fn read_address(buf: &mut Bytes) -> Result<Address, DecodeError> {
+pub(crate) fn read_address(buf: &mut Bytes) -> Result<Address, DecodeError> {
     ensure_remaining(buf, 21)?;
     let kind = buf.get_u8();
     let mut payload = [0u8; 20];
@@ -433,6 +414,7 @@ fn read_address(buf: &mut Bytes) -> Result<Address, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spill::SpillError;
     use cn_chain::{Block, CoinbaseBuilder, Params, Transaction};
 
     /// Builds a tiny two-block chain with a CPFP pair in block 1.
@@ -539,15 +521,14 @@ mod tests {
         }
     }
 
-    /// The sample chain's digest: every body txid observed and logged under
-    /// one address.
+    /// The sample chain's digest: every body txid observed, and the chain's
+    /// touch log.
     fn sample_digest() -> ChainDigest {
-        let index = ChainIndex::build(&sample_chain());
-        let txids: Vec<Txid> =
-            index.blocks().iter().flat_map(|b| b.txs.iter().map(|t| t.txid)).collect();
+        let chain = sample_chain();
+        let index = ChainIndex::build(&chain);
         ChainDigest {
-            observed: txids.iter().copied().collect(),
-            addr_txids: [(Address::from_label("r"), txids)].into_iter().collect(),
+            observed: index.blocks().iter().flat_map(|b| b.txs.iter().map(|t| t.txid)).collect(),
+            touches: TouchLog::replay(&chain),
             index,
         }
     }
@@ -560,8 +541,8 @@ mod tests {
         assert_eq!(settled.index.blocks().len(), 1);
         assert_eq!(settled.index.blocks()[0].height, 0);
         assert_eq!(settled.observed, full.observed, "observed txids drain whole");
-        assert_eq!(settled.addr_txids, full.addr_txids, "address entries drain whole");
-        assert!(live.observed.is_empty() && live.addr_txids.is_empty());
+        assert_eq!(settled.touches, full.touches, "touch-log entries drain whole");
+        assert!(live.observed.is_empty() && live.touches == TouchLog::default());
         assert_eq!(live.index.len(), full.index.len(), "heights stay absolute");
         assert!(live.index.block(0).is_none(), "drained height is gone");
         assert_eq!(live.index.block(1).map(|b| b.hash), full.index.block(1).map(|b| b.hash));
@@ -574,7 +555,7 @@ mod tests {
 
         // The settled prefix followed by the live remainder is the full digest.
         let mut restored = settled;
-        restored.append(live).expect("heights continue");
+        restored.append(&live).expect("heights continue");
         assert_eq!(restored.index.len(), full.index.len());
         assert_eq!(restored.index.tx_count(), full.index.tx_count());
         for block in full.index.blocks() {
@@ -583,7 +564,7 @@ mod tests {
             }
         }
         assert_eq!(restored.observed, full.observed);
-        assert_eq!(restored.addr_txids, full.addr_txids);
+        assert_eq!(restored.touches, full.touches);
     }
 
     #[test]
@@ -593,12 +574,12 @@ mod tests {
         live.drain(1);
         // The live remainder without its settled block 0 skips a height.
         let mut restored = ChainDigest::default();
-        assert_eq!(restored.append(live), Err(HeightGap { expected: 0, found: 1 }));
+        assert_eq!(restored.append(&live), Err(HeightGap { expected: 0, found: 1 }));
         assert!(restored.index.is_empty(), "a refused append appends nothing");
-        assert!(restored.observed.is_empty() && restored.addr_txids.is_empty());
+        assert!(restored.observed.is_empty() && restored.touches == TouchLog::default());
         // A digest appended to itself repeats heights.
         let mut twice = full.clone();
-        assert_eq!(twice.append(full), Err(HeightGap { expected: 2, found: 0 }));
+        assert_eq!(twice.append(&full), Err(HeightGap { expected: 2, found: 0 }));
     }
 
     #[test]
@@ -606,10 +587,11 @@ mod tests {
         let mut live = sample_digest();
         let settled = live.drain(2);
         assert_eq!(settled.index.tx_count(), 3);
-        assert!(!settled.observed.is_empty() && !settled.addr_txids.is_empty());
+        assert!(!settled.observed.is_empty() && settled.touches != TouchLog::default());
         let encoded = settled.encode();
         let mut cursor = encoded.clone();
-        let decoded = ChainDigest::decode(&mut cursor).expect("decodes");
+        let mut decoded = ChainDigest::default();
+        decoded.decode::<SpillError>(&mut cursor).expect("decodes");
         assert!(!cursor.has_remaining(), "decoder consumed everything");
         assert_eq!(decoded.encode(), encoded);
         for block in settled.index.blocks() {
@@ -619,7 +601,10 @@ mod tests {
         }
         // A torn digest is a typed decode error, not a panic.
         let mut torn = Bytes::copy_from_slice(&encoded[..encoded.len() / 2]);
-        assert!(ChainDigest::decode(&mut torn).is_err());
+        assert!(matches!(
+            ChainDigest::default().decode::<SpillError>(&mut torn),
+            Err(SpillError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   test (§5.1.1–5.1.2) with a windowed Fisher's-method variant (§5.1.3)
 //!   for drifting hash rates (Tables 2 and 3).
 //! * [`self_interest`] — finding transactions that move coins from or to
-//!   a pool's wallets, by full UTXO replay (§5.2, Figure 8b).
+//!   a pool's wallets, through one address→txid touch log that batch and
+//!   streaming audits share (§5.2, Figure 8b).
 //! * [`darkfee`] — SPPE-threshold detection of dark-fee-accelerated
 //!   transactions, scored against any oracle (Table 4).
 //! * [`delay`], [`congestion`] — commit-delay and Mempool-congestion
@@ -43,6 +44,8 @@
 //!   verdicts with bounded memory, and produces exact audits bit-identical
 //!   to `audit_with_snapshots` on demand
 //!   ([`streaming::StreamingAuditor`]).
+//! * [`spill`] — the streaming auditor with its chain digest's settled
+//!   prefix spilled to a store and restored at verdict time.
 //! * [`reconcile`](mod@reconcile) — cross-observer reconciliation: fuses an observer
 //!   *fleet*'s snapshot streams (union rows, min first-seen, unanimity
 //!   rules for degraded/truncated stamps), quantifies first-seen
@@ -97,7 +100,7 @@ pub use prioritization::{differential_prioritization, windowed_prioritization, D
 pub use reconcile::{
     audit_with_fleet, reconcile, reconcile_with_pool, FirstSeenStats, FleetView, ObserverView,
 };
-pub use sppe::{sppe_for_miner, tx_sppe};
+pub use sppe::sppe_for_miner;
 pub use spill::{SpillError, SpilledAuditor};
 pub use streaming::{
     interleave, RollingMiner, RollingVerdict, StreamCounters, StreamEvent, StreamingAuditor,

@@ -13,11 +13,12 @@
 //! never changes what a verdict says.
 //!
 //! The exact verdict still needs the whole digest, so
-//! [`SpilledAuditor::verdict`] decodes the spilled prefixes, appends the
-//! auditor's live remainder to them, and runs the wrapped auditor's one
-//! verdict over the restored digest — bit-identical to an unspilled
-//! auditor's [`StreamingAuditor::verdict`] over the same events. The peak
-//! is paid once at verdict time instead of held for the whole run, and
+//! [`SpilledAuditor::verdict`] decodes each spilled prefix straight onto
+//! one restored digest and appends the live remainder by reference, so
+//! each restored entry is hashed once. The wrapped auditor's one verdict
+//! over it is bit-identical to an unspilled auditor's
+//! [`StreamingAuditor::verdict`] over the same events. The peak is paid
+//! once at verdict time instead of held for the whole run, and
 //! [`StreamingAuditor::rolling`] stays available throughout at its usual
 //! O(window) cost.
 //!
@@ -218,10 +219,10 @@ impl<S: Read + Write + Seek> SpilledAuditor<S> {
         self.auditor.rolling()
     }
 
-    /// The exact audit: decodes every spilled prefix, appends the wrapped
-    /// auditor's live remainder, and produces the verdict an unspilled
-    /// [`StreamingAuditor::verdict`] would return over the same events —
-    /// bit-identical, including refusal semantics. A store whose bytes
+    /// The exact audit: decodes every spilled prefix onto one digest,
+    /// appends the wrapped auditor's live remainder, and produces the verdict
+    /// an unspilled [`StreamingAuditor::verdict`] would return over the same
+    /// events — bit-identical, including refusal semantics. A store whose bytes
     /// differ from those spilled into it is refused with
     /// [`SpillError::DigestMismatch`] before anything is decoded; a store
     /// that does not decode, or whose heights do not run contiguously from
@@ -243,9 +244,9 @@ impl<S: Read + Write + Seek> SpilledAuditor<S> {
         for _ in 0..self.spilled_segments {
             let len = read_compact_size(&mut cursor)?;
             ensure_remaining(&cursor, len as usize)?;
-            restored.append(ChainDigest::decode(&mut cursor)?)?;
+            restored.decode::<SpillError>(&mut cursor)?;
         }
-        restored.append(self.auditor.digest.clone())?;
+        restored.append(&self.auditor.digest)?;
         Ok(self.auditor.verdict_over(&restored)?)
     }
 }
@@ -254,6 +255,7 @@ impl<S: Read + Write + Seek> SpilledAuditor<S> {
 mod tests {
     use super::*;
     use crate::coverage::StreamExpectation;
+    use crate::self_interest::TouchLog;
     use crate::streaming::{interleave, StreamingConfig};
     use bytes::Buf;
     use cn_chain::{Address, Amount, Chain, CoinbaseBuilder, Params, PoolMarker, Transaction};
@@ -411,13 +413,14 @@ mod tests {
         let segment = auditor.digest.drain(frontier);
         assert!(!segment.index.blocks().is_empty());
         assert!(!segment.observed.is_empty());
-        assert!(!segment.addr_txids.is_empty());
+        assert_ne!(segment.touches, TouchLog::default());
         let encoded = segment.encode();
         let mut cursor = Bytes::copy_from_slice(&encoded);
-        let decoded = ChainDigest::decode(&mut cursor).expect("round trip");
+        let mut decoded = ChainDigest::default();
+        decoded.decode::<SpillError>(&mut cursor).expect("round trip");
         assert!(!cursor.has_remaining(), "decoder consumed everything");
         assert_eq!(decoded.observed, segment.observed);
-        assert_eq!(decoded.addr_txids, segment.addr_txids);
+        assert_eq!(decoded.touches, segment.touches);
         assert_eq!(decoded.index.blocks().len(), segment.index.blocks().len());
         for (a, b) in decoded.index.blocks().iter().zip(segment.index.blocks()) {
             assert_eq!(a.height, b.height);
@@ -429,7 +432,7 @@ mod tests {
         }
         // A truncated segment is a typed decode error, not a panic.
         let mut torn = Bytes::copy_from_slice(&encoded[..encoded.len() / 2]);
-        assert!(ChainDigest::decode(&mut torn).is_err());
+        assert!(ChainDigest::default().decode::<SpillError>(&mut torn).is_err());
     }
 
     #[test]
@@ -441,10 +444,10 @@ mod tests {
         }
         let frontier = auditor.sealed_blocks();
         auditor.digest.drain(frontier / 2);
-        let second = auditor.digest.drain(frontier);
+        let mut second = auditor.digest.drain(frontier).encode();
         // Restoring the second prefix without the first skips heights.
-        let gap = ChainDigest::default().append(second).expect_err("skips heights");
-        let err = SpillError::from(gap);
+        let err =
+            ChainDigest::default().decode::<SpillError>(&mut second).expect_err("skips heights");
         let want = frontier / 2;
         assert!(
             matches!(err, SpillError::NonContiguous { expected: 0, found } if found == want),

@@ -10,22 +10,8 @@ use crate::index::{BlockInfo, ChainIndex};
 use crate::ppe::{percentile, predicted_positions};
 use cn_chain::{FastSet, Txid};
 
-/// SPPE of one transaction within its block (all body transactions form
-/// the ranking basis). Returns `None` when the txid is not in the block.
-pub fn tx_sppe(block: &BlockInfo, txid: &Txid) -> Option<f64> {
-    let observed = block.txs.iter().position(|t| &t.txid == txid)?;
-    let subset: Vec<(usize, u64, u64)> = block
-        .txs
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (i, t.fee.to_sat(), t.vsize.max(1)))
-        .collect();
-    let n = subset.len();
-    let predicted = predicted_positions(&subset);
-    Some(percentile(predicted[observed], n) - percentile(observed, n))
-}
-
-/// SPPE of every transaction in a block, in block order.
+/// SPPE of every transaction in a block, in block order (all body
+/// transactions form the ranking basis).
 pub fn block_sppes(block: &BlockInfo) -> Vec<(Txid, f64)> {
     if block.txs.is_empty() {
         return Vec::new();
@@ -100,6 +86,11 @@ mod tests {
             coinbase_wallets: vec![],
             txs,
         }
+    }
+
+    /// One transaction's SPPE, looked up in `block_sppes`.
+    fn tx_sppe(block: &BlockInfo, txid: &Txid) -> Option<f64> {
+        block_sppes(block).into_iter().find(|(t, _)| t == txid).map(|(_, sppe)| sppe)
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! * [`StreamingAuditor::verdict`] — the **exact** audit. It maintains the
 //!   same digested facts the batch pipeline derives — a
 //!   [`ChainIndex`](crate::ChainIndex) grown block-by-block, a live UTXO
-//!   view for fees and self-interest classification, and one
+//!   view for fees, the self-interest touch log that the batch audit fills
+//!   by its own address-only replay ([`crate::self_interest`]), and one
 //!   [`SnapshotCoverage`] counted snapshot by snapshot with the batch
-//!   tally's own per-window step — and then runs
-//!   the *same* downstream code ([`crate::auditor::audit_attributed`])
-//!   behind the *same* coverage gate. The result is bit-identical to
-//!   [`crate::auditor::audit_with_snapshots`] over the final chain and
+//!   tally's own per-window step — and then ends in the batch audit's own
+//!   code: the coverage gate, attribution, the touch log's classification
+//!   and [`crate::auditor::audit_attributed`]. The result is bit-identical
+//!   to [`crate::auditor::audit_with_snapshots`] over the final chain and
 //!   snapshot set, including the refusal behavior: an empty stream errors,
 //!   and coverage below the expectation floor refuses with
 //!   [`AuditError::InsufficientCoverage`].
@@ -33,9 +34,8 @@
 //! confirmation heights (a sealed height stays one extra window as the
 //! comparison partner of later blocks). What necessarily grows with the
 //! chain is the chain digest: the per-transaction facts of the index, the
-//! observed-txid set, and the address→txid log that replaces the batch
-//! auditor's post-hoc UTXO replay. The exact verdict is a function of the
-//! whole chain, so no auditor can answer it from a window;
+//! observed-txid set, and the address→txid touch log. The exact verdict is
+//! a function of the whole chain, so no auditor can answer it from a window;
 //! [`SpilledAuditor`](crate::SpilledAuditor) moves the digest's settled
 //! prefix to a store instead. [`StreamCounters`] reports both
 //! sides: `rows_processed` counts every snapshot row ever ingested, while
@@ -59,20 +59,18 @@
 //! fork-join fan-out to win back its thread spawns (DESIGN.md §11).
 //! Callers that want parallelism run whole audits side by side.
 
-use crate::attribution::attribute;
-use crate::auditor::{audit_attributed, AuditConfig, AuditReport};
+use crate::auditor::{audit_observed, AuditConfig, AuditReport};
 use crate::coverage::{SnapshotCoverage, StreamExpectation};
 use crate::error::AuditError;
 use crate::index::ChainDigest;
 use crate::pairs::{count_cross_block, BlockPairSet};
 use crate::ppe::block_ppe;
-use crate::self_interest::SelfInterestMap;
 use crate::sppe::block_sppes;
-use cn_chain::{Address, Block, FastMap, FastSet, FeeRate, Timestamp, Txid, UtxoSet};
+use cn_chain::{Block, FastMap, FeeRate, Timestamp, TxOut, Txid, UtxoSet};
 use cn_mempool::MempoolSnapshot;
 use cn_stats::stream::{Histogram, MinerAccumulator};
 use cn_stats::{binomial_test, fisher_combine, Tail};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// One event of the interleaved audit input stream.
 #[derive(Clone, Copy, Debug)]
@@ -403,7 +401,7 @@ impl StreamingAuditor {
     }
 
     /// Ingests one connected block: replays it against the UTXO view
-    /// (fees and the self-interest address log), extends the chain
+    /// (fees and the self-interest touch log), extends the chain
     /// index, and advances the sliding window (sealing heights
     /// `window_blocks` behind the new tip).
     ///
@@ -423,13 +421,11 @@ impl StreamingAuditor {
         let mut fees = Vec::with_capacity(block.body().len());
         for tx in block.body() {
             // Resolve funding addresses before the spend consumes them.
-            let mut touched: BTreeSet<Address> = BTreeSet::new();
-            for input in tx.inputs() {
-                if let Some(addr) = self.utxos.get(&input.prevout).and_then(|p| p.address()) {
-                    touched.insert(addr);
-                }
-            }
-            touched.extend(tx.output_addresses());
+            let funding = tx
+                .inputs()
+                .iter()
+                .filter_map(|i| self.utxos.get(&i.prevout).and_then(TxOut::address))
+                .collect();
             let fee = match self.utxos.apply_tx(tx) {
                 Ok(fee) => fee,
                 Err(_) => {
@@ -437,10 +433,7 @@ impl StreamingAuditor {
                     return Err(AuditError::UnreplayableBlock { height });
                 }
             };
-            let txid = tx.txid();
-            for addr in touched {
-                self.digest.addr_txids.entry(addr).or_default().push(txid);
-            }
+            self.digest.touches.record(tx, funding);
             fees.push(fee);
         }
         self.digest.index.push_block(block, &fees);
@@ -470,15 +463,15 @@ impl StreamingAuditor {
     /// Captures the just-indexed block into the sliding window.
     fn extend_window(&mut self, height: u64) {
         let info = self.digest.index.block(height).expect("just pushed");
-        let sppes: FastMap<Txid, f64> = block_sppes(info).into_iter().collect();
         let rows = info
             .txs
             .iter()
-            .map(|rec| WindowRow {
+            .zip(block_sppes(info))
+            .map(|(rec, (_, sppe))| WindowRow {
                 txid: rec.txid,
                 fee_rate: rec.fee_rate(),
                 excluded: rec.is_cpfp,
-                sppe: sppes.get(&rec.txid).copied().unwrap_or(0.0),
+                sppe,
                 seen: None,
             })
             .collect();
@@ -653,34 +646,21 @@ impl StreamingAuditor {
         if let Some(height) = self.poisoned {
             return Err(AuditError::UnreplayableBlock { height });
         }
-        let index = &digest.index;
-        let coverage = self.coverage.admit(&digest.observed, index, &self.config.expectation)?;
-        let attribution = attribute(index);
-        // Rebuild the self-interest map from the address log: pool wallet
-        // inventories are only known now (attribution is retroactive), and
-        // the log recorded exactly what the batch UTXO replay would see.
-        let mut self_map = SelfInterestMap::default();
-        for pool in &attribution.pools {
-            let mut set = FastSet::default();
-            for wallet in &pool.wallets {
-                if let Some(txids) = digest.addr_txids.get(wallet) {
-                    set.extend(txids.iter().copied());
-                }
-            }
-            if !set.is_empty() {
-                self_map.by_pool.insert(pool.name.clone(), set);
-            }
-        }
-        let mut report = audit_attributed(index, attribution, &self_map, self.config.audit);
-        report.coverage = Some(coverage);
-        Ok(report)
+        audit_observed(
+            self.coverage,
+            &digest.observed,
+            &digest.index,
+            &self.config.expectation,
+            self.config.audit,
+            |attribution| digest.touches.self_interest(attribution),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cn_chain::{Amount, Chain, CoinbaseBuilder, Params, PoolMarker, Transaction};
+    use cn_chain::{Address, Amount, Chain, CoinbaseBuilder, Params, PoolMarker, Transaction};
     use cn_mempool::SnapshotEntry;
 
     /// A small valid chain: 8 blocks, 2 user txs each, one pool.

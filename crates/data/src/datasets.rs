@@ -18,7 +18,6 @@
 use crate::pools::{roster_2019_a, roster_2019_b, roster_2020};
 use cn_chain::{Params, Timestamp};
 use cn_mempool::MempoolPolicy;
-use cn_net::FaultPlan;
 use cn_sim::congestion::CongestionProfile;
 use cn_sim::scenario::{ObserverConfig, PoolBehavior, ScamConfig, Scenario};
 
@@ -254,21 +253,6 @@ pub fn dataset_mega(target_blocks: u64) -> Scenario {
     s
 }
 
-/// Dataset 𝒞 observed through a *realistically broken* measurement
-/// pipeline: the same chain-side misbehaviours as [`dataset_c`], but the
-/// observation layer degrades at a calibrated moderate fault intensity —
-/// lossy and spiky relay links, duplicated/reordered deliveries, three
-/// observer outages, truncated detail dumps, and stale-tip orphans. The
-/// robustness experiment sweeps the intensity knob; this constructor
-/// pins the single reference point used by tests and docs.
-pub fn dataset_faulty(scale: Scale) -> Scenario {
-    let mut s = dataset_c(scale);
-    s.name = "dataset-faulty".into();
-    s.seed = 0xFA017;
-    s.faults = FaultPlan::scaled(0.35);
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,7 +263,6 @@ mod tests {
             assert_eq!(dataset_a(scale).validate(), Ok(()));
             assert_eq!(dataset_b(scale).validate(), Ok(()));
             assert_eq!(dataset_c(scale).validate(), Ok(()));
-            assert_eq!(dataset_faulty(scale).validate(), Ok(()));
         }
         assert_eq!(dataset_mega(52).validate(), Ok(()));
     }
@@ -297,18 +280,6 @@ mod tests {
         assert_eq!(small.seed, large.seed);
         assert_eq!(small.users, large.users);
         assert_eq!(small.snapshot_interval, large.snapshot_interval);
-    }
-
-    #[test]
-    fn faulty_dataset_is_dataset_c_plus_faults() {
-        let c = dataset_c(Scale::Quick);
-        let f = dataset_faulty(Scale::Quick);
-        assert!(!c.faults.enabled());
-        assert!(f.faults.enabled());
-        assert_eq!(f.pools, c.pools, "same misbehaviour ground truth");
-        assert_eq!(f.duration, c.duration);
-        assert!(f.faults.observer.downtime_frac > 0.0);
-        assert!(f.faults.stale_tip_prob > 0.0);
     }
 
     #[test]

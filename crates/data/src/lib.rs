@@ -32,6 +32,6 @@ pub mod legacy;
 pub mod log;
 pub mod pools;
 
-pub use datasets::{dataset_a, dataset_b, dataset_c, dataset_faulty, dataset_mega, Scale};
+pub use datasets::{dataset_a, dataset_b, dataset_c, dataset_mega, Scale};
 pub use log::{write_run, LogError, LogEvent, LogReader, LogStats, LogWriter};
 pub use pools::{roster_2019_a, roster_2019_b, roster_2020, PoolSpec};

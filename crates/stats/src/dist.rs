@@ -117,33 +117,6 @@ impl LogNormal {
     }
 }
 
-/// Pareto (power-law) distribution with scale `x_min` and shape `alpha`.
-///
-/// Used for the heavy tail of fee-rate over-bidding during congestion.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution.
-    ///
-    /// # Panics
-    /// Panics for non-positive scale or shape.
-    pub fn new(x_min: f64, alpha: f64) -> Pareto {
-        assert!(x_min > 0.0, "scale must be positive");
-        assert!(alpha > 0.0, "shape must be positive");
-        Pareto { x_min, alpha }
-    }
-
-    /// Draws a sample by inverse-CDF.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        let u = 1.0 - rng.next_f64();
-        self.x_min * u.powf(-1.0 / self.alpha)
-    }
-}
-
 /// Samples from a discrete distribution given non-negative weights.
 ///
 /// Used to pick the pool that mines each block, proportional to hash rate.
@@ -251,18 +224,6 @@ mod tests {
         let median = samples[n / 2];
         assert!((median / 250.0 - 1.0).abs() < 0.05, "median {median}");
         assert!(samples[0] > 0.0);
-    }
-
-    #[test]
-    fn pareto_exceeds_scale_and_heavy_tail() {
-        let d = Pareto::new(1.0, 2.0);
-        let mut r = rng();
-        let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| d.sample(&mut r)).collect();
-        assert!(samples.iter().all(|&s| s >= 1.0));
-        // Mean of Pareto(1, 2) is alpha/(alpha-1) = 2.
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        assert!((mean - 2.0).abs() < 0.15, "mean {mean}");
     }
 
     #[test]

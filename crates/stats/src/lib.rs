@@ -39,7 +39,7 @@ pub mod stream;
 pub mod summary;
 
 pub use binomial::{binomial_test, BinomialTest, Tail};
-pub use dist::{Exponential, LogNormal, Pareto, Poisson, WeightedIndex};
+pub use dist::{Exponential, LogNormal, Poisson, WeightedIndex};
 pub use ecdf::Ecdf;
 pub use fisher::fisher_combine;
 pub use ks::{ks_two_sample, KsTest};
