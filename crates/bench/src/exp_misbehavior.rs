@@ -290,13 +290,12 @@ pub fn fig14(lab: &Lab) -> String {
         .max_by_key(|s| s.total_vsize())
         .expect("detailed snapshots recorded");
     let top_rate = snapshot
-        .entries
-        .iter()
+        .rows()
         .map(|e| e.fee_rate())
         .max()
         .unwrap_or(cn_chain::FeeRate::MIN_RELAY);
     let mut multiples = Vec::new();
-    for entry in snapshot.entries.iter() {
+    for entry in snapshot.rows() {
         let quote = service.quote(entry.vsize, entry.fee, top_rate);
         if let Some(mult) = fee_multiple(entry.fee, quote) {
             multiples.push(mult);

@@ -48,8 +48,7 @@ fn snapshot_observations(
     index: &ChainIndex,
     exclude_cpfp: bool,
 ) -> Vec<PairObservation> {
-    snap.entries
-        .iter()
+    snap.rows()
         .filter_map(|e| {
             let rec = index.record(&e.txid)?;
             if exclude_cpfp && (rec.is_cpfp || e.has_unconfirmed_parent) {

@@ -39,7 +39,7 @@ pub fn fee_rates_by_congestion(
     let mut assigned: FastMap<Txid, (usize, f64)> = FastMap::default();
     for snap in snapshots {
         let bin = snap.congestion_bin(block_capacity);
-        for entry in snap.entries.iter() {
+        for entry in snap.rows() {
             // The first snapshot containing the tx defines its bin.
             if first.get(&entry.txid).copied() == Some(entry.received) {
                 assigned

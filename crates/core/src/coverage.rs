@@ -272,9 +272,14 @@ impl StreamExpectation {
     }
 }
 
-/// The distinct txids listed by a stream's detailed snapshots.
+/// The distinct txids listed by a stream's detailed snapshots, from each
+/// stored row once ([`MempoolSnapshot::visit_stored_rows`]).
 pub(crate) fn observed_txids(snapshots: &[MempoolSnapshot]) -> FastSet<Txid> {
-    snapshots.iter().flat_map(|s| s.observed_txids()).collect()
+    let mut observed = FastSet::default();
+    MempoolSnapshot::visit_stored_rows(snapshots, |row| {
+        observed.insert(row.txid);
+    });
+    observed
 }
 
 fn ratio(num: u64, den: u64) -> f64 {

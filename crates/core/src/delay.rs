@@ -11,7 +11,11 @@ use cn_chain::{FastMap, FeeRate, Timestamp, Txid};
 use cn_mempool::MempoolSnapshot;
 use std::collections::HashMap;
 
-/// First time each transaction was observed across a snapshot stream.
+/// First time each transaction was observed across a snapshot stream:
+/// the minimum `received` over its rows. Each stored row is folded once
+/// ([`MempoolSnapshot::visit_stored_rows`]), not once per snapshot listing
+/// it; a minimum is idempotent, so the map is the one a fold over every
+/// listing builds, with its keys inserted in the same order.
 ///
 /// Refuses a stream where nothing was recorded
 /// ([`AuditError::EmptySnapshotStream`]) or only aggregates were
@@ -27,13 +31,11 @@ pub fn first_seen_times(
         return Err(AuditError::NoDetailedSnapshots);
     }
     let mut map: FastMap<Txid, Timestamp> = FastMap::default();
-    for snap in snapshots {
-        for entry in snap.entries.iter() {
-            map.entry(entry.txid)
-                .and_modify(|t| *t = (*t).min(entry.received))
-                .or_insert(entry.received);
-        }
-    }
+    MempoolSnapshot::visit_stored_rows(snapshots, |entry| {
+        map.entry(entry.txid)
+            .and_modify(|t| *t = (*t).min(entry.received))
+            .or_insert(entry.received);
+    });
     Ok(map)
 }
 

@@ -93,13 +93,15 @@ impl ChainIndex {
     /// Builds the index from a validated chain.
     ///
     /// # Panics
-    /// Panics if the chain's per-block records disagree with its blocks —
+    /// Panics on a chain pruned by [`Chain::prune_below`]: its retained
+    /// blocks would be indexed from height 0, every height wrong. Panics
+    /// too if the chain's per-block records disagree with its blocks —
     /// impossible for a chain built through [`Chain::connect`].
     pub fn build(chain: &Chain) -> ChainIndex {
+        assert!(chain.blocks().len() as u64 == chain.height(), "a pruned chain cannot be indexed");
         let mut index = ChainIndex::default();
         index.blocks.reserve(chain.blocks().len());
         for (block, record) in chain.blocks().iter().zip(chain.records()) {
-            debug_assert_eq!(record.height, index.len() as u64);
             index.push_block(block, &record.tx_fees);
         }
         index
@@ -157,8 +159,8 @@ impl ChainIndex {
     }
 
     /// Appends an already digested block, indexing its txids at the height
-    /// it carries. `push_block` derives that height and `ChainDigest::drain`
-    /// moves blocks in order; `ChainDigest::{decode, append}` check it.
+    /// it carries. `push_block` derives that height; `ChainDigest::{decode,
+    /// append}` check it.
     fn push_info(&mut self, info: BlockInfo) {
         for tx in &info.txs {
             self.by_txid.insert(tx.txid, (info.height, tx.position as u32));
@@ -253,16 +255,18 @@ impl ChainDigest {
     /// verdict time, and restoring them is a set union and a per-address
     /// concatenation, so a txid observed again later lands in a later
     /// drain without changing the verdict.
+    ///
+    /// The drained index holds the settled blocks but no txid lookup: a
+    /// drained prefix is only encoded (`SpilledAuditor::spill`), and
+    /// [`ChainDigest::decode`] indexes its txids when a verdict restores it.
     pub(crate) fn drain(&mut self, below: u64) -> ChainDigest {
         let index = &mut self.index;
         let cut = below.clamp(index.base, index.len() as u64);
-        let mut settled = ChainIndex { base: index.base, ..ChainIndex::default() };
-        for info in index.blocks.drain(..(cut - index.base) as usize) {
-            for tx in &info.txs {
-                index.by_txid.remove(&tx.txid);
-            }
-            settled.push_info(info);
+        let blocks: Vec<BlockInfo> = index.blocks.drain(..(cut - index.base) as usize).collect();
+        for tx in blocks.iter().flat_map(|b| &b.txs) {
+            index.by_txid.remove(&tx.txid);
         }
+        let settled = ChainIndex { base: index.base, blocks, by_txid: FastMap::default() };
         index.base = cut;
         ChainDigest {
             index: settled,
@@ -553,8 +557,10 @@ mod tests {
         // Draining below what is already settled drains no blocks.
         assert!(live.clone().drain(0).index.blocks().is_empty());
 
-        // The settled prefix followed by the live remainder is the full digest.
-        let mut restored = settled;
+        // The settled prefix, restored the way a spilled verdict restores
+        // it, followed by the live remainder is the full digest.
+        let mut restored = ChainDigest::default();
+        restored.decode::<SpillError>(&mut settled.encode()).expect("decodes");
         restored.append(&live).expect("heights continue");
         assert_eq!(restored.index.len(), full.index.len());
         assert_eq!(restored.index.tx_count(), full.index.tx_count());

@@ -47,7 +47,7 @@ pub fn low_fee_report(
     let mut seen: FastSet<Txid> = FastSet::default();
     let mut report = LowFeeReport::default();
     for snap in snapshots {
-        for entry in snap.entries.iter() {
+        for entry in snap.rows() {
             if entry.fee_rate() < floor && seen.insert(entry.txid) {
                 report.observed += 1;
                 if entry.fee.is_zero() {

@@ -39,7 +39,6 @@ use cn_chain::{Chain, FastMap, Timestamp, Txid};
 use cn_mempool::{MempoolSnapshot, SnapshotEntry};
 use cn_stats::Pool;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// One observer's contribution to the fleet: its label, its snapshot
 /// stream, and what that stream was scheduled to contain.
@@ -151,7 +150,8 @@ pub fn reconcile(views: &[ObserverView]) -> Result<FleetView, AuditError> {
 /// identity property can be tested without touching process-global state.
 ///
 /// Detailed rows must be in txid order, as every [`MempoolSnapshot`]
-/// constructor leaves them: fusion merges them rather than re-sorting.
+/// constructor but [`MempoolSnapshot::from_rows_as_given`] leaves them:
+/// fusion merges them rather than re-sorting.
 /// A fused window whose contributors break that order refuses with
 /// [`AuditError::UnsortedSnapshotRows`] instead of emitting duplicated
 /// rows. A one-observer fleet shares its stream verbatim and merges
@@ -253,9 +253,15 @@ fn fuse_window(
         let vsize = contributors.iter().map(|s| s.total_vsize()).max().unwrap_or(0);
         MempoolSnapshot::light(time, count, vsize)
     } else {
-        let runs: Vec<&[SnapshotEntry]> = detailed.iter().map(|s| s.entries.as_slice()).collect();
-        let (rows, vsize) = merge_rows(runs).ok_or(AuditError::UnsortedSnapshotRows { time })?;
-        let merged = MempoolSnapshot::from_shared(time, Arc::new(rows), vsize);
+        // Copy each contributor's rows into a run of its own first. A
+        // listing reads its rows from all over its view's row store; the
+        // copy's loads overlap one another, where the merge's would each
+        // wait for the compare before them.
+        let runs: Vec<Vec<SnapshotEntry>> =
+            detailed.iter().map(|s| s.rows().copied().collect()).collect();
+        let rows = merge_rows(runs.iter().map(Vec::as_slice).collect())
+            .ok_or(AuditError::UnsortedSnapshotRows { time })?;
+        let merged = MempoolSnapshot::from_rows_as_given(time, &rows);
         if detailed.iter().all(|s| s.is_truncated()) {
             // Every dump was cut off, so the union is still a cut view.
             merged.mark_truncated()
@@ -267,7 +273,7 @@ fn fuse_window(
 }
 
 /// K-way merge of txid-sorted row runs (roster order) into one strictly
-/// ascending run, returned with its summed vsize.
+/// ascending run.
 ///
 /// All rows carrying a txid fold into one: the first run holding it, and
 /// that run's first such row, supply fee and vsize; `received` is the
@@ -276,16 +282,14 @@ fn fuse_window(
 /// stays flagged if anyone saw the parent unconfirmed, conservative for
 /// §4.2.1). Returns `None` when the output would not strictly ascend,
 /// which happens exactly when some run has a descent.
-fn merge_rows(mut heads: Vec<&[SnapshotEntry]>) -> Option<(Vec<SnapshotEntry>, u64)> {
+fn merge_rows(mut heads: Vec<&[SnapshotEntry]>) -> Option<Vec<SnapshotEntry>> {
     // Every fused row consumes at least one input row, so the union is no
     // longer than the runs together. Contributors mostly share their rows,
     // so twice the longest run bounds it in practice without reserving for
-    // a run repeated many times over; what the union leaves unused is
-    // handed back at the end.
+    // a run repeated many times over.
     let total: usize = heads.iter().map(|r| r.len()).sum();
     let longest = heads.iter().map(|r| r.len()).max().unwrap_or(0);
     let mut rows: Vec<SnapshotEntry> = Vec::with_capacity(total.min(2 * longest));
-    let mut vsize = 0;
     loop {
         let mut lead: Option<(usize, &SnapshotEntry)> = None;
         for (i, run) in heads.iter().enumerate() {
@@ -310,11 +314,9 @@ fn merge_rows(mut heads: Vec<&[SnapshotEntry]>) -> Option<(Vec<SnapshotEntry>, u
                 *run = rest;
             }
         }
-        vsize += row.vsize;
         rows.push(row);
     }
-    rows.shrink_to_fit();
-    Some((rows, vsize))
+    Some(rows)
 }
 
 /// Computes the cross-observer first-seen agreement statistics from the
@@ -422,7 +424,7 @@ mod tests {
         assert_eq!(fleet.fused.len(), 1);
         let fused = &fleet.fused[0];
         assert_eq!(fused.len(), 3, "union of rows");
-        let tx1 = fused.entries.iter().find(|e| e.txid == Txid::from([1; 32])).expect("tx1");
+        let tx1 = fused.rows().find(|e| e.txid == Txid::from([1; 32])).expect("tx1");
         assert_eq!(tx1.received, 10, "earliest sighting wins");
         let fs = fleet.first_seen;
         assert_eq!(fs.txs_union, 3);

@@ -294,6 +294,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "a pruned chain cannot be indexed")]
+    fn pruned_chain_is_not_indexed() {
+        let (mut chain, _) = build();
+        chain.prune_below(1);
+        ChainIndex::build(&chain);
+    }
+
+    #[test]
     fn convenience_wrapper_matches() {
         let (chain, index) = build();
         let txids = self_interest_txids(&chain, &index, "P");

@@ -13,7 +13,6 @@ use cn_core::{
 use cn_core::reconcile::ObserverView;
 use cn_mempool::{MempoolSnapshot, SnapshotEntry};
 use cn_stats::Pool;
-use std::sync::Arc;
 
 fn entry(seed: u8, received: u64) -> SnapshotEntry {
     SnapshotEntry {
@@ -254,12 +253,11 @@ fn empty_window_stream_still_audits_the_chain() {
 
 // ---- rows out of txid order ----
 
-/// A detailed snapshot whose public `entries` were overwritten with rows
-/// in the given order, bypassing the sort every constructor performs.
+/// A detailed snapshot over rows in the given order, bypassing the sort
+/// every other constructor performs.
 fn scrambled(time: u64, seeds: &[u8]) -> MempoolSnapshot {
-    let mut snap = MempoolSnapshot::from_entries(time, Vec::new());
-    snap.entries = Arc::new(seeds.iter().map(|&s| entry(s, time - 5)).collect());
-    snap
+    let rows: Vec<SnapshotEntry> = seeds.iter().map(|&s| entry(s, time - 5)).collect();
+    MempoolSnapshot::from_rows_as_given(time, &rows)
 }
 
 #[test]
@@ -296,7 +294,8 @@ fn unsorted_rows_refuse_with_the_window_time() {
     let b = vec![MempoolSnapshot::from_entries(15, vec![entry(2, 3)])];
     let fleet = reconcile(&[view("a", a, 1), view("b", b, 1)]).expect("sorted with repeats");
     assert_eq!(fleet.fused[0].len(), 2);
-    assert_eq!(fleet.fused[0].entries[1].received, 3, "earliest sighting of tx2");
+    let tx2 = fleet.fused[0].rows().nth(1).expect("two fused rows");
+    assert_eq!(tx2.received, 3, "earliest sighting of tx2");
 }
 
 #[test]
@@ -304,9 +303,9 @@ fn unsorted_rows_refuse_the_fleet_audit() {
     let (chain, snapshots) = sample_world();
     let index = ChainIndex::build(&chain);
     let mut damaged = snapshots.clone();
-    let mut rows = damaged[2].entries.as_ref().clone();
+    let mut rows: Vec<SnapshotEntry> = damaged[2].rows().copied().collect();
     rows.reverse();
-    damaged[2].entries = Arc::new(rows);
+    damaged[2] = MempoolSnapshot::from_rows_as_given(damaged[2].time, &rows);
     let views = [view("healthy", snapshots, 6), view("damaged", damaged.clone(), 6)];
     let err = audit_with_fleet(&chain, &index, &views, AuditConfig::default())
         .expect_err("unsorted rows refuse");

@@ -9,12 +9,22 @@
 //! agree field for field at widths 1–8 (DESIGN.md §8), over fleets with
 //! light, truncated and degraded windows, repeated window times within
 //! one observer, and duplicate txids with differing fees inside one
-//! snapshot.
+//! snapshot. A fleet's first observer may instead be a stream recorded
+//! from a real `Mempool`, whose consecutive snapshots share their
+//! unchanged rows in the view's row store.
+//!
+//! The library folds each stored row once where the reference folds every
+//! listing: `first_seen_times` and `SnapshotCoverage::assess` visit a row
+//! that many snapshots list only at its first listing. A second property
+//! compares both with the per-listing folds over a recorded stream, a
+//! sub-slice of it, and two recorded streams concatenated with truncation
+//! cuts and standalone `from_entries` snapshots mixed in.
 
-use cn_chain::{Amount, FastMap, FastSet, Timestamp, Txid};
+use cn_chain::{Address, Amount, FastMap, FastSet, Timestamp, Transaction, Txid};
+use cn_core::delay::first_seen_times;
 use cn_core::reconcile::{reconcile_with_pool, FirstSeenStats, FleetView, ObserverView};
 use cn_core::{AuditError, SnapshotCoverage, StreamExpectation};
-use cn_mempool::{MempoolSnapshot, SnapshotEntry};
+use cn_mempool::{Mempool, MempoolPolicy, MempoolSnapshot, SnapshotEntry};
 use cn_stats::Pool;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -29,7 +39,7 @@ fn reference_assess(
 ) -> SnapshotCoverage {
     let detailed: Vec<&MempoolSnapshot> = snapshots.iter().filter(|s| s.is_detailed()).collect();
     let observed: FastSet<Txid> =
-        detailed.iter().flat_map(|s| s.entries.iter().map(|e| e.txid)).collect();
+        detailed.iter().flat_map(|s| s.rows().map(|e| e.txid)).collect();
     SnapshotCoverage {
         expected_windows,
         present_windows: snapshots.len() as u64,
@@ -69,7 +79,7 @@ fn reference_fuse(live: &[&ObserverView]) -> Vec<MempoolSnapshot> {
             } else {
                 let mut rows: FastMap<Txid, SnapshotEntry> = FastMap::default();
                 for s in &detailed {
-                    for e in s.entries.iter() {
+                    for e in s.rows() {
                         rows.entry(e.txid)
                             .and_modify(|kept| {
                                 kept.received = kept.received.min(e.received);
@@ -100,7 +110,7 @@ fn reference_first_seen(live: &[&ObserverView]) -> FirstSeenStats {
     for view in live {
         let mut first: FastMap<Txid, Timestamp> = FastMap::default();
         for snap in view.snapshots.iter().filter(|s| s.is_detailed()) {
-            for e in snap.entries.iter() {
+            for e in snap.rows() {
                 first
                     .entry(e.txid)
                     .and_modify(|t| *t = (*t).min(e.received))
@@ -218,8 +228,68 @@ fn snapshot_strategy() -> impl Strategy<Value = MempoolSnapshot> {
         })
 }
 
+/// A stream recorded from one `Mempool` view: a backlog of 0–150 roots,
+/// then up to 160 steps that admit a root or a child of a resident (whose
+/// CPFP flag then turns on), remove a resident with its descendants, or
+/// take a detailed or a light snapshot at one of the 8 window times.
+fn recorded_stream_strategy() -> impl Strategy<Value = Vec<MempoolSnapshot>> {
+    (0u32..150, proptest::collection::vec((0u8..8, any::<u32>()), 0..160))
+        .prop_map(|(backlog, steps)| record(backlog, &steps))
+}
+
+fn record(backlog: u32, steps: &[(u8, u32)]) -> Vec<MempoolSnapshot> {
+    let spend = |prevout: Txid, value: u64| {
+        Transaction::builder()
+            .add_input_with_sizes(prevout, 0, 107, 0)
+            .pay_to(Address::from_label("r"), Amount::from_sat(value))
+            .build()
+    };
+    let root = |n: u32| {
+        let mut prevout = [0xC7; 32];
+        prevout[..4].copy_from_slice(&n.to_le_bytes());
+        spend(Txid::from(prevout), 50_000 + u64::from(n))
+    };
+    let mut pool = Mempool::new(MempoolPolicy::accept_all());
+    let mut roots = 0u32;
+    for _ in 0..backlog {
+        let tx = root(roots);
+        roots += 1;
+        pool.add(tx.clone(), Amount::from_sat(tx.vsize() * 2), 0).expect("a fresh root");
+    }
+    let mut stream = Vec::new();
+    for (step, &(kind, pick)) in steps.iter().enumerate() {
+        let now = step as u64 + 1;
+        let resident =
+            (!pool.is_empty()).then(|| pool.iter().nth(pick as usize % pool.len()).map(|e| e.txid()));
+        let time = u64::from(pick % 8) * 600 + 300;
+        match kind {
+            0 | 1 => {
+                let tx = root(roots);
+                roots += 1;
+                let fee = Amount::from_sat(tx.vsize() * u64::from(1 + pick % 9));
+                pool.add(tx, fee, now).expect("a fresh root");
+            }
+            2 => {
+                if let Some(Some(parent)) = resident {
+                    let tx = spend(parent, 1_000 + u64::from(pick % 997));
+                    let _ = pool.add(tx, Amount::from_sat(2_000), now);
+                }
+            }
+            3 | 4 => {
+                if let Some(Some(victim)) = resident {
+                    pool.remove_with_descendants(&victim);
+                }
+            }
+            5 | 6 => stream.push(pool.snapshot(time)),
+            _ => stream.push(pool.snapshot_light(time)),
+        }
+    }
+    stream
+}
+
 /// A fleet of 1–6 observers, each with 0–8 snapshots and its own
-/// expectation; an observer with no snapshots is dropped.
+/// expectation; an observer with no snapshots is dropped. On one fleet
+/// in four, the first observer's stream is recorded from a `Mempool`.
 fn fleet_strategy() -> impl Strategy<Value = Vec<ObserverView>> {
     let view_s = (
         proptest::collection::vec(snapshot_strategy(), 0..8),
@@ -227,21 +297,57 @@ fn fleet_strategy() -> impl Strategy<Value = Vec<ObserverView>> {
         0u64..12,
         0u8..3,
     );
-    proptest::collection::vec(view_s, 1..=6).prop_map(|views| {
-        views
-            .into_iter()
-            .enumerate()
-            .map(|(i, (snapshots, windows, detailed, floor))| ObserverView {
-                label: format!("obs-{i}"),
-                snapshots,
-                expectation: StreamExpectation {
-                    windows,
-                    detailed: detailed.min(windows),
-                    min_coverage: f64::from(floor) / 4.0,
-                },
-            })
-            .collect()
-    })
+    (proptest::collection::vec(view_s, 1..=6), 0u8..4, recorded_stream_strategy()).prop_map(
+        |(views, recorded, stream)| {
+            let mut views: Vec<ObserverView> = views
+                .into_iter()
+                .enumerate()
+                .map(|(i, (snapshots, windows, detailed, floor))| ObserverView {
+                    label: format!("obs-{i}"),
+                    snapshots,
+                    expectation: StreamExpectation {
+                        windows,
+                        detailed: detailed.min(windows),
+                        min_coverage: f64::from(floor) / 4.0,
+                    },
+                })
+                .collect();
+            if recorded == 0 {
+                views[0].snapshots = stream;
+            }
+            views
+        },
+    )
+}
+
+/// First-seen times folded over every listing, in stream order.
+fn reference_first_seen_times(
+    snapshots: &[MempoolSnapshot],
+) -> Result<Vec<(Txid, Timestamp)>, AuditError> {
+    if snapshots.is_empty() {
+        return Err(AuditError::EmptySnapshotStream);
+    }
+    if !snapshots.iter().any(|s| s.is_detailed()) {
+        return Err(AuditError::NoDetailedSnapshots);
+    }
+    let mut first: FastMap<Txid, Timestamp> = FastMap::default();
+    for e in snapshots.iter().flat_map(|s| s.rows()) {
+        first.entry(e.txid).and_modify(|t| *t = (*t).min(e.received)).or_insert(e.received);
+    }
+    Ok(first.into_iter().collect())
+}
+
+/// Both stored-row folds against their per-listing references. The
+/// first-seen maps must also list their entries in one order: each txid
+/// enters the map at its first listing either way.
+fn assert_folds_match(stream: &[MempoolSnapshot], what: &str) {
+    let got = first_seen_times(stream).map(|m| m.into_iter().collect::<Vec<_>>());
+    assert_eq!(got, reference_first_seen_times(stream), "first-seen times, {what}");
+    assert_eq!(
+        SnapshotCoverage::assess(stream, 8, 8),
+        reference_assess(stream, 8, 8),
+        "coverage, {what}"
+    );
 }
 
 proptest! {
@@ -261,6 +367,36 @@ proptest! {
                 ),
             }
         }
+    }
+
+    #[test]
+    fn stored_row_folds_match_every_listing(
+        a in recorded_stream_strategy(),
+        b in recorded_stream_strategy(),
+        bounds in (any::<u16>(), any::<u16>()),
+        cut_every in 1usize..5,
+        keep in 0u8..5,
+    ) {
+        assert_folds_match(&a, "one recorded stream");
+        let (from, to) = (bounds.0 as usize % (a.len() + 1), bounds.1 as usize % (a.len() + 1));
+        assert_folds_match(&a[from.min(to)..from.max(to)], "a sub-slice");
+        // Every `cut_every`-th snapshot of `a` is cut short, and every
+        // detailed snapshot of `b` is followed by a standalone copy of
+        // its rows.
+        let mut mixed: Vec<MempoolSnapshot> = a
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                if i % cut_every == 0 { s.truncate_detail(f64::from(keep) / 4.0) } else { s.clone() }
+            })
+            .collect();
+        for s in &b {
+            mixed.push(s.clone());
+            if s.is_detailed() {
+                mixed.push(MempoolSnapshot::from_entries(s.time, s.rows().copied().collect()));
+            }
+        }
+        assert_folds_match(&mixed, "two streams with cuts and standalone snapshots");
     }
 
     #[test]

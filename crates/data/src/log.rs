@@ -248,12 +248,11 @@ impl<W: Write> LogWriter<W> {
             write_compact_size(&mut self.buf, snap.total_vsize());
             return;
         }
-        let rows = &snap.entries;
-        write_compact_size(&mut self.buf, rows.len() as u64);
+        write_compact_size(&mut self.buf, snap.len() as u64);
         // Struct-of-arrays columns: like-typed values stream together, so
         // the varints of a mostly-unchanged backlog compress into long
         // runs of small handles and small deltas.
-        for row in rows.iter() {
+        for row in snap.rows() {
             match self.intern.get(&row.txid) {
                 Some(&handle) => write_compact_size(&mut self.buf, handle as u64),
                 None => {
@@ -264,18 +263,18 @@ impl<W: Write> LogWriter<W> {
                 }
             }
         }
-        for row in rows.iter() {
+        for row in snap.rows() {
             let delta = snap.time as i64 - row.received as i64;
             write_compact_size(&mut self.buf, zigzag(delta));
         }
-        for row in rows.iter() {
+        for row in snap.rows() {
             write_compact_size(&mut self.buf, row.fee.to_sat());
         }
-        for row in rows.iter() {
+        for row in snap.rows() {
             write_compact_size(&mut self.buf, row.vsize);
         }
-        let mut bits = vec![0u8; rows.len().div_ceil(8)];
-        for (i, row) in rows.iter().enumerate() {
+        let mut bits = vec![0u8; snap.len().div_ceil(8)];
+        for (i, row) in snap.rows().enumerate() {
             if row.has_unconfirmed_parent {
                 bits[i / 8] |= 1 << (i % 8);
             }

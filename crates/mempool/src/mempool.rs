@@ -12,14 +12,15 @@
 //! pool. Admission and removal keep neither the assembler's order nor the
 //! snapshot rows current: [`Mempool::anc_keys_best_first`] heapifies the
 //! cached ancestor scores on each call, and [`Mempool::snapshot`] merges
-//! the rows changed since the previous snapshot into that snapshot's rows.
+//! the rows changed since the previous snapshot into that snapshot's
+//! listing, writing only those rows into the view's row store.
 //! The one kept index is the `-maxmempool` eviction order, which the first
 //! [`Mempool::limit_size`] over the cap builds and every later mutation
 //! keeps sorted.
 
 use crate::entry::{AdmissionPrecheck, MempoolEntry};
 use crate::policy::MempoolPolicy;
-use crate::snapshot::{MempoolSnapshot, SnapshotEntry};
+use crate::snapshot::{Listing, MempoolSnapshot, SnapshotEntry};
 use cn_chain::{Amount, Block, FastMap, FeeRate, OutPoint, Timestamp, Transaction, Txid};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeSet, BinaryHeap};
@@ -175,8 +176,9 @@ pub struct Mempool {
     /// order. Built by the first [`Mempool::limit_size`] that finds the
     /// pool over its cap, kept sorted by every mutation after.
     by_desc_rate: Option<BTreeSet<(FeeRate, Txid)>>,
-    /// The txid-sorted rows of the last detailed snapshot, shared with it.
-    snapshot_cache: Option<Arc<Vec<SnapshotEntry>>>,
+    /// The last detailed snapshot's listing, shared with it: the view's
+    /// row store and the txid-sorted references into it.
+    snapshot_cache: Option<Listing>,
     /// Txids admitted, removed or re-flagged since that snapshot, unsorted
     /// and possibly repeated: the rows the next snapshot merges in. Kept
     /// only while `snapshot_cache` is set; see [`Mempool::row_changed`].
@@ -891,48 +893,68 @@ impl Mempool {
 
     /// Records the pool's full state at `now` — one paper-style dataset
     /// row with per-transaction entries, txid-sorted and CPFP-flagged.
-    /// The first call sorts the slab's rows. A later call merges only the
-    /// rows admitted, removed or re-flagged since the previous snapshot
-    /// into that snapshot's rows, and consecutive snapshots of an
-    /// unchanged pool share one allocation.
+    ///
+    /// The snapshot lists its rows from the view's row store, which holds
+    /// each row once: the first call writes the slab's rows into a new
+    /// store in txid order. A later call writes only the rows admitted or
+    /// re-flagged since the previous snapshot, as one txid-sorted batch,
+    /// and merges the changes into that snapshot's references; consecutive
+    /// snapshots of an unchanged pool share one listing. Once the store
+    /// holds more than four slots per listed row (a batch fills whole
+    /// 256-row chunks), the view restarts it with the snapshot's rows in
+    /// txid order, so a view whose snapshots are dropped keeps a store
+    /// bounded by its pool, however long it runs. The snapshots already
+    /// taken keep the chunks they list; nothing written is ever changed
+    /// under them.
     pub fn snapshot(&mut self, now: Timestamp) -> MempoolSnapshot {
-        let rows = match self.snapshot_cache.take() {
+        let listing = match self.snapshot_cache.take() {
             Some(last) if self.changed_rows.is_empty() => last,
-            Some(last) => Arc::new(self.merge_changed_rows(&last)),
+            Some(last) => self.merge_changed_rows(&last),
             None => {
                 let mut rows: Vec<SnapshotEntry> = self.iter().map(Self::row).collect();
                 rows.sort_unstable_by_key(|r| r.txid);
-                Arc::new(rows)
+                Listing::fresh(&rows)
             }
         };
-        self.snapshot_cache = Some(Arc::clone(&rows));
-        MempoolSnapshot::from_shared(now, rows, self.total_vsize)
+        self.snapshot_cache = Some(listing.clone());
+        MempoolSnapshot::detailed(now, listing, self.total_vsize)
     }
 
-    /// `last`'s rows with each changed txid's row replaced by its current
-    /// one, or dropped if it left the pool; empties the change list.
-    fn merge_changed_rows(&mut self, last: &[SnapshotEntry]) -> Vec<SnapshotEntry> {
+    /// `last`'s listing with each changed txid's row replaced by its
+    /// current one, or dropped if it left the pool; empties the change
+    /// list. The current rows are appended to `last`'s store in txid
+    /// order, unless the store has outgrown its bound, in which case it
+    /// restarts.
+    fn merge_changed_rows(&mut self, last: &Listing) -> Listing {
         let mut changed = std::mem::take(&mut self.changed_rows);
         changed.sort_unstable();
         changed.dedup();
-        let mut rows = Vec::with_capacity(self.len());
-        let mut rest = last;
+        let next_ref = last.next_ref();
+        let mut batch: Vec<SnapshotEntry> = Vec::new();
+        let mut refs: Vec<u32> = Vec::with_capacity(self.len());
+        let mut rest = last.refs();
         for txid in &changed {
             // Copy the unchanged run before `txid`, then skip its old row.
-            let run = gallop(rest, txid);
-            rows.extend_from_slice(&rest[..run]);
+            let run = gallop(rest, |r| last.row(r).txid < *txid);
+            refs.extend_from_slice(&rest[..run]);
             rest = &rest[run..];
-            if rest.first().is_some_and(|r| r.txid == *txid) {
+            if rest.first().is_some_and(|&r| last.row(r).txid == *txid) {
                 rest = &rest[1..];
             }
             if let Some(h) = self.handle(txid) {
-                rows.push(Self::row(self.slot(h)));
+                refs.push(next_ref + batch.len() as u32);
+                batch.push(Self::row(self.slot(h)));
             }
         }
-        rows.extend_from_slice(rest);
+        refs.extend_from_slice(rest);
         changed.clear();
         self.changed_rows = changed;
-        rows
+        let listing = last.append(&batch, refs);
+        if listing.slots() > STORE_SLOTS_PER_ROW * self.len() {
+            let rows: Vec<SnapshotEntry> = listing.iter().copied().collect();
+            return Listing::fresh(&rows);
+        }
+        listing
     }
 
     /// Records only the pool's aggregate state at `now` (count and total
@@ -943,18 +965,24 @@ impl Mempool {
     }
 }
 
-/// The number of leading `rows` whose txid is below `txid`, found by
-/// galloping from the front: probes at 1, 2, 4, … rows bracket the answer,
-/// and a binary search settles it inside the bracket. A merge whose sorted
-/// changes land a short run apart pays O(log run) per change, not a
-/// search of everything left.
-fn gallop(rows: &[SnapshotEntry], txid: &Txid) -> usize {
+/// A view restarts its row store once the store holds more than this many
+/// slots per row its latest snapshot lists. Like the change list's bound
+/// in [`Mempool::row_changed`], it caps what a view keeps for its next
+/// snapshot at a constant multiple of the pool, however long it runs.
+const STORE_SLOTS_PER_ROW: usize = 4;
+
+/// The number of leading `refs` whose row is `below` the target, found by
+/// galloping from the front: probes at 1, 2, 4, … references bracket the
+/// answer, and a binary search settles it inside the bracket. A merge
+/// whose sorted changes land a short run apart pays O(log run) per
+/// change, not a search of everything left.
+fn gallop(refs: &[u32], below: impl Fn(u32) -> bool) -> usize {
     let mut bound = 1;
-    while bound <= rows.len() && rows[bound - 1].txid < *txid {
+    while bound <= refs.len() && below(refs[bound - 1]) {
         bound *= 2;
     }
-    let below = bound / 2;
-    below + rows[below..bound.min(rows.len())].partition_point(|r| r.txid < *txid)
+    let start = bound / 2;
+    start + refs[start..bound.min(refs.len())].partition_point(|&r| below(r))
 }
 
 /// [`Mempool::apply_block`]'s per-slot marks: a confirmed member, and a
@@ -982,7 +1010,9 @@ enum Link {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::CHUNK_ROWS;
     use cn_chain::{Address, TxOut};
+    use std::collections::HashSet;
 
     fn tx_with(seed: u8, vout: u32, out_sats: u64) -> Transaction {
         Transaction::builder()
@@ -1037,6 +1067,11 @@ mod tests {
         let mut rows: Vec<SnapshotEntry> = p.iter().map(Mempool::row).collect();
         rows.sort_by_key(|r| r.txid);
         rows
+    }
+
+    /// The rows a snapshot lists, in its order.
+    fn rows_of(snap: &MempoolSnapshot) -> Vec<SnapshotEntry> {
+        snap.rows().copied().collect()
     }
 
     #[test]
@@ -1344,11 +1379,11 @@ mod tests {
         p.add(child.clone(), Amount::from_sat(2_000), 9).expect("ok");
         let snap = p.snapshot(15);
         assert_eq!(snap.time, 15);
-        assert_eq!(snap.entries.len(), 2);
-        let child_row = snap.entries.iter().find(|e| e.txid == child.txid()).expect("child");
+        assert_eq!(snap.rows().count(), 2);
+        let child_row = snap.rows().find(|e| e.txid == child.txid()).expect("child");
         assert!(child_row.has_unconfirmed_parent);
         assert_eq!(child_row.received, 9);
-        let parent_row = snap.entries.iter().find(|e| e.txid == parent.txid()).expect("parent");
+        let parent_row = snap.rows().find(|e| e.txid == parent.txid()).expect("parent");
         assert!(!parent_row.has_unconfirmed_parent);
         assert_eq!(snap.total_vsize(), parent.vsize() + child.vsize());
     }
@@ -1532,20 +1567,21 @@ mod tests {
         p.add(child.clone(), Amount::from_sat(4_000), 0).expect("orphan accepted");
         p.add(loner.clone(), Amount::from_sat(2_000), 1).expect("ok");
         let first = p.snapshot(10);
-        assert_eq!(*first.entries, rows_from_scratch(&p));
-        assert!(Arc::ptr_eq(&first.entries, &p.snapshot(11).entries), "unchanged pool shares rows");
+        assert_eq!(rows_of(&first), rows_from_scratch(&p));
+        assert!(first.shares_rows_with(&p.snapshot(11)), "unchanged pool shares rows");
         // The parent arrives (the child's flag turns on), the loner leaves.
         p.add(parent.clone(), Amount::from_sat(300), 2).expect("ok");
         p.remove_with_descendants(&loner.txid());
         let merged = p.snapshot(12);
-        assert_eq!(*merged.entries, rows_from_scratch(&p));
-        assert!(merged.entries.iter().any(|r| r.txid == child.txid() && r.has_unconfirmed_parent));
+        assert_eq!(rows_of(&merged), rows_from_scratch(&p));
+        assert!(merged.rows().any(|r| r.txid == child.txid() && r.has_unconfirmed_parent));
         // The parent confirms: the child's flag turns off again.
         p.apply_block(&block_with(vec![parent]));
         let merged = p.snapshot(13);
-        assert_eq!(*merged.entries, rows_from_scratch(&p));
-        assert!(!merged.entries[0].has_unconfirmed_parent);
+        assert_eq!(rows_of(&merged), rows_from_scratch(&p));
+        assert!(!rows_of(&merged)[0].has_unconfirmed_parent);
         assert_eq!(merged.total_vsize(), child.vsize());
+        assert_eq!(rows_of(&first).len(), 2, "a kept snapshot keeps its rows");
     }
 
     #[test]
@@ -1560,6 +1596,56 @@ mod tests {
         }
         assert!(p.snapshot_cache.is_none(), "the change list outgrew the pool");
         assert!(p.changed_rows.is_empty());
-        assert_eq!(*p.snapshot(3).entries, rows_from_scratch(&p));
+        assert_eq!(rows_of(&p.snapshot(3)), rows_from_scratch(&p));
+    }
+
+    #[test]
+    fn snapshot_store_restarts_once_it_outgrows_the_pool() {
+        // Each tick replaces the oldest of 300 residents: a batch of one
+        // row, which starts a chunk of its own.
+        let mut p = Mempool::new(MempoolPolicy::accept_all());
+        let fee = Amount::from_sat(2_000);
+        let spend = |i: u32| {
+            let mut prevout = [0xAB; 32];
+            prevout[..4].copy_from_slice(&i.to_le_bytes());
+            Transaction::builder()
+                .add_input_with_sizes(prevout.into(), 0, 107, 0)
+                .add_output(TxOut::to_address(Amount::from_sat(1_000), Address::from_label("r")))
+                .build()
+        };
+        let mut residents: Vec<Txid> =
+            (0..300).map(|i| p.add(spend(i), fee, 0).expect("ok")).collect();
+        let slots = |p: &Mempool| p.snapshot_cache.as_ref().map_or(0, Listing::slots);
+        let mut kept = vec![(p.snapshot(0), rows_from_scratch(&p))];
+        let fresh = slots(&p);
+        let mut restarts = 0;
+        for tick in 1..=12u32 {
+            p.remove_with_descendants(&residents.remove(0));
+            residents.push(p.add(spend(300 + tick), fee, u64::from(tick)).expect("ok"));
+            let before = slots(&p);
+            let snap = p.snapshot(u64::from(tick));
+            assert_eq!(rows_of(&snap), rows_from_scratch(&p));
+            assert!(slots(&p) <= STORE_SLOTS_PER_ROW * p.len(), "the store stays bounded");
+            if slots(&p) < before {
+                restarts += 1;
+                assert_eq!(slots(&p), fresh, "a restarted store holds the rows in fresh chunks");
+            } else {
+                assert_eq!(slots(&p), before + CHUNK_ROWS, "a batch takes one chunk");
+                let last = &kept.last().expect("kept").0;
+                let stored: HashSet<*const SnapshotEntry> = last.rows().map(|r| r as _).collect();
+                let shared = snap.rows().filter(|&r| stored.contains(&(r as *const _))).count();
+                assert_eq!(shared, 299, "unchanged rows are the same stored rows");
+            }
+            kept.push((snap, rows_from_scratch(&p)));
+        }
+        assert!(restarts >= 2, "the churn crosses store restarts");
+        for (snap, rows) in &kept {
+            assert_eq!(&rows_of(snap), rows, "a kept snapshot's rows never change");
+        }
+        // Each stored row is visited once, however many snapshots list it.
+        let snapshots: Vec<MempoolSnapshot> = kept.into_iter().map(|(s, _)| s).collect();
+        let mut stored = 0;
+        MempoolSnapshot::visit_stored_rows(&snapshots, |_| stored += 1);
+        assert_eq!(stored, 300 * (1 + restarts) + (12 - restarts));
     }
 }

@@ -13,12 +13,20 @@
 //! a resident without its resident ancestors, subtree removals and, in half
 //! the histories, size caps. At random steps one of the pools is read, and
 //! each read must equal a reference built from the resident transactions
-//! alone: the snapshot rows equal `MempoolSnapshot::from_entries` over the
+//! alone: the snapshot equals `MempoolSnapshot::from_entries` over the
 //! resident rows, the package scores equal sums over ancestors and
 //! descendants found by following prevouts, and the best-first keys equal
 //! the keys of those scores, sorted. `eager` builds its eviction order
 //! before the history starts and `late` at its first `limit_size` over the
 //! cap; every step must return the same result in both pools.
+//!
+//! A view's snapshots share the rows its row store holds, so two more
+//! checks guard that sharing. Every snapshot taken is kept, and at the end
+//! of the history each must still equal its reference: nothing the view
+//! wrote since changed a row under it. And midway through the history both
+//! pools are cloned; the clones share their originals' stores, take the
+//! rest of the history step for step, and each read of a clone must equal
+//! the same read of its original.
 
 use cn_chain::{Address, Amount, Block, BlockHash, CoinbaseBuilder, Transaction, Txid};
 use cn_mempool::{AncKey, Mempool, MempoolPolicy, MempoolSnapshot, SnapshotEntry};
@@ -93,8 +101,22 @@ fn package(pool: &Mempool, members: impl Iterator<Item = Txid>) -> (Amount, u64)
     })
 }
 
-/// Checks every read of `pool` against its from-scratch reference.
-fn check_reads(pool: &mut Mempool, now: u64) {
+/// Runs `op` on every pool; each must return the same result.
+fn on_all<T: PartialEq + std::fmt::Debug>(
+    pools: &mut [Mempool],
+    mut op: impl FnMut(&mut Mempool) -> T,
+) -> T {
+    let mut results = pools.iter_mut().map(&mut op);
+    let first = results.next().expect("a pool");
+    for other in results {
+        assert_eq!(other, first);
+    }
+    first
+}
+
+/// Checks every read of `pool` against its from-scratch reference, and
+/// returns the snapshot read with its reference.
+fn check_reads(pool: &mut Mempool, now: u64) -> (MempoolSnapshot, MempoolSnapshot) {
     let txids: Vec<Txid> = pool.iter().map(|e| e.txid()).collect();
     let ancestry: Vec<Vec<Txid>> = txids.iter().map(|t| ancestors(pool, t)).collect();
     let mut keys: Vec<AncKey> = Vec::with_capacity(txids.len());
@@ -127,8 +149,8 @@ fn check_reads(pool: &mut Mempool, now: u64) {
     assert_eq!(pool.anc_keys_best_first().collect::<Vec<_>>(), keys);
     let expected = MempoolSnapshot::from_entries(now, rows);
     let snap = pool.snapshot(now);
-    assert_eq!(&snap.entries, &expected.entries);
-    assert_eq!((snap.len(), snap.total_vsize()), (expected.len(), expected.total_vsize()));
+    assert_eq!(snap, expected);
+    (snap, expected)
 }
 
 proptest! {
@@ -138,6 +160,7 @@ proptest! {
     fn reads_equal_from_scratch_references(
         ops in proptest::collection::vec((0u8..12, any::<u32>(), 1u64..40), 1..120),
         caps in any::<bool>(),
+        backlog in 0u64..160,
     ) {
         // Small package limits, so refusals are part of the history too.
         let policy =
@@ -154,10 +177,26 @@ proptest! {
         prop_assert_eq!(eager.limit_size(0), vec![first.txid()]);
         prop_assert_eq!(late.remove_with_descendants(&first.txid()).len(), 1);
 
+        // `pools[0]` is `eager` and `pools[1]` is `late`; from midway on,
+        // `pools[2]` and `pools[3]` are their clones.
+        let mut pools = vec![eager, late];
+        // A backlog of roots first: a pool of a few dozen rows or more
+        // writes a snapshot's changes into its row store as a batch, where
+        // a smaller one restarts the store at every change.
+        for value in 0..backlog {
+            let root = spend(&[fresh_prevout(&mut counter)], 20_000 + value);
+            let fee = Amount::from_sat(root.vsize() * (1 + value % 7));
+            let _ = on_all(&mut pools, |p| p.add(root.clone(), fee, 0));
+        }
+        let mut kept: Vec<(MempoolSnapshot, MempoolSnapshot)> = Vec::new();
         let mut made: Vec<Transaction> = Vec::new();
         let mut withheld: Vec<Transaction> = Vec::new();
         let mut height = 0u64;
         for (step, &(kind, pick, rate)) in ops.iter().enumerate() {
+            if step == ops.len() / 2 {
+                let twins = pools.clone();
+                pools.extend(twins);
+            }
             let now = step as u64;
             let admit = match kind {
                 // A root spending a confirmed outpoint.
@@ -198,7 +237,8 @@ proptest! {
                 // packages); on odd picks, also a double spend of another
                 // resident's input.
                 8 => {
-                    if let Some(tip) = resident(&eager, pick) {
+                    let eager = &pools[0];
+                    if let Some(tip) = resident(eager, pick) {
                         let mut members =
                             if pick & 6 == 6 { Vec::new() } else { eager.ancestors(&tip) };
                         members.push(tip);
@@ -207,7 +247,7 @@ proptest! {
                             .map(|t| eager.get(t).expect("resident").tx().clone())
                             .collect();
                         if pick & 1 == 1 {
-                            if let Some(victim) = resident(&eager, pick >> 8) {
+                            if let Some(victim) = resident(eager, pick >> 8) {
                                 let victim = eager.get(&victim).expect("resident");
                                 let prevout = victim.tx().inputs()[0].prevout;
                                 body.push(spend(&[(prevout.txid, prevout.vout)], 3_000 + rate));
@@ -215,31 +255,35 @@ proptest! {
                         }
                         height += 1;
                         let connected = block(height, body);
-                        let counts = eager.apply_block(&connected);
-                        prop_assert_eq!(counts, late.apply_block(&connected));
+                        on_all(&mut pools, |p| p.apply_block(&connected));
                     }
                     None
                 }
                 9 => {
-                    if let Some(victim) = resident(&eager, pick) {
-                        let ids = |removed: Vec<cn_mempool::MempoolEntry>| -> Vec<Txid> {
-                            removed.iter().map(|e| e.txid()).collect()
-                        };
-                        prop_assert_eq!(
-                            ids(eager.remove_with_descendants(&victim)),
-                            ids(late.remove_with_descendants(&victim))
-                        );
+                    if let Some(victim) = resident(&pools[0], pick) {
+                        on_all(&mut pools, |p| {
+                            let removed = p.remove_with_descendants(&victim);
+                            removed.iter().map(|e| e.txid()).collect::<Vec<Txid>>()
+                        });
                     }
                     None
                 }
                 10 if caps => {
-                    let cap = eager.total_vsize() * (pick % 4) as u64 / 4;
-                    prop_assert_eq!(eager.limit_size(cap), late.limit_size(cap));
+                    let cap = pools[0].total_vsize() * (pick % 4) as u64 / 4;
+                    on_all(&mut pools, |p| p.limit_size(cap));
                     None
                 }
-                // Read one pool, so the two keep different snapshot states.
+                // Read one pool, so the two keep different snapshot states,
+                // and its clone, if taken, which must read the same.
                 11 => {
-                    check_reads(if pick & 1 == 0 { &mut eager } else { &mut late }, now);
+                    let read = (pick & 1) as usize;
+                    let (snap, expected) = check_reads(&mut pools[read], now);
+                    if let Some(twin) = pools.get_mut(read + 2) {
+                        let (twin_snap, _) = check_reads(twin, now);
+                        prop_assert_eq!(&twin_snap, &snap);
+                        kept.push((twin_snap, expected.clone()));
+                    }
+                    kept.push((snap, expected));
                     None
                 }
                 _ => None,
@@ -247,17 +291,22 @@ proptest! {
             if let Some(tx) = admit {
                 let fee = Amount::from_sat(tx.vsize() * rate);
                 made.push(tx.clone());
-                prop_assert_eq!(eager.add(tx.clone(), fee, now), late.add(tx, fee, now));
+                let _ = on_all(&mut pools, |p| p.add(tx.clone(), fee, now));
             }
-            prop_assert_eq!(eager.total_vsize(), late.total_vsize());
+            on_all(&mut pools, |p| p.total_vsize());
         }
 
         let end = ops.len() as u64;
-        check_reads(&mut eager, end);
-        check_reads(&mut late, end);
-        let cap = eager.total_vsize() / 2;
-        prop_assert_eq!(eager.limit_size(cap), late.limit_size(cap));
-        check_reads(&mut eager, end + 1);
-        check_reads(&mut late, end + 1);
+        for pool in &mut pools {
+            kept.push(check_reads(pool, end));
+        }
+        let cap = pools[0].total_vsize() / 2;
+        on_all(&mut pools, |p| p.limit_size(cap));
+        for pool in &mut pools {
+            kept.push(check_reads(pool, end + 1));
+        }
+        for (snap, expected) in &kept {
+            prop_assert_eq!(snap, expected);
+        }
     }
 }

@@ -34,14 +34,12 @@ fn main() {
         .max_by_key(|s| s.total_vsize())
         .expect("snapshots exist");
     let top = snapshot
-        .entries
-        .iter()
+        .rows()
         .map(|e| e.fee_rate())
         .max()
         .unwrap_or(FeeRate::MIN_RELAY);
     let multiples: Vec<f64> = snapshot
-        .entries
-        .iter()
+        .rows()
         .filter_map(|e| fee_multiple(e.fee, service.quote(e.vsize, e.fee, top)))
         .collect();
     if !multiples.is_empty() {

@@ -46,12 +46,12 @@ fn dataset_b_is_more_congested_and_sees_zero_fee_txs() {
     // observer would refuse.
     let zero_fee_seen = b.observer_streams[0]
         .iter()
-        .flat_map(|s| s.entries.iter())
+        .flat_map(|s| s.rows())
         .any(|e| e.fee == Amount::ZERO);
     assert!(zero_fee_seen, "dataset B's observer accepts zero-fee txs");
     let zero_fee_seen_a = a.observer_streams[0]
         .iter()
-        .flat_map(|s| s.entries.iter())
+        .flat_map(|s| s.rows())
         .any(|e| e.fee == Amount::ZERO);
     assert!(!zero_fee_seen_a, "dataset A's default observer filters them");
 }
