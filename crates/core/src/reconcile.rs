@@ -36,7 +36,7 @@ use crate::delay::first_seen_times;
 use crate::error::AuditError;
 use crate::index::ChainIndex;
 use cn_chain::{Chain, FastMap, Timestamp, Txid};
-use cn_mempool::{MempoolSnapshot, SnapshotEntry};
+use cn_mempool::{MempoolSnapshot, RowCursor, SnapshotEntry};
 use cn_stats::Pool;
 use std::collections::BTreeMap;
 
@@ -143,11 +143,16 @@ pub fn reconcile(views: &[ObserverView]) -> Result<FleetView, AuditError> {
     reconcile_with_pool(views, Pool::auto())
 }
 
-/// [`reconcile`] with an explicit fork-join width for the per-window
-/// fusions and the per-observer first-seen maps. The reconciliation is
-/// byte-identical at any width (the pool's order-preserving join); the
-/// parameter only moves wall time, and exists so the serial-vs-parallel
-/// identity property can be tested without touching process-global state.
+/// [`reconcile`] with an explicit fork-join width for the per-observer
+/// first-seen maps. The reconciliation is byte-identical at any width
+/// (the pool's order-preserving join); the parameter only moves wall
+/// time, and exists so the serial-vs-parallel identity property can be
+/// tested without touching process-global state. Fusion itself is one
+/// serial fold over the windows: a detailed window whose contributors
+/// were each merged from their snapshots in the last detailed window
+/// ([`MempoolSnapshot::delta_from`]) re-fuses only the txids they changed
+/// and is merged from the last fused window, sharing its store; any other
+/// detailed window is fused in full.
 ///
 /// Detailed rows must be in txid order, as every [`MempoolSnapshot`]
 /// constructor but [`MempoolSnapshot::from_rows_as_given`] leaves them:
@@ -173,7 +178,7 @@ pub fn reconcile_with_pool(views: &[ObserverView], pool: Pool) -> Result<FleetVi
         min_coverage: live.iter().map(|v| v.expectation.min_coverage).fold(0.0, f64::max),
     };
 
-    let fused = fuse_streams(&live, pool)?;
+    let fused = fuse_streams(&live)?;
     // An observer's first-seen map is keyed by exactly the distinct txids
     // of its detailed snapshots, and the fused stream's detailed windows
     // hold the union of those, so coverage takes its `txs_observed` counts
@@ -212,64 +217,134 @@ pub fn audit_with_fleet(
     Ok((report, fleet))
 }
 
-/// Fuses the live observers' streams window by window.
+/// A window's contributor: its observer's place in the roster, and its
+/// snapshot.
+type Contributor<'a> = (usize, &'a MempoolSnapshot);
+
+/// Fuses the live observers' streams window by window, in one serial fold.
 ///
-/// Window membership is decided serially (a cheap time-keyed bucketing,
-/// roster order within a window); the per-window fusions are independent
-/// of one another and fan out across the pool, joined back in ascending
-/// window order. The first window that refuses (see [`merge_rows`]) is
-/// the error, at any width.
-fn fuse_streams(live: &[&ObserverView], pool: Pool) -> Result<Vec<MempoolSnapshot>, AuditError> {
+/// Windows are bucketed by time, contributors in roster order (then
+/// stream order). A detailed window whose detailed contributors are the
+/// last detailed window's observers, in roster order and once each, and
+/// each merged from its snapshot there ([`MempoolSnapshot::delta_from`]),
+/// re-fuses only the txids their deltas name and merges those rows into
+/// the last fused window, in its store ([`fuse_by_delta`]): every other
+/// txid's contributors list the rows they listed there, so its fused row
+/// is unchanged. Every other detailed window is a keyframe, fused in full
+/// by [`merge_rows`], and the first window that refuses is the error. The
+/// fused windows merged from one another share their unchanged rows, so
+/// a fold over the fused stream's stored rows
+/// ([`MempoolSnapshot::visit_stored_rows`]) reads each about once.
+fn fuse_streams(live: &[&ObserverView]) -> Result<Vec<MempoolSnapshot>, AuditError> {
     if let [solo] = live {
         // A one-eyed fleet *is* its observer: share the rows (Arc clones)
         // instead of merging every window's union of one.
         return Ok(solo.snapshots.clone());
     }
-    let mut by_time: BTreeMap<Timestamp, Vec<&MempoolSnapshot>> = BTreeMap::new();
-    for view in live {
+    let mut by_time: BTreeMap<Timestamp, Vec<Contributor>> = BTreeMap::new();
+    for (seat, view) in live.iter().enumerate() {
         for snap in &view.snapshots {
-            by_time.entry(snap.time).or_default().push(snap);
+            by_time.entry(snap.time).or_default().push((seat, snap));
         }
     }
-    let windows: Vec<(Timestamp, Vec<&MempoolSnapshot>)> = by_time.into_iter().collect();
-    pool.map(&windows, |(time, contributors)| fuse_window(*time, contributors))
-        .into_iter()
-        .collect()
+    let mut fused = Vec::with_capacity(by_time.len());
+    // The last detailed window's detailed contributors, and its fused rows.
+    let mut last: Option<(Vec<Contributor>, MempoolSnapshot)> = None;
+    for (time, contributors) in by_time {
+        let detailed: Vec<Contributor> =
+            contributors.iter().copied().filter(|(_, s)| s.is_detailed()).collect();
+        let snap = if detailed.is_empty() {
+            // Light window: the biggest backlog anyone saw is the
+            // least-censored aggregate available.
+            let count = contributors.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
+            let vsize = contributors.iter().map(|(_, s)| s.total_vsize()).max().unwrap_or(0);
+            MempoolSnapshot::light(time, count, vsize)
+        } else {
+            let merged = last
+                .as_ref()
+                .and_then(|(before, rows)| fuse_by_delta(time, before, &detailed, rows));
+            let rows = match merged {
+                Some(rows) => rows,
+                None => fuse_keyframe(time, &detailed)?,
+            };
+            // Every dump was cut off, so the union is still a cut view.
+            let cut = detailed.iter().all(|(_, s)| s.is_truncated());
+            last = Some((detailed, rows.clone()));
+            if cut {
+                rows.mark_truncated()
+            } else {
+                rows
+            }
+        };
+        // One healthy contributor heals the window: stamps survive fusion
+        // only when unanimous.
+        let degraded = contributors.iter().all(|(_, s)| s.is_degraded());
+        fused.push(if degraded { snap.mark_degraded() } else { snap });
+    }
+    Ok(fused)
 }
 
-/// Fuses one window's contributors, given in roster order. One healthy
-/// contributor heals the window: stamps survive fusion only when
-/// unanimous.
-fn fuse_window(
+/// A keyframe: the window's detailed rows fused in full. Each
+/// contributor's rows are copied into a run of its own first: a listing
+/// reads its rows from all over its row store, and the copy's loads
+/// overlap one another, where the merge's would each wait for the compare
+/// before them.
+fn fuse_keyframe(time: Timestamp, detailed: &[Contributor]) -> Result<MempoolSnapshot, AuditError> {
+    let runs: Vec<Vec<SnapshotEntry>> =
+        detailed.iter().map(|(_, s)| s.rows().copied().collect()).collect();
+    let rows = merge_rows(runs.iter().map(Vec::as_slice).collect())
+        .ok_or(AuditError::UnsortedSnapshotRows { time })?;
+    Ok(MempoolSnapshot::from_rows_as_given(time, &rows))
+}
+
+/// The window's fused rows merged from `fused`, the last detailed
+/// window's, or `None` when a contributor has no lineage there: the two
+/// windows' detailed contributors differ, some observer contributes twice,
+/// or some contributor was not merged from its snapshot in `before`.
+///
+/// The contributors' deltas are k-way merged by txid. Each txid they name
+/// is re-fused over every contributor in roster order with
+/// [`merge_rows`]'s rules: a contributor that changed it supplies its
+/// delta row (or none), and one that did not supplies its current rows by
+/// a galloping lookup. Every contributor of `before` was fused whole
+/// (a keyframe, which checks its order) or merged from one that was, and
+/// every merge keeps txid order, so no order check is needed here.
+fn fuse_by_delta(
     time: Timestamp,
-    contributors: &[&MempoolSnapshot],
-) -> Result<MempoolSnapshot, AuditError> {
-    let detailed: Vec<&MempoolSnapshot> =
-        contributors.iter().copied().filter(|s| s.is_detailed()).collect();
-    let snap = if detailed.is_empty() {
-        // Light window: the biggest backlog anyone saw is the
-        // least-censored aggregate available.
-        let count = contributors.iter().map(|s| s.len()).max().unwrap_or(0);
-        let vsize = contributors.iter().map(|s| s.total_vsize()).max().unwrap_or(0);
-        MempoolSnapshot::light(time, count, vsize)
-    } else {
-        // Copy each contributor's rows into a run of its own first. A
-        // listing reads its rows from all over its view's row store; the
-        // copy's loads overlap one another, where the merge's would each
-        // wait for the compare before them.
-        let runs: Vec<Vec<SnapshotEntry>> =
-            detailed.iter().map(|s| s.rows().copied().collect()).collect();
-        let rows = merge_rows(runs.iter().map(Vec::as_slice).collect())
-            .ok_or(AuditError::UnsortedSnapshotRows { time })?;
-        let merged = MempoolSnapshot::from_rows_as_given(time, &rows);
-        if detailed.iter().all(|s| s.is_truncated()) {
-            // Every dump was cut off, so the union is still a cut view.
-            merged.mark_truncated()
-        } else {
-            merged
+    before: &[Contributor],
+    detailed: &[Contributor],
+    fused: &MempoolSnapshot,
+) -> Option<MempoolSnapshot> {
+    if before.len() != detailed.len() || detailed.windows(2).any(|w| w[0].0 >= w[1].0) {
+        return None;
+    }
+    let deltas: Vec<Vec<(Txid, Option<SnapshotEntry>)>> = before
+        .iter()
+        .zip(detailed)
+        .map(|(&(was, prev), &(seat, snap))| if was == seat { snap.delta_from(prev) } else { None })
+        .collect::<Option<_>>()?;
+    let mut heads: Vec<&[(Txid, Option<SnapshotEntry>)]> =
+        deltas.iter().map(Vec::as_slice).collect();
+    let mut cursors: Vec<RowCursor> = detailed.iter().map(|(_, s)| s.cursor()).collect();
+    let mut changes: Vec<(Txid, Option<SnapshotEntry>)> = Vec::new();
+    while let Some(txid) = heads.iter().filter_map(|d| d.first()).map(|(t, _)| *t).min() {
+        let mut row: Option<SnapshotEntry> = None;
+        let mut fold = |e: &SnapshotEntry| match &mut row {
+            None => row = Some(*e),
+            Some(row) => absorb(row, e),
+        };
+        for (head, cursor) in heads.iter_mut().zip(&mut cursors) {
+            match head.split_first() {
+                Some(((t, changed), rest)) if *t == txid => {
+                    changed.iter().for_each(&mut fold);
+                    *head = rest;
+                }
+                _ => cursor.seek(&txid).for_each(&mut fold),
+            }
         }
-    };
-    Ok(if contributors.iter().all(|s| s.is_degraded()) { snap.mark_degraded() } else { snap })
+        changes.push((txid, row));
+    }
+    MempoolSnapshot::merged(fused, time, &changes)
 }
 
 /// K-way merge of txid-sorted row runs (roster order) into one strictly
@@ -309,14 +384,21 @@ fn merge_rows(mut heads: Vec<&[SnapshotEntry]>) -> Option<Vec<SnapshotEntry>> {
                 if e.txid != row.txid {
                     break;
                 }
-                row.received = row.received.min(e.received);
-                row.has_unconfirmed_parent |= e.has_unconfirmed_parent;
+                absorb(&mut row, e);
                 *run = rest;
             }
         }
         rows.push(row);
     }
     Some(rows)
+}
+
+/// Folds another row of `row`'s txid into it: fee and vsize stay the
+/// first holder's, `received` takes the minimum and
+/// `has_unconfirmed_parent` the OR.
+fn absorb(row: &mut SnapshotEntry, other: &SnapshotEntry) {
+    row.received = row.received.min(other.received);
+    row.has_unconfirmed_parent |= other.has_unconfirmed_parent;
 }
 
 /// Computes the cross-observer first-seen agreement statistics from the

@@ -1,24 +1,34 @@
 //! Fleet fusion against its reference, at every fork-join width.
 //!
-//! `reconcile_with_pool` fuses each window with a k-way merge over the
-//! contributors' txid-sorted rows and reads `txs_observed` off its
-//! first-seen maps. The reference below is the straightforward version:
-//! a hash union of every window's rows re-sorted by txid, a full
-//! row-hashing coverage assessment per stream, and per-observer
-//! first-seen maps merged in roster order. The property asserts the two
-//! agree field for field at widths 1–8 (DESIGN.md §8), over fleets with
-//! light, truncated and degraded windows, repeated window times within
-//! one observer, and duplicate txids with differing fees inside one
-//! snapshot. A fleet's first observer may instead be a stream recorded
-//! from a real `Mempool`, whose consecutive snapshots share their
-//! unchanged rows in the view's row store.
+//! `reconcile_with_pool` fuses the windows in one serial fold: a window
+//! whose contributors were each merged from their snapshots in the last
+//! detailed window re-fuses only the txids their deltas name, and every
+//! other window is a keyframe, a k-way merge over the contributors'
+//! txid-sorted rows. It reads `txs_observed` off its first-seen maps. The
+//! reference below is the straightforward version: a hash union of every
+//! window's rows re-sorted by txid, a full row-hashing coverage assessment
+//! per stream, and per-observer first-seen maps merged in roster order.
+//! The properties assert the two agree field for field at widths 1–8
+//! (DESIGN.md §8), over two kinds of fleet:
+//!
+//! * fleets with light, truncated and degraded windows, repeated window
+//!   times within one observer, and duplicate txids with differing fees
+//!   inside one snapshot, whose first observer may instead be a stream
+//!   recorded from a real `Mempool`;
+//! * fleets of 2–5 views recorded from `Mempool`s fed one shared history,
+//!   each view taking some admissions and removals late or never, so
+//!   their windows have lineage and take the delta path, mixed with
+//!   unchanged pools, store restarts, dropped change lists, truncation
+//!   cuts, missed windows and repeated times, which make keyframes.
 //!
 //! The library folds each stored row once where the reference folds every
 //! listing: `first_seen_times` and `SnapshotCoverage::assess` visit a row
 //! that many snapshots list only at its first listing. A second property
 //! compares both with the per-listing folds over a recorded stream, a
 //! sub-slice of it, and two recorded streams concatenated with truncation
-//! cuts and standalone `from_entries` snapshots mixed in.
+//! cuts and standalone `from_entries` snapshots mixed in; the shared-history
+//! property does the same over its fused stream, whose windows share one
+//! row store where they were merged from one another.
 
 use cn_chain::{Address, Amount, FastMap, FastSet, Timestamp, Transaction, Txid};
 use cn_core::delay::first_seen_times;
@@ -320,6 +330,235 @@ fn fleet_strategy() -> impl Strategy<Value = Vec<ObserverView>> {
     )
 }
 
+/// One step of a fleet's shared history: its kind, a pick, and each of up
+/// to five views' take on it.
+type SharedStep = (u8, u32, [u8; 5]);
+
+/// A fleet of 2–5 views recorded from `Mempool`s fed one shared history:
+/// a backlog of 100–400 roots, then up to 80 steps that admit a root or a
+/// child of an earlier transaction, remove an earlier transaction with its
+/// descendants, flood some views with more admissions and removals than
+/// they hold (which drops their change lists), or snapshot every view at
+/// the next window time.
+fn shared_fleet_strategy() -> impl Strategy<Value = Vec<ObserverView>> {
+    let take = 0u8..32;
+    let takes = (take.clone(), take.clone(), take.clone(), take.clone(), take)
+        .prop_map(|(a, b, c, d, e)| [a, b, c, d, e]);
+    let step = (0u8..10, any::<u32>(), takes);
+    (2usize..=5, 100u32..400, proptest::collection::vec(step, 0..80))
+        .prop_map(|(views, backlog, steps)| record_fleet(views, backlog, &steps))
+}
+
+/// A pending change to one view's pool.
+#[derive(Clone)]
+enum Change {
+    Admit(Transaction, Amount),
+    Remove(Txid),
+}
+
+fn apply(pool: &mut Mempool, change: Change, now: Timestamp) {
+    match change {
+        Change::Admit(tx, fee) => {
+            let _ = pool.add(tx, fee, now);
+        }
+        Change::Remove(txid) => {
+            pool.remove_with_descendants(&txid);
+        }
+    }
+}
+
+/// Plays `steps` into `views` pools. A view takes an admission or a
+/// removal now (26 in 32), one step late (so its first-seen times differ
+/// from the others'), or never. At a snapshot step it takes a detailed
+/// snapshot (28 in 32), a light one, one cut to half its rows, none (a
+/// missed window), or two at the same time. A flood reaches a view on 8
+/// in 32.
+fn record_fleet(views: usize, backlog: u32, steps: &[SharedStep]) -> Vec<ObserverView> {
+    let coin = |tag: u8, n: u32| {
+        let mut prevout = [tag; 32];
+        prevout[..4].copy_from_slice(&n.to_le_bytes());
+        Txid::from(prevout)
+    };
+    let spend = |prevout: Txid, vout: u32, value: u64| {
+        Transaction::builder()
+            .add_input_with_sizes(prevout, vout, 107, 0)
+            .pay_to(Address::from_label("r"), Amount::from_sat(value))
+            .pay_to(Address::from_label("s"), Amount::from_sat(value))
+            .build()
+    };
+    let mut pools: Vec<Mempool> =
+        (0..views).map(|_| Mempool::new(MempoolPolicy::accept_all())).collect();
+    let mut streams: Vec<Vec<MempoolSnapshot>> = vec![Vec::new(); views];
+    let mut late: Vec<Vec<Change>> = vec![Vec::new(); views];
+    let mut made: Vec<Txid> = Vec::new();
+    // Flood transactions leave as soon as they arrive, so every flood
+    // reuses them.
+    let mut flood: Vec<Transaction> = Vec::new();
+    for n in 0..backlog {
+        let tx = spend(coin(0xB0, n), 0, 40_000 + u64::from(n));
+        let fee = Amount::from_sat(tx.vsize() * u64::from(1 + n % 7));
+        made.push(tx.txid());
+        pools.iter_mut().for_each(|p| apply(p, Change::Admit(tx.clone(), fee), 0));
+    }
+    let mut roots = backlog;
+    let mut windows = 0u64;
+    for (step, &(kind, pick, takes)) in steps.iter().enumerate() {
+        let now = step as u64 + 1;
+        for (pool, changes) in pools.iter_mut().zip(&mut late) {
+            changes.drain(..).for_each(|change| apply(pool, change, now));
+        }
+        let change = match kind {
+            0..=2 => {
+                let tx = spend(coin(0xB0, roots), 0, 40_000 + u64::from(roots));
+                roots += 1;
+                let fee = Amount::from_sat(tx.vsize() * u64::from(1 + pick % 9));
+                Some(Change::Admit(tx, fee))
+            }
+            3 | 4 => {
+                let parent = made[pick as usize % made.len()];
+                let tx = spend(parent, pick >> 31, 1_000 + u64::from(pick % 997));
+                Some(Change::Admit(tx, Amount::from_sat(3_000)))
+            }
+            5 | 6 => Some(Change::Remove(made[pick as usize % made.len()])),
+            7 => {
+                for (pool, _) in pools.iter_mut().zip(takes).filter(|(_, take)| *take < 8) {
+                    for i in 0..pool.len() / 2 + 1 {
+                        if flood.len() <= i {
+                            flood.push(spend(coin(0xF1, i as u32), 0, 1_000));
+                        }
+                        let tx = flood[i].clone();
+                        let txid = tx.txid();
+                        apply(pool, Change::Admit(tx, Amount::from_sat(5_000)), now);
+                        apply(pool, Change::Remove(txid), now);
+                    }
+                }
+                None
+            }
+            _ => {
+                windows += 1;
+                let time = windows * 600;
+                for ((pool, stream), take) in pools.iter_mut().zip(&mut streams).zip(takes) {
+                    match take {
+                        0..=27 => stream.push(pool.snapshot(time)),
+                        28 => stream.push(pool.snapshot_light(time)),
+                        29 => stream.push(pool.snapshot(time).truncate_detail(0.5)),
+                        30 => {}
+                        _ => stream.extend([pool.snapshot(time), pool.snapshot(time)]),
+                    }
+                }
+                None
+            }
+        };
+        let Some(change) = change else { continue };
+        if let Change::Admit(tx, _) = &change {
+            made.push(tx.txid());
+        }
+        for ((pool, pending), take) in pools.iter_mut().zip(&mut late).zip(takes) {
+            match take {
+                0..=25 => apply(pool, change.clone(), now),
+                26..=29 => pending.push(change.clone()),
+                _ => {}
+            }
+        }
+    }
+    streams
+        .into_iter()
+        .enumerate()
+        .map(|(i, snapshots)| ObserverView {
+            label: format!("view-{i}"),
+            snapshots,
+            expectation: StreamExpectation { windows, detailed: windows, min_coverage: 0.0 },
+        })
+        .collect()
+}
+
+/// The first window fusion can merge from the last detailed one, by a
+/// rule of its own: the two windows' detailed contributors are the same
+/// live views, once each in roster order, each merged from its snapshot
+/// there. Returns that last window's place in the fused stream, the
+/// window's, and the txids the contributors' deltas name.
+fn first_window_with_lineage(views: &[ObserverView]) -> Option<(usize, usize, FastSet<Txid>)> {
+    let live: Vec<&ObserverView> = views.iter().filter(|v| !v.snapshots.is_empty()).collect();
+    if live.len() < 2 {
+        return None;
+    }
+    let mut by_time: BTreeMap<Timestamp, Vec<(usize, &MempoolSnapshot)>> = BTreeMap::new();
+    for (seat, view) in live.iter().enumerate() {
+        for snap in &view.snapshots {
+            by_time.entry(snap.time).or_default().push((seat, snap));
+        }
+    }
+    let mut last: Option<(usize, Vec<(usize, &MempoolSnapshot)>)> = None;
+    for (at, contributors) in by_time.into_values().enumerate() {
+        let detailed: Vec<(usize, &MempoolSnapshot)> =
+            contributors.into_iter().filter(|(_, s)| s.is_detailed()).collect();
+        if detailed.is_empty() {
+            continue;
+        }
+        if let Some((before, was)) = &last {
+            let seats = |c: &[(usize, &MempoolSnapshot)]| {
+                c.iter().map(|(seat, _)| *seat).collect::<Vec<_>>()
+            };
+            let once = detailed.windows(2).all(|w| w[0].0 < w[1].0);
+            if once && seats(was) == seats(&detailed) {
+                let deltas: Option<Vec<_>> =
+                    was.iter().zip(&detailed).map(|((_, p), (_, s))| s.delta_from(p)).collect();
+                if let Some(deltas) = deltas {
+                    let named = deltas.iter().flatten().map(|(txid, _)| *txid).collect();
+                    return Some((*before, at, named));
+                }
+            }
+        }
+        last = Some((at, detailed));
+    }
+    None
+}
+
+/// Fusion at widths 1–8 against the reference; returns the fleet, if it
+/// reconciles.
+fn assert_fusion_matches_reference(views: &[ObserverView]) -> Option<FleetView> {
+    let want = reference_reconcile(views);
+    let mut fleet = None;
+    for workers in 1..=8 {
+        match (reconcile_with_pool(views, Pool::with_workers(workers)), &want) {
+            (Ok(got), Ok(want)) => {
+                assert_matches_reference(&got, want, workers);
+                fleet = Some(got);
+            }
+            (Err(got), Err(want)) => assert_eq!(&got, want),
+            (got, want) => panic!(
+                "workers={workers}: library ok={}, reference ok={}",
+                got.is_ok(),
+                want.is_ok()
+            ),
+        }
+    }
+    fleet
+}
+
+/// Fusion of a shared-history fleet against the reference, the folds over
+/// its fused stream against theirs, and, where its windows have lineage,
+/// the fused stream's shared store.
+fn check_shared_history(views: &[ObserverView]) {
+    let Some(fleet) = assert_fusion_matches_reference(views) else { return };
+    let fused = &fleet.fused;
+    assert_folds_match(fused, "a fused stream");
+    let Some((before, at, named)) = first_window_with_lineage(views) else { return };
+    // The window before is a keyframe, whose R rows take under R + 256
+    // slots of a store of their own, and a merge writing at most 256 rows
+    // takes 256 more. Within four slots per listed row, the merge keeps the
+    // keyframe's store, and it re-fuses only the txids the deltas name.
+    let (before, after) = (&fused[before], &fused[at]);
+    if named.len() <= 256 && named.len() < after.len() && before.len() + 512 <= 4 * after.len() {
+        let delta = after.delta_from(before).expect("merged from the window before");
+        assert!(delta.iter().all(|(txid, _)| named.contains(txid)));
+        let listed: usize = fused.iter().map(|s| s.rows().count()).sum();
+        let mut visited = 0;
+        MempoolSnapshot::visit_stored_rows(fused, |_| visited += 1);
+        assert!(visited < listed, "visited {visited} of {listed} listed rows");
+    }
+}
+
 /// First-seen times folded over every listing, in stream order.
 fn reference_first_seen_times(
     snapshots: &[MempoolSnapshot],
@@ -355,18 +594,12 @@ proptest! {
 
     #[test]
     fn fusion_matches_the_reference_at_every_width(views in fleet_strategy()) {
-        let want = reference_reconcile(&views);
-        for workers in 1..=8 {
-            match (reconcile_with_pool(&views, Pool::with_workers(workers)), &want) {
-                (Ok(got), Ok(want)) => assert_matches_reference(&got, want, workers),
-                (Err(got), Err(want)) => prop_assert_eq!(&got, want),
-                (got, want) => panic!(
-                    "workers={workers}: library ok={}, reference ok={}",
-                    got.is_ok(),
-                    want.is_ok()
-                ),
-            }
-        }
+        assert_fusion_matches_reference(&views);
+    }
+
+    #[test]
+    fn fusion_of_a_shared_history_matches_the_reference(views in shared_fleet_strategy()) {
+        check_shared_history(&views);
     }
 
     #[test]

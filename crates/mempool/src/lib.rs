@@ -31,4 +31,4 @@ pub use estimator::FeeEstimator;
 pub use mempool::{AcceptError, AncKey, Mempool, TxHandle};
 pub use policy::MempoolPolicy;
 pub use rbf::{RbfError, Replacement};
-pub use snapshot::{MempoolSnapshot, SnapshotEntry};
+pub use snapshot::{MempoolSnapshot, RowCursor, SnapshotEntry};

@@ -20,7 +20,7 @@
 
 use crate::entry::{AdmissionPrecheck, MempoolEntry};
 use crate::policy::MempoolPolicy;
-use crate::snapshot::{Listing, MempoolSnapshot, SnapshotEntry};
+use crate::snapshot::{MempoolSnapshot, SnapshotEntry};
 use cn_chain::{Amount, Block, FastMap, FeeRate, OutPoint, Timestamp, Transaction, Txid};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeSet, BinaryHeap};
@@ -176,9 +176,9 @@ pub struct Mempool {
     /// order. Built by the first [`Mempool::limit_size`] that finds the
     /// pool over its cap, kept sorted by every mutation after.
     by_desc_rate: Option<BTreeSet<(FeeRate, Txid)>>,
-    /// The last detailed snapshot's listing, shared with it: the view's
-    /// row store and the txid-sorted references into it.
-    snapshot_cache: Option<Listing>,
+    /// The last detailed snapshot, sharing its rows: the next one is
+    /// merged from it.
+    snapshot_cache: Option<MempoolSnapshot>,
     /// Txids admitted, removed or re-flagged since that snapshot, unsorted
     /// and possibly repeated: the rows the next snapshot merges in. Kept
     /// only while `snapshot_cache` is set; see [`Mempool::row_changed`].
@@ -894,67 +894,43 @@ impl Mempool {
     /// Records the pool's full state at `now` — one paper-style dataset
     /// row with per-transaction entries, txid-sorted and CPFP-flagged.
     ///
-    /// The snapshot lists its rows from the view's row store, which holds
-    /// each row once: the first call writes the slab's rows into a new
-    /// store in txid order. A later call writes only the rows admitted or
-    /// re-flagged since the previous snapshot, as one txid-sorted batch,
-    /// and merges the changes into that snapshot's references; consecutive
-    /// snapshots of an unchanged pool share one listing. Once the store
-    /// holds more than four slots per listed row (a batch fills whole
-    /// 256-row chunks), the view restarts it with the snapshot's rows in
-    /// txid order, so a view whose snapshots are dropped keeps a store
-    /// bounded by its pool, however long it runs. The snapshots already
-    /// taken keep the chunks they list; nothing written is ever changed
-    /// under them.
+    /// The first call writes the slab's rows into a new row store in txid
+    /// order. A later call merges the rows admitted, removed or re-flagged
+    /// since the previous snapshot into that snapshot's rows, in its store
+    /// ([`MempoolSnapshot::merged`], which also restarts a store that has
+    /// outgrown the pool), so the view's snapshots share every unchanged
+    /// row and each names its delta from the one before
+    /// ([`MempoolSnapshot::delta_from`]). Consecutive snapshots of an
+    /// unchanged pool share one listing. The snapshots already taken keep
+    /// the chunks they list; nothing written is ever changed under them.
     pub fn snapshot(&mut self, now: Timestamp) -> MempoolSnapshot {
-        let listing = match self.snapshot_cache.take() {
+        let mut snap = match self.snapshot_cache.take() {
             Some(last) if self.changed_rows.is_empty() => last,
-            Some(last) => self.merge_changed_rows(&last),
+            Some(last) => self.merge_changed_rows(&last, now),
             None => {
                 let mut rows: Vec<SnapshotEntry> = self.iter().map(Self::row).collect();
                 rows.sort_unstable_by_key(|r| r.txid);
-                Listing::fresh(&rows)
+                MempoolSnapshot::from_rows_as_given(now, &rows)
             }
         };
-        self.snapshot_cache = Some(listing.clone());
-        MempoolSnapshot::detailed(now, listing, self.total_vsize)
+        snap.time = now;
+        self.snapshot_cache = Some(snap.clone());
+        snap
     }
 
-    /// `last`'s listing with each changed txid's row replaced by its
-    /// current one, or dropped if it left the pool; empties the change
-    /// list. The current rows are appended to `last`'s store in txid
-    /// order, unless the store has outgrown its bound, in which case it
-    /// restarts.
-    fn merge_changed_rows(&mut self, last: &Listing) -> Listing {
+    /// `last` with each changed txid's row replaced by its current one, or
+    /// dropped if it left the pool; empties the change list.
+    fn merge_changed_rows(&mut self, last: &MempoolSnapshot, now: Timestamp) -> MempoolSnapshot {
         let mut changed = std::mem::take(&mut self.changed_rows);
         changed.sort_unstable();
         changed.dedup();
-        let next_ref = last.next_ref();
-        let mut batch: Vec<SnapshotEntry> = Vec::new();
-        let mut refs: Vec<u32> = Vec::with_capacity(self.len());
-        let mut rest = last.refs();
-        for txid in &changed {
-            // Copy the unchanged run before `txid`, then skip its old row.
-            let run = gallop(rest, |r| last.row(r).txid < *txid);
-            refs.extend_from_slice(&rest[..run]);
-            rest = &rest[run..];
-            if rest.first().is_some_and(|&r| last.row(r).txid == *txid) {
-                rest = &rest[1..];
-            }
-            if let Some(h) = self.handle(txid) {
-                refs.push(next_ref + batch.len() as u32);
-                batch.push(Self::row(self.slot(h)));
-            }
-        }
-        refs.extend_from_slice(rest);
+        let row_of = |txid: &Txid| self.handle(txid).map(|h| Self::row(self.slot(h)));
+        let snap = MempoolSnapshot::merged_by(last, now, &changed, |txid| *txid, row_of)
+            .expect("sorted, distinct changes");
+        debug_assert_eq!(snap.total_vsize(), self.total_vsize);
         changed.clear();
         self.changed_rows = changed;
-        let listing = last.append(&batch, refs);
-        if listing.slots() > STORE_SLOTS_PER_ROW * self.len() {
-            let rows: Vec<SnapshotEntry> = listing.iter().copied().collect();
-            return Listing::fresh(&rows);
-        }
-        listing
+        snap
     }
 
     /// Records only the pool's aggregate state at `now` (count and total
@@ -963,26 +939,6 @@ impl Mempool {
     pub fn snapshot_light(&self, now: Timestamp) -> MempoolSnapshot {
         MempoolSnapshot::light(now, self.len(), self.total_vsize)
     }
-}
-
-/// A view restarts its row store once the store holds more than this many
-/// slots per row its latest snapshot lists. Like the change list's bound
-/// in [`Mempool::row_changed`], it caps what a view keeps for its next
-/// snapshot at a constant multiple of the pool, however long it runs.
-const STORE_SLOTS_PER_ROW: usize = 4;
-
-/// The number of leading `refs` whose row is `below` the target, found by
-/// galloping from the front: probes at 1, 2, 4, … references bracket the
-/// answer, and a binary search settles it inside the bracket. A merge
-/// whose sorted changes land a short run apart pays O(log run) per
-/// change, not a search of everything left.
-fn gallop(refs: &[u32], below: impl Fn(u32) -> bool) -> usize {
-    let mut bound = 1;
-    while bound <= refs.len() && below(refs[bound - 1]) {
-        bound *= 2;
-    }
-    let start = bound / 2;
-    start + refs[start..bound.min(refs.len())].partition_point(|&r| below(r))
 }
 
 /// [`Mempool::apply_block`]'s per-slot marks: a confirmed member, and a
@@ -1010,7 +966,7 @@ enum Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::CHUNK_ROWS;
+    use crate::snapshot::{CHUNK_ROWS, STORE_SLOTS_PER_ROW};
     use cn_chain::{Address, TxOut};
     use std::collections::HashSet;
 
@@ -1568,7 +1524,9 @@ mod tests {
         p.add(loner.clone(), Amount::from_sat(2_000), 1).expect("ok");
         let first = p.snapshot(10);
         assert_eq!(rows_of(&first), rows_from_scratch(&p));
-        assert!(first.shares_rows_with(&p.snapshot(11)), "unchanged pool shares rows");
+        let unchanged = p.snapshot(11);
+        assert!(first.shares_rows_with(&unchanged), "unchanged pool shares rows");
+        assert_eq!(unchanged.delta_from(&first), Some(Vec::new()), "and has an empty delta");
         // The parent arrives (the child's flag turns on), the loner leaves.
         p.add(parent.clone(), Amount::from_sat(300), 2).expect("ok");
         p.remove_with_descendants(&loner.txid());
@@ -1588,7 +1546,7 @@ mod tests {
     fn snapshot_after_more_changes_than_residents_sorts_the_slab() {
         let mut p = pool();
         p.add(tx_with(1, 0, 1_000), Amount::from_sat(2_000), 0).expect("ok");
-        p.snapshot(1);
+        let first = p.snapshot(1);
         for seed in 2..6 {
             let tx = tx_with(seed, 0, 1_000);
             let txid = p.add(tx, Amount::from_sat(2_000), 2).expect("ok");
@@ -1596,7 +1554,9 @@ mod tests {
         }
         assert!(p.snapshot_cache.is_none(), "the change list outgrew the pool");
         assert!(p.changed_rows.is_empty());
-        assert_eq!(rows_of(&p.snapshot(3)), rows_from_scratch(&p));
+        let sorted = p.snapshot(3);
+        assert_eq!(rows_of(&sorted), rows_from_scratch(&p));
+        assert_eq!(sorted.delta_from(&first), None, "a sorted slab has no delta");
     }
 
     #[test]
@@ -1615,7 +1575,7 @@ mod tests {
         };
         let mut residents: Vec<Txid> =
             (0..300).map(|i| p.add(spend(i), fee, 0).expect("ok")).collect();
-        let slots = |p: &Mempool| p.snapshot_cache.as_ref().map_or(0, Listing::slots);
+        let slots = |p: &Mempool| p.snapshot_cache.as_ref().map_or(0, MempoolSnapshot::store_slots);
         let mut kept = vec![(p.snapshot(0), rows_from_scratch(&p))];
         let fresh = slots(&p);
         let mut restarts = 0;
@@ -1626,12 +1586,15 @@ mod tests {
             let snap = p.snapshot(u64::from(tick));
             assert_eq!(rows_of(&snap), rows_from_scratch(&p));
             assert!(slots(&p) <= STORE_SLOTS_PER_ROW * p.len(), "the store stays bounded");
+            let last = &kept.last().expect("kept").0;
             if slots(&p) < before {
                 restarts += 1;
                 assert_eq!(slots(&p), fresh, "a restarted store holds the rows in fresh chunks");
+                assert_eq!(snap.delta_from(last), None, "a restarted store has no delta");
             } else {
                 assert_eq!(slots(&p), before + CHUNK_ROWS, "a batch takes one chunk");
-                let last = &kept.last().expect("kept").0;
+                let delta = snap.delta_from(last).expect("merged from the last snapshot");
+                assert_eq!(delta.len(), 2, "one resident left, one arrived");
                 let stored: HashSet<*const SnapshotEntry> = last.rows().map(|r| r as _).collect();
                 let shared = snap.rows().filter(|&r| stored.contains(&(r as *const _))).count();
                 assert_eq!(shared, 299, "unchanged rows are the same stored rows");

@@ -20,17 +20,22 @@
 //! before the history starts and `late` at its first `limit_size` over the
 //! cap; every step must return the same result in both pools.
 //!
-//! A view's snapshots share the rows its row store holds, so two more
+//! A view's snapshots share the rows its row store holds, so three more
 //! checks guard that sharing. Every snapshot taken is kept, and at the end
 //! of the history each must still equal its reference: nothing the view
-//! wrote since changed a row under it. And midway through the history both
+//! wrote since changed a row under it. Midway through the history both
 //! pools are cloned; the clones share their originals' stores, take the
 //! rest of the history step for step, and each read of a clone must equal
-//! the same read of its original.
+//! the same read of its original. And each snapshot's delta from the same
+//! pool's previous one, applied to that one, must give it back over the
+//! previous one's stored rows, and must name exactly the rows the snapshot
+//! wrote; a snapshot without a delta (a restarted store, a sorted slab)
+//! wrote all of its rows.
 
 use cn_chain::{Address, Amount, Block, BlockHash, CoinbaseBuilder, Transaction, Txid};
 use cn_mempool::{AncKey, Mempool, MempoolPolicy, MempoolSnapshot, SnapshotEntry};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 /// A two-output transaction spending `inputs`; `value` keeps otherwise
 /// identical spends of one outpoint distinct.
@@ -153,6 +158,41 @@ fn check_reads(pool: &mut Mempool, now: u64) -> (MempoolSnapshot, MempoolSnapsho
     (snap, expected)
 }
 
+/// Checks `snap`'s delta from `prev`, the same pool's previous snapshot.
+fn check_delta(prev: &MempoolSnapshot, snap: &MempoolSnapshot) {
+    let delta = snap.delta_from(prev);
+    let mut visited = 0;
+    MempoolSnapshot::visit_stored_rows(&[prev.clone(), snap.clone()], |_| visited += 1);
+    let written = match &delta {
+        Some(delta) => delta.iter().filter(|(_, row)| row.is_some()).count(),
+        None => snap.len(),
+    };
+    assert_eq!(visited, prev.len() + written, "the delta names the rows written");
+    let Some(delta) = delta else { return };
+    let named: HashSet<Txid> = delta.iter().map(|(txid, _)| *txid).collect();
+    let applied = MempoolSnapshot::merged(prev, snap.time, &delta).expect("a delta is sorted");
+    assert_eq!(&applied, snap);
+    let stored: HashMap<Txid, *const SnapshotEntry> =
+        prev.rows().map(|r| (r.txid, r as *const _)).collect();
+    for row in applied.rows().filter(|r| !named.contains(&r.txid)) {
+        assert_eq!(stored.get(&row.txid), Some(&(row as *const _)), "an unchanged row is prev's");
+    }
+}
+
+/// [`check_reads`], then [`check_delta`] against `last`, the pool's
+/// previous snapshot, which the new one replaces.
+fn read(
+    pool: &mut Mempool,
+    last: &mut Option<MempoolSnapshot>,
+    now: u64,
+) -> (MempoolSnapshot, MempoolSnapshot) {
+    let (snap, expected) = check_reads(pool, now);
+    if let Some(prev) = last.replace(snap.clone()) {
+        check_delta(&prev, &snap);
+    }
+    (snap, expected)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -189,6 +229,8 @@ proptest! {
             let _ = on_all(&mut pools, |p| p.add(root.clone(), fee, 0));
         }
         let mut kept: Vec<(MempoolSnapshot, MempoolSnapshot)> = Vec::new();
+        // Each pool's last snapshot; a clone's is its original's.
+        let mut last: Vec<Option<MempoolSnapshot>> = vec![None, None];
         let mut made: Vec<Transaction> = Vec::new();
         let mut withheld: Vec<Transaction> = Vec::new();
         let mut height = 0u64;
@@ -196,6 +238,7 @@ proptest! {
             if step == ops.len() / 2 {
                 let twins = pools.clone();
                 pools.extend(twins);
+                last.extend(last.clone());
             }
             let now = step as u64;
             let admit = match kind {
@@ -276,10 +319,10 @@ proptest! {
                 // Read one pool, so the two keep different snapshot states,
                 // and its clone, if taken, which must read the same.
                 11 => {
-                    let read = (pick & 1) as usize;
-                    let (snap, expected) = check_reads(&mut pools[read], now);
-                    if let Some(twin) = pools.get_mut(read + 2) {
-                        let (twin_snap, _) = check_reads(twin, now);
+                    let at = (pick & 1) as usize;
+                    let (snap, expected) = read(&mut pools[at], &mut last[at], now);
+                    if let Some(twin) = pools.get_mut(at + 2) {
+                        let (twin_snap, _) = read(twin, &mut last[at + 2], now);
                         prop_assert_eq!(&twin_snap, &snap);
                         kept.push((twin_snap, expected.clone()));
                     }
@@ -297,13 +340,13 @@ proptest! {
         }
 
         let end = ops.len() as u64;
-        for pool in &mut pools {
-            kept.push(check_reads(pool, end));
+        for (pool, last) in pools.iter_mut().zip(&mut last) {
+            kept.push(read(pool, last, end));
         }
         let cap = pools[0].total_vsize() / 2;
         on_all(&mut pools, |p| p.limit_size(cap));
-        for pool in &mut pools {
-            kept.push(check_reads(pool, end + 1));
+        for (pool, last) in pools.iter_mut().zip(&mut last) {
+            kept.push(read(pool, last, end + 1));
         }
         for (snap, expected) in &kept {
             prop_assert_eq!(snap, expected);

@@ -11,8 +11,9 @@
 //! per-item values (the "deterministic join" contract, see DESIGN.md §8).
 //!
 //! Only coarse fan-outs use it — whole experiments, whole simulations,
-//! per-window fleet fusion — because per-block and per-batch fan-outs
-//! cost more in thread spawns than they overlap.
+//! per-observer first-seen maps — because per-block and per-batch
+//! fan-outs cost more in thread spawns than they overlap. Fleet fusion is
+//! a serial fold: each window is merged from the one before.
 //!
 //! No work-stealing runtime and no new dependencies: workers are scoped
 //! threads pulling indices off a shared atomic claim counter, which gives
