@@ -4,7 +4,6 @@
 //! experiments [--quick] [--verify] all
 //! experiments [--quick] table2 fig7 ...
 //! experiments --scale large megasim
-//! experiments [--quick] --stream
 //! experiments --list
 //! ```
 //!
@@ -13,13 +12,6 @@
 //! `large` tier exists for the `megasim` scale experiment (thousands of
 //! blocks through the event-log path); the standard datasets treat it
 //! like full scale.
-//!
-//! `--stream` runs the long-lived service loop instead of the experiment
-//! suite: it replays dataset 𝒜's interleaved block/snapshot event stream
-//! through the incremental `StreamingAuditor` the way a live auditing
-//! daemon would, printing rolling verdicts as blocks arrive and the exact
-//! on-demand verdict at the end, then records ingestion throughput and
-//! peak-RSS counters into the run's record.
 //!
 //! Experiments run on `cn_stats::Pool::auto()`, the one pool width in the
 //! process: `CN_WORKERS` when set, else one worker per core (the pool
@@ -33,9 +25,10 @@
 //! Every run writes its record (`cn_bench::record`): per-dataset
 //! simulation profiles, per-experiment times, and total wall time. Only a
 //! full-suite (`all`) run writes the canonical `BENCH_pipeline.json` — the
-//! perf trajectory every future change is measured against. Named ids and
-//! `--stream` write `BENCH_pipeline.partial.json` instead, so a partial run
-//! can never overwrite the trajectory.
+//! perf trajectory every future change is measured against. Named ids
+//! write `BENCH_pipeline.partial.json` instead, so a partial run can never
+//! overwrite the trajectory. A run of one id alone, such as `streaming` or
+//! `megasim`, also records that experiment's peak RSS.
 //!
 //! Output is printed and mirrored to `results/<id>.txt`. With `--verify`,
 //! each freshly generated report is first compared byte-for-byte against
@@ -43,11 +36,8 @@
 //! after all experiments finish, making golden drift visible in CI before
 //! the files are refreshed.
 
-use cn_bench::exp_streaming::peak_rss_kb;
 use cn_bench::record::{run_record, Run};
-use cn_bench::{run_experiment, Lab, StreamingBench, ALL_IDS};
-use cn_core::streaming::{interleave, StreamEvent, StreamingAuditor, StreamingConfig};
-use cn_core::StreamExpectation;
+use cn_bench::{run_experiment, Lab, ALL_IDS};
 use cn_data::Scale;
 use cn_stats::Pool;
 use std::io::Write as _;
@@ -67,7 +57,7 @@ fn checked_in_baseline_secs() -> Option<f64> {
 /// The canonical performance record, written only by a full-suite run.
 const BENCH_RECORD: &str = "BENCH_pipeline.json";
 
-/// Where runs of named ids and `--stream` write their record.
+/// Where runs of named ids write their record.
 const BENCH_PARTIAL_RECORD: &str = "BENCH_pipeline.partial.json";
 
 /// One experiment's outcome, produced by a pool worker.
@@ -89,14 +79,12 @@ fn main() {
     // than filtering on the `--` prefix.
     let mut scale = Scale::Full;
     let mut verify = false;
-    let mut stream = false;
     let mut ids: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => scale = Scale::Quick,
             "--verify" => verify = true,
-            "--stream" => stream = true,
             "--scale" => {
                 i += 1;
                 scale = match args.get(i).map(String::as_str) {
@@ -118,7 +106,7 @@ fn main() {
         i += 1;
     }
     let pool = Pool::auto();
-    let run_all = !stream && (ids.is_empty() || ids.iter().any(|a| a == "all"));
+    let run_all = ids.is_empty() || ids.iter().any(|a| a == "all");
     if run_all {
         ids = ALL_IDS.iter().map(|s| s.to_string()).collect();
     }
@@ -127,33 +115,28 @@ fn main() {
     let mut failed = false;
     let mut verify_failures: Vec<String> = Vec::new();
     let mut experiment_secs: Vec<(String, f64)> = Vec::with_capacity(ids.len());
-    if stream {
-        run_stream_service(&lab);
-    } else {
-        let _ = std::fs::create_dir_all("results");
-        // Warm all three datasets before any experiment starts when the
-        // whole suite runs (it touches all of them anyway), so dataset
-        // simulation is charged to `dataset_sim_seconds`, not to whichever
-        // experiment asks first; targeted invocations stay lazy so e.g.
-        // `experiments fig1` never pays for dataset 𝒞.
-        if run_all {
-            lab.prewarm();
-        }
-        // The pool joins in id order, so the reports print in presentation
-        // order whichever worker finished first.
-        let slots = pool.map(&ids, |id| {
-            let started = Instant::now();
-            let report = run_experiment(id, &lab);
-            Slot { report, elapsed: started.elapsed() }
-        });
-        for (id, slot) in ids.iter().zip(slots) {
-            emit_report(id, slot, verify, &mut failed, &mut verify_failures, &mut experiment_secs);
-        }
+    let _ = std::fs::create_dir_all("results");
+    // Warm all three datasets before any experiment starts when the whole
+    // suite runs (it touches all of them anyway), so dataset simulation is
+    // charged to `dataset_sim_seconds`, not to whichever experiment asks
+    // first; targeted invocations stay lazy so e.g. `experiments fig1`
+    // never pays for dataset 𝒞.
+    if run_all {
+        lab.prewarm();
+    }
+    // The pool joins in id order, so the reports print in presentation
+    // order whichever worker finished first.
+    let slots = pool.map(&ids, |id| {
+        let started = Instant::now();
+        let report = run_experiment(id, &lab);
+        Slot { report, elapsed: started.elapsed() }
+    });
+    for (id, slot) in ids.iter().zip(slots) {
+        emit_report(id, slot, verify, &mut failed, &mut verify_failures, &mut experiment_secs);
     }
 
     let run = Run {
         scale,
-        stream,
         workers: pool.workers(),
         experiment_seconds: &experiment_secs,
         total_wall_seconds: wall_started.elapsed().as_secs_f64(),
@@ -214,59 +197,4 @@ fn emit_report(
             *failed = true;
         }
     }
-}
-
-/// `--stream`: the long-lived service loop. Replays dataset 𝒜's
-/// interleaved block/snapshot event stream through a [`StreamingAuditor`]
-/// in arrival order, printing a rolling verdict every few blocks the way
-/// a live auditing daemon would, then takes the exact on-demand verdict
-/// (bit-identical to the batch audit) and records ingestion, throughput,
-/// and peak-RSS counters for the run's performance record.
-fn run_stream_service(lab: &Lab) {
-    /// Rolling-verdict cadence, in ingested blocks.
-    const REPORT_EVERY_BLOCKS: u64 = 25;
-    let (out, _) = lab.a();
-    let s = &out.scenario;
-    let exp =
-        StreamExpectation::from_run(s.duration, s.snapshot_interval, s.snapshot_detail_every);
-    let mut auditor =
-        StreamingAuditor::new(out.chain.initial_utxos(), StreamingConfig::new(exp));
-    let started = Instant::now();
-    let mut last_report = 0u64;
-    for ev in interleave(out.chain.blocks(), &out.observer_streams[0]) {
-        if let Err(e) = auditor.push_event(&ev) {
-            eprintln!("stream: unrecoverable ingest error: {e}");
-            std::process::exit(2);
-        }
-        if matches!(ev, StreamEvent::Block(_))
-            && auditor.tip_blocks() >= last_report + REPORT_EVERY_BLOCKS
-        {
-            last_report = auditor.tip_blocks();
-            print!("{}", auditor.rolling().render());
-        }
-    }
-    let replay_seconds = started.elapsed().as_secs_f64();
-    let c = auditor.counters();
-    println!("---- end of stream ----");
-    print!("{}", auditor.rolling().render());
-    match auditor.verdict() {
-        Ok(report) => println!("{}", report.render()),
-        Err(e) => println!("exact verdict refused: {e}"),
-    }
-    println!(
-        "[stream replayed {} events in {:.2}s — {:.0} events/s, peak window rows {}]",
-        c.events,
-        replay_seconds,
-        c.events as f64 / replay_seconds.max(1e-9),
-        c.peak_window_rows,
-    );
-    lab.record_streaming(StreamingBench {
-        events: c.events,
-        blocks: c.blocks,
-        snapshots: c.snapshots,
-        rows_processed: c.rows_processed,
-        peak_window_rows: c.peak_window_rows,
-        replay_seconds,
-        peak_rss_kb: peak_rss_kb(),
-    });
 }

@@ -8,8 +8,9 @@
 //! written only for a serial run of the full quick-scale suite, the
 //! configuration the anchor was measured in. The RSS fields are the
 //! process `VmHWM`, so they are written only when the process ran that
-//! one experiment (a single id, or `--stream` for the streaming block);
-//! otherwise the high-water mark belongs to whichever experiment peaked.
+//! one experiment alone (`experiments streaming` or `experiments
+//! megasim`); otherwise the high-water mark belongs to whichever
+//! experiment peaked.
 
 use crate::lab::{Lab, MegasimBench, MegasimTier, StreamingBench, DATASET_NAMES};
 use crate::ALL_IDS;
@@ -112,8 +113,6 @@ fn int_or_null(n: Option<u64>) -> Json {
 pub struct Run<'a> {
     /// The lab scale.
     pub scale: Scale,
-    /// True for the `--stream` service loop.
-    pub stream: bool,
     /// The `Pool::auto()` width of every fan-out in the process.
     pub workers: usize,
     /// Wall seconds per experiment that ran, in presentation order.
@@ -126,11 +125,7 @@ pub struct Run<'a> {
 
 /// Builds the run record from the lab's measurements and the run's facts.
 pub fn run_record(lab: &Lab, run: &Run) -> Json {
-    let mode = match (run.stream, run.workers) {
-        (true, _) => "stream",
-        (false, 1) => "serial",
-        (false, _) => "parallel",
-    };
+    let mode = if run.workers == 1 { "serial" } else { "parallel" };
     let serial_quick_suite = mode == "serial"
         && run.scale == Scale::Quick
         && run.experiment_seconds.iter().map(|(id, _)| id.as_str()).eq(ALL_IDS.iter().copied());
@@ -139,7 +134,7 @@ pub fn run_record(lab: &Lab, run: &Run) -> Json {
         Some(b) if run.total_wall_seconds > 0.0 => Json::Num(b / run.total_wall_seconds),
         _ => Json::Null,
     };
-    let own_rss = run.stream || run.experiment_seconds.len() == 1;
+    let own_rss = run.experiment_seconds.len() == 1;
     let scale = match run.scale {
         Scale::Quick => "quick",
         Scale::Full => "full",
@@ -257,7 +252,6 @@ mod tests {
     fn run(workers: usize, experiment_seconds: &[(String, f64)]) -> Run<'_> {
         Run {
             scale: Scale::Quick,
-            stream: false,
             workers,
             experiment_seconds,
             total_wall_seconds: 12.0,
@@ -376,9 +370,8 @@ mod tests {
         let sole = run_record(&lab, &run(1, &[("megasim".to_string(), 1.0)]));
         assert_eq!(at(&sole, &["megasim", "main", "rss_after_replay_kb"]), &Json::Int(150));
         assert_eq!(at(&sole, &["megasim", "rss_ratio_main_over_ref"]), &Json::Num(1.5));
-        let stream = run_record(&lab, &Run { stream: true, ..run(1, &[]) });
-        assert_eq!(at(&stream, &["mode"]), &Json::Str("stream".to_string()));
-        assert_eq!(at(&stream, &["streaming", "peak_rss_kb"]), &Json::Int(900));
+        let streaming = run_record(&lab, &run(1, &[("streaming".to_string(), 1.0)]));
+        assert_eq!(at(&streaming, &["streaming", "peak_rss_kb"]), &Json::Int(900));
 
         let two = [("streaming".to_string(), 1.0), ("megasim".to_string(), 1.0)];
         let shared = run_record(&lab, &run(1, &two));

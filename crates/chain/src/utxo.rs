@@ -118,36 +118,15 @@ impl UtxoSet {
         }
     }
 
-    /// Applies a whole block in order (coinbase outputs inserted, body
-    /// transactions applied), returning the total fees collected.
-    ///
-    /// On error the set may be partially updated; block-level validation
-    /// (`crate::validation`) is expected to run on a clone or prior to
-    /// commitment.
-    pub fn apply_block(&mut self, block: &Block) -> Result<Amount, UtxoError> {
-        Ok(self.apply_block_detailed(block)?.into_iter().sum())
-    }
-
-    /// Like [`UtxoSet::apply_block`], but returns each body transaction's
-    /// fee in block order — the per-transaction record the ordering audit
-    /// needs.
-    pub fn apply_block_detailed(&mut self, block: &Block) -> Result<Vec<Amount>, UtxoError> {
-        if let Some(cb) = block.coinbase() {
-            self.insert_outputs(cb);
-        }
-        let mut fees = Vec::with_capacity(block.body().len());
-        for tx in block.body() {
-            fees.push(self.apply_tx(tx)?);
-        }
-        Ok(fees)
-    }
-
-    /// Read-only version of [`UtxoSet::apply_block_detailed`]: validates the
-    /// whole block against `self` plus an in-block overlay and returns the
-    /// same fees (or the same first error), without touching the set. The
-    /// overlay shadows the base set — `Some(value)` for outputs created in
-    /// the block, `None` for outputs it has spent — so in-block chains and
-    /// re-creations resolve exactly as a sequential apply would.
+    /// Validates a whole block against `self` plus an in-block overlay and
+    /// returns each body transaction's fee in block order — the
+    /// per-transaction record the ordering audit needs — without touching
+    /// the set. The result (fees, or the first error) is what inserting the
+    /// coinbase outputs and then [`UtxoSet::apply_tx`] on each body
+    /// transaction in turn would give. The overlay shadows the base set —
+    /// `Some(value)` for outputs created in the block, `None` for outputs
+    /// it has spent — so in-block chains and re-creations resolve exactly
+    /// as that sequential apply would.
     pub fn check_block_detailed(&self, block: &Block) -> Result<Vec<Amount>, UtxoError> {
         let mut overlay: FastMap<OutPoint, Option<Amount>> = FastMap::default();
         if let Some(cb) = block.coinbase() {
@@ -233,6 +212,24 @@ mod tests {
             .build()
     }
 
+    /// The reference block apply: the coinbase's outputs, then
+    /// [`UtxoSet::apply_tx`] on each body transaction in order. On error
+    /// the set may be partially updated.
+    fn apply_sequential(set: &mut UtxoSet, block: &Block) -> Result<Vec<Amount>, UtxoError> {
+        if let Some(cb) = block.coinbase() {
+            set.insert_outputs(cb);
+        }
+        block.body().iter().map(|tx| set.apply_tx(tx)).collect()
+    }
+
+    /// Connects `block` through the check-then-commit path and returns its
+    /// total fees.
+    fn connect(set: &mut UtxoSet, block: &Block) -> Result<Amount, UtxoError> {
+        let fees = set.check_block_detailed(block)?;
+        set.commit_checked_block(block);
+        Ok(fees.into_iter().sum())
+    }
+
     #[test]
     fn fee_is_inputs_minus_outputs() {
         let mut set = UtxoSet::new();
@@ -304,7 +301,7 @@ mod tests {
             .reward(Address::from_label("pool"), Amount::from_btc(6))
             .build();
         let block = Block::assemble(2, BlockHash::ZERO, 0, 0, cb.clone(), vec![t1, t2]);
-        let fees = set.apply_block(&block).expect("valid block");
+        let fees = connect(&mut set, &block).expect("valid block");
         assert_eq!(fees, Amount::from_sat(6_000));
         assert!(set.contains(&OutPoint::new(cb.txid(), 0)));
     }
@@ -312,7 +309,7 @@ mod tests {
     #[test]
     fn check_then_commit_matches_apply() {
         // The read-only check plus blind commit must land the set in the
-        // same state (and report the same fees) as the mutating apply.
+        // same state (and report the same fees) as the sequential apply.
         let mut applied = UtxoSet::new();
         let fund = funding_tx(100_000);
         applied.insert_outputs(&fund);
@@ -325,7 +322,7 @@ mod tests {
             .build();
         let block = Block::assemble(2, BlockHash::ZERO, 0, 0, cb, vec![parent, child]);
 
-        let fees_apply = applied.apply_block_detailed(&block).expect("valid block");
+        let fees_apply = apply_sequential(&mut applied, &block).expect("valid block");
         let fees_check = checked.check_block_detailed(&block).expect("valid block");
         assert_eq!(fees_apply, fees_check);
         checked.commit_checked_block(&block);
@@ -345,12 +342,12 @@ mod tests {
             .build();
 
         // Sequential double spend inside the block: second tx sees a
-        // missing input, exactly like the mutating apply.
+        // missing input, exactly like the sequential apply.
         let t1 = spend(&fund, 0, 90_000);
         let t2 = spend(&fund, 0, 80_000);
         let block = Block::assemble(2, BlockHash::ZERO, 0, 0, cb.clone(), vec![t1, t2]);
         let check_err = set.check_block_detailed(&block).unwrap_err();
-        let apply_err = set.clone().apply_block_detailed(&block).unwrap_err();
+        let apply_err = apply_sequential(&mut set.clone(), &block).unwrap_err();
         assert_eq!(check_err, apply_err);
         assert!(matches!(check_err, UtxoError::MissingInput(_)));
 
@@ -386,7 +383,7 @@ mod tests {
             .reward(Address::from_label("pool"), Amount::from_btc(6))
             .build();
         let block = Block::assemble(2, BlockHash::ZERO, 0, 0, cb, vec![parent, child]);
-        let fees = set.apply_block(&block).expect("valid block");
+        let fees = connect(&mut set, &block).expect("valid block");
         assert_eq!(fees, Amount::from_sat(10_000 + 20_000));
     }
 }

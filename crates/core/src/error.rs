@@ -26,12 +26,6 @@ pub enum AuditError {
         /// The caller's minimum acceptable fraction.
         required: f64,
     },
-    /// A statistic that must be finite (a PPE mean, a p-value) was not;
-    /// carries the computation site for diagnosis.
-    NonFiniteStatistic {
-        /// Which computation produced the non-finite value.
-        context: &'static str,
-    },
     /// A block pushed into the streaming auditor does not replay against
     /// its UTXO view — it spends unknown or already-spent outputs, so the
     /// auditor's fee and self-interest accounting cannot advance.
@@ -63,9 +57,6 @@ impl fmt::Display for AuditError {
                 coverage * 100.0,
                 required * 100.0
             ),
-            AuditError::NonFiniteStatistic { context } => {
-                write!(f, "non-finite statistic in {context}")
-            }
             AuditError::UnreplayableBlock { height } => {
                 write!(f, "block at height {height} does not replay against the UTXO view")
             }
@@ -88,7 +79,6 @@ mod tests {
         let e = AuditError::InsufficientCoverage { coverage: 0.42, required: 0.5 };
         let s = e.to_string();
         assert!(s.contains("42.0%") && s.contains("50.0%"), "{s}");
-        assert!(AuditError::NonFiniteStatistic { context: "ppe" }.to_string().contains("ppe"));
         assert!(AuditError::UnsortedSnapshotRows { time: 4_200 }.to_string().contains("4200"));
     }
 

@@ -91,10 +91,7 @@ pub use coverage::{SnapshotCoverage, StreamExpectation};
 pub use error::AuditError;
 pub use darkfee::{sppe_threshold_table, SppeThresholdRow};
 pub use index::{BlockInfo, ChainIndex, TxRecord};
-pub use pairs::{
-    count_cross_block, count_cross_block_reference, count_violations, count_violations_reference,
-    BlockPairSet, PairObservation, PairStats,
-};
+pub use pairs::{count_cross_block, count_violations, BlockPairSet, PairObservation, PairStats};
 pub use ppe::{block_ppe, chain_ppe, ppe_by_miner};
 pub use prioritization::{differential_prioritization, windowed_prioritization, DifferentialTest};
 pub use reconcile::{

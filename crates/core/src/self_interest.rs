@@ -9,7 +9,7 @@
 //! address-only replay of the chain.
 
 use crate::attribution::Attribution;
-use crate::index::{checked_len, put_address, read_address, ChainIndex};
+use crate::index::{checked_len, put_address, read_address};
 use bytes::{BufMut, Bytes, BytesMut};
 use cn_chain::encode::{read_compact_size, write_compact_size, Decodable, DecodeError};
 use cn_chain::{Address, Chain, FastMap, FastSet, Hash256, OutPoint, Transaction, Txid};
@@ -156,25 +156,12 @@ pub fn find_self_interest_transactions(
     TouchLog::replay(chain).self_interest(attribution)
 }
 
-/// Convenience: self-interest txids for one pool, given the chain and its
-/// attribution.
-pub fn self_interest_txids(
-    chain: &Chain,
-    index: &ChainIndex,
-    pool: &str,
-) -> FastSet<Txid> {
-    let attribution = crate::attribution::attribute(index);
-    find_self_interest_transactions(chain, &attribution)
-        .of(pool)
-        .cloned()
-        .unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attribution::attribute;
     use crate::coverage::StreamExpectation;
+    use crate::index::ChainIndex;
     use crate::streaming::{StreamingAuditor, StreamingConfig};
     use cn_chain::{Amount, Block, BlockHash, CoinbaseBuilder, Params, PoolMarker};
 
@@ -299,13 +286,5 @@ mod tests {
         let (mut chain, _) = build();
         chain.prune_below(1);
         ChainIndex::build(&chain);
-    }
-
-    #[test]
-    fn convenience_wrapper_matches() {
-        let (chain, index) = build();
-        let txids = self_interest_txids(&chain, &index, "P");
-        assert_eq!(txids.len(), 2);
-        assert!(self_interest_txids(&chain, &index, "Nobody").is_empty());
     }
 }

@@ -23,12 +23,10 @@ pub mod entry;
 pub mod estimator;
 pub mod mempool;
 pub mod policy;
-pub mod rbf;
 pub mod snapshot;
 
 pub use entry::{AdmissionPrecheck, MempoolEntry};
 pub use estimator::FeeEstimator;
 pub use mempool::{AcceptError, AncKey, Mempool, TxHandle};
 pub use policy::MempoolPolicy;
-pub use rbf::{RbfError, Replacement};
 pub use snapshot::{MempoolSnapshot, RowCursor, SnapshotEntry};

@@ -740,19 +740,6 @@ impl Mempool {
         self.descendants_h(h.0).into_iter().map(TxHandle).collect()
     }
 
-    /// The in-pool transaction currently spending `outpoint`, if any.
-    pub fn spender_of(&self, outpoint: &OutPoint) -> Option<Txid> {
-        self.spent.get(outpoint).map(|&h| self.slot(h).txid())
-    }
-
-    /// The *descendant package score* of `txid`: total fee and vsize of
-    /// the transaction plus all its in-pool descendants — the quantity
-    /// Bitcoin Core's size-limit eviction ranks by. O(1): the pool keeps
-    /// the score current across every add/remove/confirm.
-    pub fn descendant_package(&self, txid: &Txid) -> Option<(Amount, u64)> {
-        self.get(txid).map(|e| e.descendant_score())
-    }
-
     /// Walk-based descendant-package score and cardinality, for rescoring
     /// fallbacks and index-consistency checks.
     fn compute_descendant_package_counted_h(&self, h: u32) -> (Amount, u64, u32) {
@@ -792,14 +779,6 @@ impl Mempool {
             evicted.extend(self.remove_with_descendants(&victim).iter().map(|e| e.txid()));
         }
         evicted
-    }
-
-    /// The CPFP *ancestor package score* of `txid`: total fee and vsize of
-    /// the transaction plus all its in-pool ancestors — the quantity
-    /// Bitcoin Core's assembler actually ranks by. O(1): the pool keeps
-    /// the score current across every add/remove/confirm.
-    pub fn ancestor_package(&self, txid: &Txid) -> Option<(Amount, u64)> {
-        self.get(txid).map(|e| e.ancestor_score())
     }
 
     /// Walk-based ancestor-package score, for rescoring fallbacks and
@@ -871,24 +850,6 @@ impl Mempool {
     /// Iterates all entries in slab order (deterministic, not sorted).
     pub fn iter(&self) -> impl Iterator<Item = &MempoolEntry> + '_ {
         self.slots.iter().filter_map(|s| s.as_ref())
-    }
-
-    /// Evicts entries older than `max_age` at time `now` (Bitcoin Core's
-    /// two-week expiry, configurable). Descendants of an evicted entry are
-    /// evicted with it. Returns evicted txids.
-    pub fn evict_expired(&mut self, now: Timestamp, max_age: u64) -> Vec<Txid> {
-        let expired: Vec<Txid> = self
-            .iter()
-            .filter(|e| now.saturating_sub(e.received()) > max_age)
-            .map(|e| e.txid())
-            .collect();
-        let mut evicted = Vec::new();
-        for txid in expired {
-            if self.contains(&txid) {
-                evicted.extend(self.remove_with_descendants(&txid).iter().map(|e| e.txid()));
-            }
-        }
-        evicted
     }
 
     /// Records the pool's full state at `now` — one paper-style dataset
@@ -1167,11 +1128,11 @@ mod tests {
         let (pv, cv) = (parent.vsize(), child.vsize());
         p.add(parent.clone(), Amount::from_sat(100), 0).expect("low-fee parent");
         p.add(child.clone(), Amount::from_sat(9_000), 1).expect("high-fee child");
-        let (fee, vsize) = p.ancestor_package(&child.txid()).expect("resident");
+        let (fee, vsize) = p.get(&child.txid()).expect("resident").ancestor_score();
         assert_eq!(fee, Amount::from_sat(9_100));
         assert_eq!(vsize, pv + cv);
         // Parent alone scores only itself.
-        let (fee, vsize) = p.ancestor_package(&parent.txid()).expect("resident");
+        let (fee, vsize) = p.get(&parent.txid()).expect("resident").ancestor_score();
         assert_eq!(fee, Amount::from_sat(100));
         assert_eq!(vsize, pv);
         assert_scores_match_graph(&p);
@@ -1261,33 +1222,16 @@ mod tests {
     }
 
     #[test]
-    fn expiry_evicts_old_entries_with_children() {
-        let mut p = pool();
-        let old = tx_with(1, 0, 50_000);
-        let child = child_of(&old, 40_000);
-        let fresh = tx_with(2, 0, 1_000);
-        p.add(old.clone(), Amount::from_sat(1_000), 0).expect("ok");
-        p.add(child.clone(), Amount::from_sat(1_000), 500_000).expect("ok");
-        p.add(fresh.clone(), Amount::from_sat(1_000), 1_000_000).expect("ok");
-        let evicted = p.evict_expired(1_000_100, 600_000);
-        assert_eq!(evicted.len(), 2);
-        assert!(p.contains(&fresh.txid()));
-        assert!(!p.contains(&old.txid()));
-        assert!(!p.contains(&child.txid()));
-        assert_scores_match_graph(&p);
-    }
-
-    #[test]
     fn descendant_package_mirrors_ancestor_package() {
         let mut p = Mempool::new(MempoolPolicy::accept_all());
         let parent = tx_with(1, 0, 50_000);
         let child = child_of(&parent, 40_000);
         p.add(parent.clone(), Amount::from_sat(100), 0).expect("ok");
         p.add(child.clone(), Amount::from_sat(9_000), 1).expect("ok");
-        let (fee, vsize) = p.descendant_package(&parent.txid()).expect("resident");
+        let (fee, vsize) = p.get(&parent.txid()).expect("resident").descendant_score();
         assert_eq!(fee, Amount::from_sat(9_100));
         assert_eq!(vsize, parent.vsize() + child.vsize());
-        let (fee, _) = p.descendant_package(&child.txid()).expect("resident");
+        let (fee, _) = p.get(&child.txid()).expect("resident").descendant_score();
         assert_eq!(fee, Amount::from_sat(9_000));
     }
 
@@ -1421,7 +1365,7 @@ mod tests {
         let (confirmed_n, conflicted_n) = p.apply_block(&block);
         assert_eq!((confirmed_n, conflicted_n), (2, 0));
         assert_eq!(p.len(), 2);
-        let (fee, _) = p.ancestor_package(&other_child.txid()).expect("resident");
+        let (fee, _) = p.get(&other_child.txid()).expect("resident").ancestor_score();
         assert_eq!(fee, Amount::from_sat(7_200));
         assert_eq!(p.get(&other.txid()).expect("resident").descendant_count(), 2);
         assert_scores_match_graph(&p);
@@ -1438,12 +1382,12 @@ mod tests {
         p.add(child.clone(), Amount::from_sat(4_000), 0).expect("orphan accepted");
         p.add(parent.clone(), Amount::from_sat(300), 1).expect("parent accepted");
         assert_scores_match_graph(&p);
-        let (fee, _) = p.ancestor_package(&child.txid()).expect("resident");
+        let (fee, _) = p.get(&child.txid()).expect("resident").ancestor_score();
         assert_eq!(fee, Amount::from_sat(4_300), "reconnect rescored the child");
 
         p.apply_block(&block_with(vec![parent.clone()]));
         assert_scores_match_graph(&p);
-        let (fee, _) = p.ancestor_package(&child.txid()).expect("child survives");
+        let (fee, _) = p.get(&child.txid()).expect("child survives").ancestor_score();
         assert_eq!(fee, Amount::from_sat(4_000), "confirm peeled the parent off");
     }
 
@@ -1460,7 +1404,7 @@ mod tests {
         p.add(grandchild.clone(), Amount::from_sat(900), 2).expect("ok");
         assert_eq!(p.apply_block(&block_with(vec![parent])), (1, 0));
         assert_scores_match_graph(&p);
-        let (fee, vsize) = p.ancestor_package(&grandchild.txid()).expect("resident");
+        let (fee, vsize) = p.get(&grandchild.txid()).expect("resident").ancestor_score();
         assert_eq!((fee, vsize), (Amount::from_sat(4_900), child.vsize() + grandchild.vsize()));
     }
 

@@ -9,9 +9,10 @@
 //!
 //! The property drives two pools through one random history: roots,
 //! children of one or two parents, children that arrive before their
-//! parent, conflicting spends, blocks confirming whole ancestor packages or
-//! a resident without its resident ancestors, subtree removals and, in half
-//! the histories, size caps. At random steps one of the pools is read, and
+//! parent, conflicting spends (refused, or admitted after the resident
+//! spender's subtree is removed), blocks confirming whole ancestor
+//! packages or a resident without its resident ancestors, subtree removals
+//! and, in half the histories, size caps. At random steps one of the pools is read, and
 //! each read must equal a reference built from the resident transactions
 //! alone: the snapshot equals `MempoolSnapshot::from_entries` over the
 //! resident rows, the package scores equal sums over ancestors and
@@ -129,10 +130,10 @@ fn check_reads(pool: &mut Mempool, now: u64) -> (MempoolSnapshot, MempoolSnapsho
     for (txid, up) in txids.iter().zip(&ancestry) {
         let e = pool.get(txid).expect("resident");
         let (fee, vsize) = package(pool, up.iter().copied().chain([*txid]));
-        assert_eq!(pool.ancestor_package(txid), Some((fee, vsize)));
+        assert_eq!(e.ancestor_score(), (fee, vsize));
         let down = txids.iter().zip(&ancestry).filter(|(_, up)| up.contains(txid));
         let (desc_fee, desc_vsize) = package(pool, down.map(|(t, _)| *t).chain([*txid]));
-        assert_eq!(pool.descendant_package(txid), Some((desc_fee, desc_vsize)));
+        assert_eq!(e.descendant_score(), (desc_fee, desc_vsize));
         let fee = fee.to_sat();
         keys.push(AncKey {
             approx: AncKey::approx_rate(fee, vsize),
@@ -268,10 +269,24 @@ proptest! {
                 6 if !withheld.is_empty() => {
                     Some(withheld.swap_remove(pick as usize % withheld.len()))
                 }
-                // A conflicting spend of an earlier transaction's input.
+                // A conflicting spend of an earlier transaction's input. On
+                // half the picks it displaces: the resident spending that
+                // outpoint leaves with its descendants first, and the new
+                // spend takes the freed outpoint.
                 7 if !made.is_empty() => {
                     let rival = &made[pick as usize % made.len()];
                     let prevout = rival.inputs()[0].prevout;
+                    if pick >> 31 == 1 {
+                        let spender = pools[0].iter().find(|e| {
+                            e.tx().inputs().iter().any(|input| input.prevout == prevout)
+                        });
+                        if let Some(spender) = spender.map(|e| e.txid()) {
+                            on_all(&mut pools, |p| {
+                                let removed = p.remove_with_descendants(&spender);
+                                removed.iter().map(|e| e.txid()).collect::<Vec<Txid>>()
+                            });
+                        }
+                    }
                     Some(spend(&[(prevout.txid, prevout.vout)], 7_000 + rate))
                 }
                 // A block confirming a whole ancestor package or, on one

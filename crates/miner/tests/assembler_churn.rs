@@ -6,7 +6,8 @@
 //! ancestor scores have to absorb — plain admission, CPFP packages
 //! delivered partially or out of order (parent lost or reordered behind its
 //! child, per [`FaultPlan::scaled`] link probabilities), parents with two
-//! children, BIP-125 replacements, expiry eviction, size-limit eviction —
+//! children, a resident's subtree displaced by a new spend of its input,
+//! removal of the longest-resident subtree, size-limit eviction —
 //! then assembles a block with the incremental path, checks it
 //! byte-for-byte against the reference walk, connects it, and checks the
 //! *post-connect* pool again. The Normal phase heapifies the pool's keys
@@ -86,9 +87,9 @@ impl Churn {
         (tx, fee)
     }
 
-    /// One randomized mutation. Admission failures (package limits,
-    /// replacement rules) are legal outcomes, not test failures — the
-    /// property under test is assembler identity, whatever the pool holds.
+    /// One randomized mutation. Admission failures (package limits) are
+    /// legal outcomes, not test failures — the property under test is
+    /// assembler identity, whatever the pool holds.
     fn step(&mut self, resident: &[Txid]) {
         self.now += 1 + self.rng.next_below(5_000);
         match self.rng.next_below(11) {
@@ -126,21 +127,21 @@ impl Churn {
                     let _ = self.mempool.add_shared(parent, fee, self.now);
                 }
             }
-            // BIP-125 replacement of a resident transaction (plus its
-            // descendants): outbid the displaced package by a margin that
-            // also covers the replacement's own relay.
+            // Displacement: a resident transaction leaves with its
+            // descendants, and a new spend of its first input takes the
+            // freed outpoint, outbidding the displaced package by a margin
+            // that also covers its own relay.
             7..=8 => {
                 let Some(&victim) = self.rng.choose(resident) else { return };
                 let Some(entry) = self.mempool.get(&victim) else { return };
                 let prevout = entry.tx().inputs()[0].prevout;
-                let Some((displaced, _)) = self.mempool.descendant_package(&victim) else {
-                    return;
-                };
+                let (displaced, _) = entry.descendant_score();
                 let (tx, _) = self.make_tx(prevout.txid, prevout.vout, 1);
                 let fee = displaced
                     + FeeRate::MIN_RELAY.fee_for_vsize(tx.vsize())
                     + Amount::from_sat(1 + self.rng.next_below(5_000));
-                let _ = self.mempool.add_with_rbf(Arc::new(tx), fee, self.now);
+                self.mempool.remove_with_descendants(&victim);
+                let _ = self.mempool.add_shared(Arc::new(tx), fee, self.now);
             }
             // A parent with two children, one per output: selecting
             // either child's package moves its sibling's score.
@@ -156,10 +157,15 @@ impl Churn {
                     let _ = self.mempool.add(child, fee, self.now);
                 }
             }
-            // Eviction churn: expiry or size-limit trimming.
+            // Eviction churn: the longest-resident transaction leaves with
+            // its descendants, or size-limit trimming.
             _ => {
                 if self.rng.next_bool(0.5) {
-                    let _ = self.mempool.evict_expired(self.now, 40_000);
+                    let oldest =
+                        self.mempool.iter().min_by_key(|e| (e.received(), e.sequence()));
+                    if let Some(oldest) = oldest.map(|e| e.txid()) {
+                        self.mempool.remove_with_descendants(&oldest);
+                    }
                 } else {
                     let cap = self.mempool.total_vsize().saturating_mul(3) / 4;
                     let _ = self.mempool.limit_size(cap.max(1_000));

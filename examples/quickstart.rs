@@ -4,6 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use chain_neutrality::audit::self_interest::find_self_interest_transactions;
 use chain_neutrality::prelude::*;
 
 fn main() {
@@ -57,10 +58,9 @@ fn main() {
 
     // 5. Run the paper's differential-prioritization test on the greedy
     //    pool's own transactions.
+    let self_interest = find_self_interest_transactions(&out.chain, &attribution);
     for name in ["Greedy", "Honest-A"] {
-        let c_txids = chain_neutrality::audit::self_interest::self_interest_txids(
-            &out.chain, &index, name,
-        );
+        let c_txids = self_interest.of(name).cloned().unwrap_or_default();
         let theta0 = attribution.hash_rate(name).unwrap_or(0.0);
         let test = differential_prioritization(&index, &c_txids, name, theta0);
         println!(

@@ -2,9 +2,7 @@
 //! assert the audit toolkit detects exactly it.
 
 use chain_neutrality::audit::darkfee::score_detector;
-use chain_neutrality::audit::self_interest::{
-    find_self_interest_transactions, self_interest_txids,
-};
+use chain_neutrality::audit::self_interest::find_self_interest_transactions;
 use chain_neutrality::prelude::*;
 use chain_neutrality::sim::congestion::CongestionProfile;
 
@@ -33,7 +31,10 @@ fn self_acceleration_detected_and_null_respected() {
     let cheating = world(true, 11);
     let index = ChainIndex::build(&cheating.chain);
     let attribution = attribute(&index);
-    let c_txids = self_interest_txids(&cheating.chain, &index, "Target");
+    let c_txids = find_self_interest_transactions(&cheating.chain, &attribution)
+        .of("Target")
+        .cloned()
+        .unwrap_or_default();
     assert!(c_txids.len() > 30, "enough self-interest txs: {}", c_txids.len());
     let theta0 = attribution.hash_rate("Target").expect("attributed");
     let test = differential_prioritization(&index, &c_txids, "Target", theta0);
@@ -52,7 +53,10 @@ fn self_acceleration_detected_and_null_respected() {
     let fair = world(false, 11);
     let index = ChainIndex::build(&fair.chain);
     let attribution = attribute(&index);
-    let c_txids = self_interest_txids(&fair.chain, &index, "Target");
+    let c_txids = find_self_interest_transactions(&fair.chain, &attribution)
+        .of("Target")
+        .cloned()
+        .unwrap_or_default();
     let theta0 = attribution.hash_rate("Target").expect("attributed");
     let test = differential_prioritization(&index, &c_txids, "Target", theta0);
     assert!(
