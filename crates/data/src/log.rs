@@ -87,6 +87,15 @@ pub enum LogError {
     },
     /// A record payload had bytes left over after decoding.
     TrailingBytes,
+    /// The writer was handed a snapshot older than the record before it,
+    /// whose time delta the format cannot express. Nothing is written from
+    /// that snapshot on.
+    SnapshotOutOfOrder {
+        /// The refused snapshot's time.
+        time: Timestamp,
+        /// The time of the record written before it.
+        previous: Timestamp,
+    },
 }
 
 impl fmt::Display for LogError {
@@ -101,6 +110,10 @@ impl fmt::Display for LogError {
                 write!(f, "snapshot row references txid handle {handle} of {table}")
             }
             LogError::TrailingBytes => write!(f, "event-log record has trailing bytes"),
+            LogError::SnapshotOutOfOrder { time, previous } => write!(
+                f,
+                "snapshot at time {time} is older than the record before it at {previous}"
+            ),
         }
     }
 }
@@ -151,19 +164,22 @@ fn unzigzag(n: u64) -> i64 {
 /// Segmented binary encoder for the canonical event stream.
 ///
 /// Implements [`EventSink`], so `World::run_streamed` can write the log
-/// directly. I/O errors are sticky: the first failure is remembered,
-/// subsequent events are ignored, and [`LogWriter::finish`] reports it —
-/// keeping the sink trait infallible for the simulation loop.
+/// directly. Errors are sticky: the first failure (an I/O error, or a
+/// snapshot older than the record before it) is remembered, nothing is
+/// written after it, and [`LogWriter::finish`] reports it — keeping the
+/// sink trait infallible for the simulation loop.
 pub struct LogWriter<W: Write> {
     out: W,
     epoch_blocks: u64,
     header_written: bool,
     segment_open: bool,
     blocks_in_segment: u64,
-    last_time: Option<Timestamp>,
+    /// The previous record's time, in any segment: the time-delta base
+    /// within a segment, and the floor for the next snapshot's time.
+    last_time: Timestamp,
     intern: FastMap<Txid, u32>,
     stats: LogStats,
-    error: Option<io::Error>,
+    error: Option<LogError>,
     buf: BytesMut,
 }
 
@@ -177,7 +193,7 @@ impl<W: Write> LogWriter<W> {
             header_written: false,
             segment_open: false,
             blocks_in_segment: 0,
-            last_time: None,
+            last_time: 0,
             intern: FastMap::default(),
             stats: LogStats { bytes: 0, blocks: 0, snapshots: 0, segments: 0 },
             error: None,
@@ -186,10 +202,10 @@ impl<W: Write> LogWriter<W> {
     }
 
     /// Flushes the underlying writer and returns the aggregate counters,
-    /// or the first I/O error encountered.
+    /// or the first error encountered.
     pub fn finish(mut self) -> Result<LogStats, LogError> {
         if let Some(e) = self.error.take() {
-            return Err(LogError::Io(e));
+            return Err(e);
         }
         self.out.flush()?;
         Ok(self.stats)
@@ -200,7 +216,7 @@ impl<W: Write> LogWriter<W> {
             return;
         }
         if let Err(e) = self.out.write_all(bytes) {
-            self.error = Some(e);
+            self.error = Some(LogError::Io(e));
             return;
         }
         self.stats.bytes += bytes.len() as u64;
@@ -215,21 +231,24 @@ impl<W: Write> LogWriter<W> {
         self.write_all(&payload);
     }
 
-    fn ensure_segment(&mut self) {
+    /// Opens a segment unless one is open; true when it opened one.
+    fn ensure_segment(&mut self) -> bool {
         if self.segment_open {
-            return;
+            return false;
         }
         let index = self.stats.segments;
         self.stats.segments += 1;
         self.segment_open = true;
         self.blocks_in_segment = 0;
-        self.last_time = None;
         self.intern.clear();
         write_compact_size(&mut self.buf, index);
         self.write_record(TAG_SEGMENT);
+        true
     }
 
-    fn encode_snapshot(&mut self, snap: &MempoolSnapshot) {
+    /// Encodes `snap` with its time as a delta from `base`, which is at
+    /// most `snap.time`.
+    fn encode_snapshot(&mut self, snap: &MempoolSnapshot, base: Timestamp) {
         let mut flags = 0u8;
         if snap.is_detailed() {
             flags |= FLAG_DETAILED;
@@ -241,8 +260,7 @@ impl<W: Write> LogWriter<W> {
             flags |= FLAG_DEGRADED;
         }
         self.buf.put_u8(flags);
-        let delta = snap.time - self.last_time.unwrap_or(0);
-        write_compact_size(&mut self.buf, delta);
+        write_compact_size(&mut self.buf, snap.time - base);
         if !snap.is_detailed() {
             write_compact_size(&mut self.buf, snap.len() as u64);
             write_compact_size(&mut self.buf, snap.total_vsize());
@@ -306,7 +324,7 @@ impl<W: Write> EventSink for LogWriter<W> {
         self.ensure_segment();
         block.encode(&mut self.buf);
         self.write_record(TAG_BLOCK);
-        self.last_time = Some(block.header.time);
+        self.last_time = block.header.time;
         self.stats.blocks += 1;
         self.blocks_in_segment += 1;
         if self.epoch_blocks > 0 && self.blocks_in_segment >= self.epoch_blocks {
@@ -316,10 +334,16 @@ impl<W: Write> EventSink for LogWriter<W> {
 
     fn on_snapshot(&mut self, snapshot: &MempoolSnapshot) {
         debug_assert!(self.header_written, "on_start must precede events");
-        self.ensure_segment();
-        self.encode_snapshot(snapshot);
+        if snapshot.time < self.last_time {
+            let previous = self.last_time;
+            self.error.get_or_insert(LogError::SnapshotOutOfOrder { time: snapshot.time, previous });
+            return;
+        }
+        // A segment's first record carries its time in full.
+        let base = if self.ensure_segment() { 0 } else { self.last_time };
+        self.encode_snapshot(snapshot, base);
         self.write_record(TAG_SNAPSHOT);
-        self.last_time = Some(snapshot.time);
+        self.last_time = snapshot.time;
         self.stats.snapshots += 1;
     }
 }
@@ -765,6 +789,39 @@ mod tests {
         let mut reader = LogReader::new(&trailing[..]).expect("header intact");
         let err = reader.next_event().expect_err("trailing bytes");
         assert!(matches!(err, LogError::TrailingBytes));
+    }
+
+    #[test]
+    fn snapshot_older_than_the_previous_record_is_refused() {
+        let coinbase = cn_chain::CoinbaseBuilder::new(0)
+            .reward(cn_chain::Address::from_label("pool"), Amount::from_btc(6))
+            .build();
+        let block = Block::assemble(1, cn_chain::BlockHash::ZERO, 20, 0, coinbase, Vec::<Transaction>::new());
+        // With epoch 1 the block closes its segment, so the snapshot would
+        // open a new one; the refusal does not depend on segmentation.
+        for epoch in [0, 1] {
+            let mut expected = Vec::new();
+            let mut writer = LogWriter::new(&mut expected, epoch);
+            writer.on_start(&[]);
+            writer.on_block(&block);
+            writer.finish().expect("a block alone is a valid log");
+
+            let mut log = Vec::new();
+            let mut writer = LogWriter::new(&mut log, epoch);
+            writer.on_start(&[]);
+            writer.on_block(&block);
+            writer.on_snapshot(&MempoolSnapshot::light(10, 3, 600));
+            writer.on_snapshot(&MempoolSnapshot::light(30, 3, 600));
+            writer.on_block(&block);
+            let err = writer.finish().expect_err("an older snapshot is refused");
+            assert!(
+                matches!(err, LogError::SnapshotOutOfOrder { time: 10, previous: 20 }),
+                "epoch {epoch}: {err}"
+            );
+            assert_eq!(log, expected, "epoch {epoch}: nothing is written after the refusal");
+            let (blocks, snaps, ..) = replay_all(&log);
+            assert_eq!((blocks.len(), snaps.len()), (1, 0));
+        }
     }
 
     fn bad_segment_with_extra_byte(log: &mut Vec<u8>) {
