@@ -73,10 +73,8 @@ fn bench_fanout(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(8));
     for n in [1_000usize, 5_000] {
-        let txs: Vec<(Arc<Transaction>, Amount)> = workload(n, 17)
-            .into_iter()
-            .map(|(tx, fee)| (Arc::new(tx), fee))
-            .collect();
+        let txs: Vec<(Arc<Transaction>, Amount)> =
+            workload(n, 17).into_iter().map(|(tx, fee)| (Arc::new(tx), fee)).collect();
 
         group.bench_with_input(BenchmarkId::new("per_delivery", n), &txs, |b, txs| {
             b.iter(|| {

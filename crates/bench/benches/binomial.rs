@@ -16,9 +16,7 @@ fn bench_binomial(c: &mut Criterion) {
             b.iter(|| black_box(binomial_test(black_box(x), y, theta, Tail::Upper)))
         });
         group.bench_with_input(BenchmarkId::new("normal_approx", y), &y, |b, &y| {
-            b.iter(|| {
-                black_box(binomial_test_normal_approx(black_box(x), y, theta, Tail::Upper))
-            })
+            b.iter(|| black_box(binomial_test_normal_approx(black_box(x), y, theta, Tail::Upper)))
         });
     }
     group.finish();

@@ -51,10 +51,9 @@ fn churn_heap(dues: &[SimMillis]) -> u64 {
 fn bench_event_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
     group.sample_size(20);
-    for (dist, dues) in [
-        ("uniform", uniform_dues(100_000, 11)),
-        ("heavy_tail", heavy_tail_dues(100_000, 11)),
-    ] {
+    for (dist, dues) in
+        [("uniform", uniform_dues(100_000, 11)), ("heavy_tail", heavy_tail_dues(100_000, 11))]
+    {
         group.bench_with_input(BenchmarkId::new("heap", dist), &dues, |b, dues| {
             b.iter(|| black_box(churn_heap(dues)))
         });

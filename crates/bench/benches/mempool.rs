@@ -17,10 +17,7 @@ fn transactions(n: usize, seed: u64) -> Vec<(Transaction, Amount)> {
             bytes[..8].copy_from_slice(&(i as u64).to_le_bytes());
             let tx = Transaction::builder()
                 .add_input_with_sizes(bytes.into(), 0, 107, 0)
-                .add_output(TxOut::to_address(
-                    Amount::from_sat(50_000),
-                    Address::from_label("r"),
-                ))
+                .add_output(TxOut::to_address(Amount::from_sat(50_000), Address::from_label("r")))
                 .build();
             let fee = Amount::from_sat(tx.vsize() * (1 + rng.next_below(200)));
             (tx, fee)

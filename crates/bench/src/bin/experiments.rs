@@ -150,7 +150,11 @@ fn main() {
         std::process::exit(2);
     }
     if !verify_failures.is_empty() {
-        eprintln!("verify: {} experiment(s) drifted from results/: {}", verify_failures.len(), verify_failures.join(" "));
+        eprintln!(
+            "verify: {} experiment(s) drifted from results/: {}",
+            verify_failures.len(),
+            verify_failures.join(" ")
+        );
         std::process::exit(3);
     }
 }

@@ -54,8 +54,15 @@ pub fn fig2(lab: &Lab) -> String {
     let mut out = String::new();
     for (label, (_, index)) in [("A", lab.a()), ("B", lab.b()), ("C", lab.c())] {
         let attribution = attribute(index);
-        let _ = writeln!(out, "Figure 2({}) — top-20 MPO footprint (dataset {label})",
-            match label { "A" => "a", "B" => "b", _ => "c" });
+        let _ = writeln!(
+            out,
+            "Figure 2({}) — top-20 MPO footprint (dataset {label})",
+            match label {
+                "A" => "a",
+                "B" => "b",
+                _ => "c",
+            }
+        );
         let mut table = Table::new(&["pool", "blocks", "hash share", "txs confirmed"]);
         for pool in attribution.top(20) {
             table.row(&[

@@ -3,11 +3,11 @@
 //! displacement (economic-harm) quantification.
 
 use crate::lab::Lab;
+use cn_chain::FeeRate;
 use cn_core::attribute;
 use cn_core::displacement::{displacement_by_miner, displacement_fee_gap};
 use cn_core::lowfee::low_fee_report;
 use cn_core::report::{fmt_pct, Table};
-use cn_chain::FeeRate;
 use std::fmt::Write as _;
 
 /// §4.2.3: below-floor transactions — who sees them, who mines them.
@@ -57,8 +57,10 @@ pub fn harm(lab: &Lab) -> String {
     let (_, index) = lab.c();
     let attribution = attribute(index);
     let mut out = String::new();
-    let _ = writeln!(out, "Displacement (extension of section 6) — harm to honest bidders, dataset C");
-    let _ = writeln!(out, "A queue-jumper is a transaction sitting in its block's top decile while");
+    let _ =
+        writeln!(out, "Displacement (extension of section 6) — harm to honest bidders, dataset C");
+    let _ =
+        writeln!(out, "A queue-jumper is a transaction sitting in its block's top decile while");
     let _ = writeln!(out, "ranked in the bottom decile by fee rate.\n");
     let mut table = Table::new(&[
         "pool",

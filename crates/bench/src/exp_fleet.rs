@@ -103,11 +103,7 @@ fn network_scenarios(duration: Timestamp) -> Vec<(&'static str, AdversaryPlan)> 
         // The primary observer loses its peers a quarter into the run
         // and never recovers: 75 % of its windows are degraded, pushing
         // its solo confidence under the audit floor.
-        eclipses: vec![EclipseWindow {
-            observer: 0,
-            start_secs: duration / 4,
-            end_secs: duration,
-        }],
+        eclipses: vec![EclipseWindow { observer: 0, start_secs: duration / 4, end_secs: duration }],
         ..AdversaryPlan::none()
     };
     let withhold = AdversaryPlan {
@@ -121,7 +117,11 @@ fn network_scenarios(duration: Timestamp) -> Vec<(&'static str, AdversaryPlan)> 
                 control: 0.6,
                 predicate: WithholdPredicate::HighFee { min_sat_per_kvb: 20_000 },
             },
-            WithholdRule { observer: None, control: 0.5, predicate: WithholdPredicate::MinerOrigin },
+            WithholdRule {
+                observer: None,
+                control: 0.5,
+                predicate: WithholdPredicate::MinerOrigin,
+            },
         ],
         ..AdversaryPlan::none()
     };
@@ -242,21 +242,14 @@ fn run_scenario(
                 Some(seen.saturating_sub(issued) as f64)
             })
             .collect();
-        let mean_lag = if lags.is_empty() {
-            0.0
-        } else {
-            lags.iter().sum::<f64>() / lags.len() as f64
-        };
+        let mean_lag =
+            if lags.is_empty() { 0.0 } else { lags.iter().sum::<f64>() / lags.len() as f64 };
 
         rows.push([
             name.to_string(),
             n.to_string(),
             format!("{}/{}", fleet.labels.len(), n),
-            if refused {
-                format!("{confidence:.3} REFUSED")
-            } else {
-                format!("{confidence:.3}")
-            },
+            if refused { format!("{confidence:.3} REFUSED") } else { format!("{confidence:.3}") },
             coverage.degraded_windows.to_string(),
             if refused { "-".into() } else { fmt_pct(pair_p) },
             if refused { "-".into() } else { fmt_pct(pair_r) },
@@ -315,7 +308,10 @@ pub fn observer_fleet(lab: &Lab) -> String {
     let scenarios = network_scenarios(base.duration);
 
     let mut out = String::new();
-    let _ = writeln!(out, "Observer fleet — audit quality vs vantage-point count under adversarial networks");
+    let _ = writeln!(
+        out,
+        "Observer fleet — audit quality vs vantage-point count under adversarial networks"
+    );
     let _ = writeln!(
         out,
         "(dataset-C roster, {}h span, seed 0x{:X}; 8 heterogeneous observers, N = fleet prefix;",

@@ -1,13 +1,13 @@
 //! Misbehaviour experiments: Figures 8, 13, 14 and Tables 2–4.
 
 use crate::lab::Lab;
+use cn_chain::Txid;
+use cn_core::attribute;
 use cn_core::darkfee::{score_detector, sppe_threshold_table};
 use cn_core::prioritization::differential_prioritization;
 use cn_core::report::{fmt_p, fmt_pct, Table};
 use cn_core::self_interest::find_self_interest_transactions;
 use cn_core::sppe::sppe_for_miner;
-use cn_core::attribute;
-use cn_chain::Txid;
 use cn_miner::acceleration::fee_multiple;
 use cn_stats::{Ecdf, SimRng, Summary};
 use std::fmt::Write as _;
@@ -81,9 +81,7 @@ pub fn table2(lab: &Lab) -> String {
                 continue;
             }
             let significant = test.accelerates_at(0.001);
-            let is_paper_row = paper_rows
-                .iter()
-                .any(|(o, m)| *o == owner.name && *m == miner.name);
+            let is_paper_row = paper_rows.iter().any(|(o, m)| *o == owner.name && *m == miner.name);
             if significant || is_paper_row {
                 let sppe = sppe_for_miner(index, c_txids, &miner.name).unwrap_or(0.0);
                 table.row(&[
@@ -193,7 +191,8 @@ pub fn table4(lab: &Lab) -> String {
     let _ = writeln!(out, "Table 4 — % of high-SPPE transactions that were dark-fee accelerated");
     let _ = writeln!(out, "(paper, BTC.com: >=99% SPPE -> 64.98% accelerated; >=50% -> 1.06%)\n");
     let mut table = Table::new(&["SPPE >=", "# txs", "# accelerated", "% accelerated"]);
-    let rows = sppe_threshold_table(index, provider, &[100.0, 99.0, 90.0, 50.0, 1.0], &is_accelerated);
+    let rows =
+        sppe_threshold_table(index, provider, &[100.0, 99.0, 90.0, 50.0, 1.0], &is_accelerated);
     for row in &rows {
         table.row(&[
             format!("{:.0}%", row.threshold),
@@ -275,11 +274,8 @@ pub fn fig13(lab: &Lab) -> String {
 /// snapshot.
 pub fn fig14(lab: &Lab) -> String {
     let (sim, _) = lab.c();
-    let provider_idx = sim
-        .pool_names
-        .iter()
-        .position(|n| n == "BTC.com")
-        .expect("BTC.com in roster");
+    let provider_idx =
+        sim.pool_names.iter().position(|n| n == "BTC.com").expect("BTC.com in roster");
     let service = sim.services[provider_idx].as_ref().expect("service").lock();
 
     // Pick the most congested *detailed* snapshot, as §G did (the paper
@@ -289,11 +285,8 @@ pub fn fig14(lab: &Lab) -> String {
         .filter(|s| s.is_detailed())
         .max_by_key(|s| s.total_vsize())
         .expect("detailed snapshots recorded");
-    let top_rate = snapshot
-        .rows()
-        .map(|e| e.fee_rate())
-        .max()
-        .unwrap_or(cn_chain::FeeRate::MIN_RELAY);
+    let top_rate =
+        snapshot.rows().map(|e| e.fee_rate()).max().unwrap_or(cn_chain::FeeRate::MIN_RELAY);
     let mut multiples = Vec::new();
     for entry in snapshot.rows() {
         let quote = service.quote(entry.vsize, entry.fee, top_rate);

@@ -70,10 +70,8 @@ pub fn fig6(lab: &Lab) -> String {
     let (out_a, index) = lab.a();
     let mut rng = SimRng::seed_from_u64(6);
     // Sample 30 snapshots with a decent backlog, uniformly at random.
-    let eligible: Vec<&MempoolSnapshot> = out_a.observer_streams[0]
-        .iter()
-        .filter(|s| s.is_detailed() && s.len() >= 30)
-        .collect();
+    let eligible: Vec<&MempoolSnapshot> =
+        out_a.observer_streams[0].iter().filter(|s| s.is_detailed() && s.len() >= 30).collect();
     let mut picks: Vec<&MempoolSnapshot> = Vec::new();
     for _ in 0..30 {
         if let Some(s) = rng.choose(&eligible) {
@@ -81,7 +79,8 @@ pub fn fig6(lab: &Lab) -> String {
         }
     }
     let mut out = String::new();
-    let _ = writeln!(out, "Figure 6 — violation-pair fractions over 30 random snapshots (dataset A)");
+    let _ =
+        writeln!(out, "Figure 6 — violation-pair fractions over 30 random snapshots (dataset A)");
     let _ = writeln!(out, "(paper: a small but non-trivial fraction violates the norm, surviving");
     let _ = writeln!(out, " epsilon-tightening and CPFP removal)\n");
     for (label, exclude_cpfp) in [("all transactions", false), ("non-CPFP only", true)] {
@@ -119,10 +118,7 @@ pub fn fig7(lab: &Lab) -> String {
     let summary = Summary::of(&ppes);
     let mut out = String::new();
     let _ = writeln!(out, "Figure 7(a) — PPE over all dataset-C blocks");
-    let _ = writeln!(
-        out,
-        "(paper: mean 2.65%, std 2.89, 80% of blocks below 4.03%)\n"
-    );
+    let _ = writeln!(out, "(paper: mean 2.65%, std 2.89, 80% of blocks below 4.03%)\n");
     let _ = writeln!(
         out,
         "measured: mean {:.2}%, std {:.2}, p80 {:.2}%, blocks {}",

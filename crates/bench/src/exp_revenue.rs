@@ -35,10 +35,12 @@ pub fn table5(lab: &Lab) -> String {
     };
     let mut out = String::new();
     let _ = writeln!(out, "Table 5 — miners' relative revenue from fees, by era");
-    let _ = writeln!(out, "(paper yearly means: 2016 2.48%, 2017 11.77%, 2018 3.19%, 2019 2.75%, 2020 6.29%)\n");
-    let mut table = Table::new(&[
-        "year", "blocks", "mean %", "std", "min", "median", "max", "paper mean %",
-    ]);
+    let _ = writeln!(
+        out,
+        "(paper yearly means: 2016 2.48%, 2017 11.77%, 2018 3.19%, 2019 2.75%, 2020 6.29%)\n"
+    );
+    let mut table =
+        Table::new(&["year", "blocks", "mean %", "std", "min", "median", "max", "paper mean %"]);
     for era in eras {
         let mut s = Scenario::base(format!("era-{}", era.year), 5_000 + era.year as u64);
         s.params = scaled_params();
@@ -94,6 +96,9 @@ pub fn table5(lab: &Lab) -> String {
         ]);
     }
     out.push_str(&table.render());
-    let _ = writeln!(out, "\n(shape to hold: 2017 demand spike dominates; 2020 > 2018/2019 after the halving)");
+    let _ = writeln!(
+        out,
+        "\n(shape to hold: 2017 demand spike dominates; 2020 > 2018/2019 after the halving)"
+    );
     out
 }

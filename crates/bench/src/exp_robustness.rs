@@ -219,10 +219,7 @@ pub fn robustness(lab: &Lab) -> String {
         base.duration / 3_600,
         base.seed
     );
-    let _ = writeln!(
-        out,
-        " observer downtime + truncated detail dumps, stale-tip block races)\n"
-    );
+    let _ = writeln!(out, " observer downtime + truncated detail dumps, stale-tip block races)\n");
     let _ = writeln!(out, "ground-truth acceleration pairs: {}", truth.len());
     for (owner, miner) in {
         let mut sorted: Vec<_> = truth.iter().collect();
@@ -249,9 +246,8 @@ pub fn robustness(lab: &Lab) -> String {
     // workers and joins in level order, so the table is byte-identical to
     // a serial sweep.
     let levels: Vec<usize> = (0..INTENSITIES.len()).collect();
-    let rows = Pool::auto().map(&levels, |&i| {
-        sweep_level(&base, &truth, INTENSITIES[i], i + 1 == INTENSITIES.len())
-    });
+    let rows = Pool::auto()
+        .map(&levels, |&i| sweep_level(&base, &truth, INTENSITIES[i], i + 1 == INTENSITIES.len()));
 
     let mut floor_demo = String::new();
     for row in rows {

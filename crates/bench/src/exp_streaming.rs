@@ -45,7 +45,11 @@ fn fresh(out: &SimOutput, exp: StreamExpectation) -> StreamingAuditor {
     StreamingAuditor::new(out.chain.initial_utxos(), StreamingConfig::new(exp))
 }
 
-fn batch_report(out: &SimOutput, index: &cn_core::ChainIndex, exp: StreamExpectation) -> AuditReport {
+fn batch_report(
+    out: &SimOutput,
+    index: &cn_core::ChainIndex,
+    exp: StreamExpectation,
+) -> AuditReport {
     audit_with_snapshots(&out.chain, index, &out.observer_streams[0], exp, AuditConfig::default())
         .expect("batch audits the pinned dataset")
 }
@@ -88,7 +92,11 @@ pub fn peak_rss_kb() -> Option<u64> {
 }
 
 fn yes_no(ok: bool) -> &'static str {
-    if ok { "yes" } else { "NO — DIVERGED" }
+    if ok {
+        "yes"
+    } else {
+        "NO — DIVERGED"
+    }
 }
 
 /// The `streaming` experiment.
@@ -99,8 +107,14 @@ pub fn streaming(lab: &Lab) -> String {
 
     let datasets = [("A", lab.a()), ("B", lab.b()), ("C", lab.c())];
     let mut bench = StreamingBench::default();
-    let mut table =
-        Table::new(&["dataset", "events", "rows processed", "peak window rows", "bound ratio", "identical"]);
+    let mut table = Table::new(&[
+        "dataset",
+        "events",
+        "rows processed",
+        "peak window rows",
+        "bound ratio",
+        "identical",
+    ]);
     let mut all_identical = true;
 
     for (name, (out, index)) in datasets {
@@ -133,7 +147,11 @@ pub fn streaming(lab: &Lab) -> String {
             "dataset {name}: {} blocks, {} snapshots, {} events, {} snapshot rows",
             counters.blocks, counters.snapshots, counters.events, counters.rows_processed,
         );
-        let _ = writeln!(txt, "  canonical replay     verdict identical to batch: {}", yes_no(canonical_ok));
+        let _ = writeln!(
+            txt,
+            "  canonical replay     verdict identical to batch: {}",
+            yes_no(canonical_ok)
+        );
 
         // Three randomized chunkings of the canonical stream: chunk
         // boundaries are administrative, so the exact verdict *and* the
@@ -207,10 +225,6 @@ pub fn streaming(lab: &Lab) -> String {
     lab.record_streaming(bench);
 
     txt.push_str(&table.render());
-    let _ = writeln!(
-        txt,
-        "\nall replays bit-identical to batch: {}",
-        yes_no(all_identical),
-    );
+    let _ = writeln!(txt, "\nall replays bit-identical to batch: {}", yes_no(all_identical),);
     txt
 }

@@ -29,10 +29,32 @@ pub use lab::{Lab, MegasimBench, MegasimTier, StreamingBench, DATASET_COUNT, DAT
 
 /// Every experiment id, in presentation order.
 pub const ALL_IDS: &[&str] = &[
-    "fig1", "table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table2",
-    "table3", "table4", "table5", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
+    "fig1",
+    "table1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
     // Extensions beyond the numbered artifacts:
-    "norm3", "harm", "robustness", "observer_fleet", "streaming", "megasim",
+    "norm3",
+    "harm",
+    "robustness",
+    "observer_fleet",
+    "streaming",
+    "megasim",
 ];
 
 /// Runs one experiment by id; `None` for an unknown id.

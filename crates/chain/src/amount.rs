@@ -13,9 +13,7 @@ pub const SAT_PER_BTC: u64 = 100_000_000;
 /// Plain `+`/`-` panic on overflow/underflow (a logic error in this codebase);
 /// use [`Amount::checked_add`] / [`Amount::checked_sub`] where failure is a
 /// legitimate outcome (e.g. computing a fee from untrusted inputs).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct Amount(u64);
 
 impl Amount {

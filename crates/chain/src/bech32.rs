@@ -162,13 +162,13 @@ mod tests {
     #[test]
     fn bip173_invalid_strings_rejected() {
         for s in [
-            "pzry9x0s0muk",    // no separator
-            "1pzry9x0s0muk",   // empty hrp
-            "x1b4n0q5v",       // invalid data char
-            "li1dgmt3",        // checksum too short
-            "A1G7SGD8",        // bad checksum
-            "10a06t8",         // empty hrp
-            "1qzzfhee",        // empty hrp
+            "pzry9x0s0muk",                                  // no separator
+            "1pzry9x0s0muk",                                 // empty hrp
+            "x1b4n0q5v",                                     // invalid data char
+            "li1dgmt3",                                      // checksum too short
+            "A1G7SGD8",                                      // bad checksum
+            "10a06t8",                                       // empty hrp
+            "1qzzfhee",                                      // empty hrp
             "abcDEF1qpzry9x8gf2tvdw0s3jn54khce6mua7lmqqqxw", // mixed case
         ] {
             assert!(decode(s).is_none(), "{s} should be rejected");

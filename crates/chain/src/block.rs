@@ -246,8 +246,10 @@ mod tests {
 
     #[test]
     fn merkle_root_commits_to_order() {
-        let b1 = Block::assemble(2, BlockHash::ZERO, 0, 0, coinbase(), vec![user_tx(2), user_tx(3)]);
-        let b2 = Block::assemble(2, BlockHash::ZERO, 0, 0, coinbase(), vec![user_tx(3), user_tx(2)]);
+        let b1 =
+            Block::assemble(2, BlockHash::ZERO, 0, 0, coinbase(), vec![user_tx(2), user_tx(3)]);
+        let b2 =
+            Block::assemble(2, BlockHash::ZERO, 0, 0, coinbase(), vec![user_tx(3), user_tx(2)]);
         assert_ne!(b1.header.merkle_root, b2.header.merkle_root);
         assert_ne!(b1.block_hash(), b2.block_hash());
         assert_eq!(b1.computed_merkle_root(), b1.header.merkle_root);

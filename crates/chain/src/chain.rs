@@ -2,11 +2,11 @@
 
 use crate::amount::Amount;
 use crate::block::{Block, BlockHash};
+use crate::fasthash::FastSet;
 use crate::params::Params;
 use crate::transaction::Txid;
 use crate::utxo::UtxoSet;
 use crate::validation::{connect_block, ValidationError};
-use crate::fasthash::FastSet;
 use std::fmt;
 
 /// Errors from extending a [`Chain`].
@@ -231,8 +231,7 @@ mod tests {
 
     fn extend(chain: &mut Chain, body: Vec<Transaction>) -> BlockHash {
         let h = chain.height();
-        let block =
-            Block::assemble(2, chain.tip_hash(), h * 600, h as u32, coinbase(h), body);
+        let block = Block::assemble(2, chain.tip_hash(), h * 600, h as u32, coinbase(h), body);
         let hash = block.block_hash();
         chain.connect(block).expect("valid block");
         hash
@@ -255,7 +254,8 @@ mod tests {
     fn wrong_parent_rejected() {
         let mut chain = Chain::new(Params::mainnet());
         extend(&mut chain, vec![]);
-        let orphan = Block::assemble(2, BlockHash::ZERO, 0, 99, coinbase(1), Vec::<Transaction>::new());
+        let orphan =
+            Block::assemble(2, BlockHash::ZERO, 0, 99, coinbase(1), Vec::<Transaction>::new());
         assert!(matches!(chain.connect(orphan), Err(ChainError::WrongParent { .. })));
     }
 
@@ -346,13 +346,17 @@ mod tests {
                 .reward(Address::from_label("p"), chain.params().subsidy_at(h))
                 .extra_nonce(h)
                 .build();
-            let block = Block::assemble(2, chain.tip_hash(), h * 600, h as u32, cb, Vec::<Transaction>::new());
+            let block = Block::assemble(
+                2,
+                chain.tip_hash(),
+                h * 600,
+                h as u32,
+                cb,
+                Vec::<Transaction>::new(),
+            );
             chain.connect(block).expect("valid");
         }
         let subsidies: Vec<u64> = chain.records().iter().map(|r| r.subsidy.to_sat()).collect();
-        assert_eq!(
-            subsidies,
-            vec![5_000_000_000, 5_000_000_000, 2_500_000_000, 2_500_000_000]
-        );
+        assert_eq!(subsidies, vec![5_000_000_000, 5_000_000_000, 2_500_000_000, 2_500_000_000]);
     }
 }

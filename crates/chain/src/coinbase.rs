@@ -26,9 +26,7 @@ impl PoolMarker {
 
     /// Extracts the marker from coinbase scriptSig bytes, if present.
     pub fn parse(script_sig: &[u8]) -> Option<PoolMarker> {
-        let pos = script_sig
-            .windows(2)
-            .position(|w| w == MARKER_MAGIC)?;
+        let pos = script_sig.windows(2).position(|w| w == MARKER_MAGIC)?;
         let rest = &script_sig[pos + 2..];
         let len = *rest.first()? as usize;
         let tag = rest.get(1..1 + len)?;
@@ -160,9 +158,8 @@ mod tests {
 
     #[test]
     fn height_zero_encodes_one_byte() {
-        let cb = CoinbaseBuilder::new(0)
-            .reward(Address::from_label("g"), Amount::from_btc(50))
-            .build();
+        let cb =
+            CoinbaseBuilder::new(0).reward(Address::from_label("g"), Amount::from_btc(50)).build();
         assert_eq!(cb.inputs()[0].script_sig[0], 1);
         assert_eq!(cb.inputs()[0].script_sig[1], 0);
     }

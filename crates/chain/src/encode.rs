@@ -198,17 +198,7 @@ mod tests {
 
     #[test]
     fn compact_size_round_trips_at_boundaries() {
-        for n in [
-            0,
-            1,
-            0xfc,
-            0xfd,
-            0xffff,
-            0x1_0000,
-            0xffff_ffff,
-            0x1_0000_0000,
-            u64::MAX,
-        ] {
+        for n in [0, 1, 0xfc, 0xfd, 0xffff, 0x1_0000, 0xffff_ffff, 0x1_0000_0000, u64::MAX] {
             assert_eq!(round_trip(n), n);
         }
     }
@@ -217,20 +207,11 @@ mod tests {
     fn non_canonical_rejected() {
         // 0xfd with a payload < 0xfd must be rejected.
         let mut bytes = Bytes::from_static(&[0xfd, 0x01, 0x00]);
-        assert_eq!(
-            read_compact_size(&mut bytes),
-            Err(DecodeError::NonCanonicalCompactSize)
-        );
+        assert_eq!(read_compact_size(&mut bytes), Err(DecodeError::NonCanonicalCompactSize));
         let mut bytes = Bytes::from_static(&[0xfe, 0xff, 0xff, 0x00, 0x00]);
-        assert_eq!(
-            read_compact_size(&mut bytes),
-            Err(DecodeError::NonCanonicalCompactSize)
-        );
+        assert_eq!(read_compact_size(&mut bytes), Err(DecodeError::NonCanonicalCompactSize));
         let mut bytes = Bytes::from_static(&[0xff, 0, 0, 0, 0xff, 0, 0, 0, 0]);
-        assert_eq!(
-            read_compact_size(&mut bytes),
-            Err(DecodeError::NonCanonicalCompactSize)
-        );
+        assert_eq!(read_compact_size(&mut bytes), Err(DecodeError::NonCanonicalCompactSize));
     }
 
     #[test]
@@ -255,10 +236,7 @@ mod tests {
         let mut buf = BytesMut::new();
         write_compact_size(&mut buf, MAX_DECODE_LEN + 1);
         let mut bytes = buf.freeze();
-        assert!(matches!(
-            read_var_bytes(&mut bytes),
-            Err(DecodeError::OversizedLength(_))
-        ));
+        assert!(matches!(read_var_bytes(&mut bytes), Err(DecodeError::OversizedLength(_))));
     }
 
     #[test]

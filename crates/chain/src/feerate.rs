@@ -10,9 +10,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A transaction fee rate in satoshi per 1000 virtual bytes.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct FeeRate(u64);
 
 impl FeeRate {

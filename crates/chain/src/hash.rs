@@ -201,56 +201,53 @@ impl Sha256 {
 /// hardware path is equivalence-tested against, and the only path on
 /// non-x86 targets.
 fn compress_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
-        // One round with the working variables in fixed registers; callers
-        // rotate the variable *roles* instead of shuffling eight registers
-        // per round (the textbook h=g; g=f; ... chain), which is the main
-        // scalar-SHA-256 speedup available without unsafe intrinsics.
-        macro_rules! round {
-            ($a:ident, $b:ident, $c:ident, $d:ident,
+    // One round with the working variables in fixed registers; callers
+    // rotate the variable *roles* instead of shuffling eight registers
+    // per round (the textbook h=g; g=f; ... chain), which is the main
+    // scalar-SHA-256 speedup available without unsafe intrinsics.
+    macro_rules! round {
+        ($a:ident, $b:ident, $c:ident, $d:ident,
              $e:ident, $f:ident, $g:ident, $h:ident, $kw:expr) => {{
-                let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
-                let ch = ($e & $f) ^ (!$e & $g);
-                let t1 = $h.wrapping_add(s1).wrapping_add(ch).wrapping_add($kw);
-                let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
-                let maj = ($a & $b) ^ ($a & $c) ^ ($b & $c);
-                $d = $d.wrapping_add(t1);
-                $h = t1.wrapping_add(s0).wrapping_add(maj);
-            }};
-        }
+            let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+            let ch = ($e & $f) ^ (!$e & $g);
+            let t1 = $h.wrapping_add(s1).wrapping_add(ch).wrapping_add($kw);
+            let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+            let maj = ($a & $b) ^ ($a & $c) ^ ($b & $c);
+            $d = $d.wrapping_add(t1);
+            $h = t1.wrapping_add(s0).wrapping_add(maj);
+        }};
+    }
 
-        let mut w = [0u32; 64];
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-        let mut i = 0;
-        while i < 64 {
-            round!(a, b, c, d, e, f, g, h, K[i].wrapping_add(w[i]));
-            round!(h, a, b, c, d, e, f, g, K[i + 1].wrapping_add(w[i + 1]));
-            round!(g, h, a, b, c, d, e, f, K[i + 2].wrapping_add(w[i + 2]));
-            round!(f, g, h, a, b, c, d, e, K[i + 3].wrapping_add(w[i + 3]));
-            round!(e, f, g, h, a, b, c, d, K[i + 4].wrapping_add(w[i + 4]));
-            round!(d, e, f, g, h, a, b, c, K[i + 5].wrapping_add(w[i + 5]));
-            round!(c, d, e, f, g, h, a, b, K[i + 6].wrapping_add(w[i + 6]));
-            round!(b, c, d, e, f, g, h, a, K[i + 7].wrapping_add(w[i + 7]));
-            i += 8;
-        }
-        state[0] = state[0].wrapping_add(a);
-        state[1] = state[1].wrapping_add(b);
-        state[2] = state[2].wrapping_add(c);
-        state[3] = state[3].wrapping_add(d);
-        state[4] = state[4].wrapping_add(e);
-        state[5] = state[5].wrapping_add(f);
-        state[6] = state[6].wrapping_add(g);
-        state[7] = state[7].wrapping_add(h);
+    let mut w = [0u32; 64];
+    for (i, word) in w.iter_mut().take(16).enumerate() {
+        *word = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    let mut i = 0;
+    while i < 64 {
+        round!(a, b, c, d, e, f, g, h, K[i].wrapping_add(w[i]));
+        round!(h, a, b, c, d, e, f, g, K[i + 1].wrapping_add(w[i + 1]));
+        round!(g, h, a, b, c, d, e, f, K[i + 2].wrapping_add(w[i + 2]));
+        round!(f, g, h, a, b, c, d, e, K[i + 3].wrapping_add(w[i + 3]));
+        round!(e, f, g, h, a, b, c, d, K[i + 4].wrapping_add(w[i + 4]));
+        round!(d, e, f, g, h, a, b, c, K[i + 5].wrapping_add(w[i + 5]));
+        round!(c, d, e, f, g, h, a, b, K[i + 6].wrapping_add(w[i + 6]));
+        round!(b, c, d, e, f, g, h, a, K[i + 7].wrapping_add(w[i + 7]));
+        i += 8;
+    }
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
 }
 
 /// Hardware SHA-256 block compression via the x86 SHA extensions.
@@ -266,9 +263,9 @@ fn compress_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
 mod shani {
     use super::K;
     use core::arch::x86_64::{
-        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128,
-        _mm_set_epi64x, _mm_setzero_si128, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32,
-        _mm_sha256rnds2_epu32, _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_setzero_si128, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+        _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
     };
     use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -327,10 +324,8 @@ mod shani {
         let mut m = [_mm_setzero_si128(); 4];
         for q in 0..16 {
             if q < 4 {
-                m[q] = _mm_shuffle_epi8(
-                    _mm_loadu_si128(block.as_ptr().add(16 * q).cast()),
-                    be_mask,
-                );
+                m[q] =
+                    _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16 * q).cast()), be_mask);
             }
             let k = _mm_loadu_si128(K.as_ptr().add(4 * q).cast());
             let wk = _mm_add_epi32(m[q % 4], k);

@@ -122,11 +122,8 @@ impl TxIn {
         seed.extend_from_slice(&vout.to_le_bytes());
         let fill = sha256d(&seed);
         let script_sig = filler_bytes(fill, 0x51, script_sig_len);
-        let witness = if witness_len > 0 {
-            vec![filler_bytes(fill, 0x52, witness_len)]
-        } else {
-            Vec::new()
-        };
+        let witness =
+            if witness_len > 0 { vec![filler_bytes(fill, 0x52, witness_len)] } else { Vec::new() };
         TxIn { prevout, script_sig, sequence: 0xffff_ffff, witness }
     }
 
@@ -304,9 +301,7 @@ fn base_parts_len(inputs: &[TxIn], outputs: &[TxOut]) -> usize {
     }
     len += compact_size_len(outputs.len() as u64);
     for output in outputs {
-        len += 8
-            + compact_size_len(output.script_pubkey.len() as u64)
-            + output.script_pubkey.len();
+        len += 8 + compact_size_len(output.script_pubkey.len() as u64) + output.script_pubkey.len();
     }
     len + 4
 }

@@ -2,8 +2,8 @@
 
 use crate::amount::Amount;
 use crate::block::Block;
-use crate::transaction::{OutPoint, Transaction, TxOut};
 use crate::fasthash::FastMap;
+use crate::transaction::{OutPoint, Transaction, TxOut};
 use std::fmt;
 
 /// Errors from applying transactions to the UTXO set.
@@ -71,13 +71,9 @@ impl UtxoSet {
     pub fn input_value(&self, tx: &Transaction) -> Result<Amount, UtxoError> {
         let mut total = Amount::ZERO;
         for input in tx.inputs() {
-            let prev = self
-                .utxos
-                .get(&input.prevout)
-                .ok_or(UtxoError::MissingInput(input.prevout))?;
-            total = total
-                .checked_add(prev.value)
-                .ok_or(UtxoError::NegativeFee)?;
+            let prev =
+                self.utxos.get(&input.prevout).ok_or(UtxoError::MissingInput(input.prevout))?;
+            total = total.checked_add(prev.value).ok_or(UtxoError::NegativeFee)?;
         }
         Ok(total)
     }
@@ -85,9 +81,7 @@ impl UtxoSet {
     /// The fee `tx` pays: input value minus output value.
     pub fn fee(&self, tx: &Transaction) -> Result<Amount, UtxoError> {
         let in_value = self.input_value(tx)?;
-        in_value
-            .checked_sub(tx.output_value())
-            .ok_or(UtxoError::NegativeFee)
+        in_value.checked_sub(tx.output_value()).ok_or(UtxoError::NegativeFee)
     }
 
     /// Applies a non-coinbase transaction: consumes its inputs, inserts its
@@ -113,8 +107,7 @@ impl UtxoSet {
     /// Inserts all outputs of `tx` (used for coinbases and initial funding).
     pub fn insert_outputs(&mut self, tx: &Transaction) {
         for (vout, output) in tx.outputs().iter().enumerate() {
-            self.utxos
-                .insert(OutPoint::new(tx.txid(), vout as u32), output.clone());
+            self.utxos.insert(OutPoint::new(tx.txid(), vout as u32), output.clone());
         }
     }
 
@@ -150,9 +143,7 @@ impl UtxoSet {
                 };
                 in_value = in_value.checked_add(prev).ok_or(UtxoError::NegativeFee)?;
             }
-            let fee = in_value
-                .checked_sub(tx.output_value())
-                .ok_or(UtxoError::NegativeFee)?;
+            let fee = in_value.checked_sub(tx.output_value()).ok_or(UtxoError::NegativeFee)?;
             // Same intra-tx double-spend scan as `apply_tx`, in the same
             // position (after the fee computation).
             for (i, a) in tx.inputs().iter().enumerate() {
@@ -363,10 +354,7 @@ mod tests {
             .pay_to(Address::from_label("r"), Amount::from_sat(100))
             .build();
         let block = Block::assemble(2, BlockHash::ZERO, 0, 0, cb, vec![dup]);
-        assert!(matches!(
-            set.check_block_detailed(&block),
-            Err(UtxoError::DoubleSpend(_))
-        ));
+        assert!(matches!(set.check_block_detailed(&block), Err(UtxoError::DoubleSpend(_))));
         // The read-only check never touched the set.
         assert!(set.contains(&OutPoint::new(fund.txid(), 0)));
     }

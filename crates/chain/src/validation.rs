@@ -138,9 +138,7 @@ mod tests {
     }
 
     fn coinbase(height: u64, value: Amount) -> Transaction {
-        CoinbaseBuilder::new(height)
-            .reward(Address::from_label("pool"), value)
-            .build()
+        CoinbaseBuilder::new(height).reward(Address::from_label("pool"), value).build()
     }
 
     fn funded_set() -> (UtxoSet, Transaction) {
@@ -193,8 +191,14 @@ mod tests {
     fn tampered_merkle_rejected() {
         let (mut set, fund) = funded_set();
         let tx = spend(&fund, 990_000);
-        let mut block =
-            Block::assemble(2, BlockHash::ZERO, 0, 0, coinbase(0, Amount::from_btc(50)), Vec::<Transaction>::new());
+        let mut block = Block::assemble(
+            2,
+            BlockHash::ZERO,
+            0,
+            0,
+            coinbase(0, Amount::from_btc(50)),
+            Vec::<Transaction>::new(),
+        );
         // Smuggle in a transaction without recomputing the root.
         block.transactions.push(tx.into());
         assert_eq!(
@@ -266,14 +270,8 @@ mod tests {
         small.max_block_weight = 500; // smaller than coinbase + one tx
         let (mut set, fund) = funded_set();
         let tx = spend(&fund, 990_000);
-        let block = Block::assemble(
-            2,
-            BlockHash::ZERO,
-            0,
-            0,
-            coinbase(0, Amount::from_btc(50)),
-            vec![tx],
-        );
+        let block =
+            Block::assemble(2, BlockHash::ZERO, 0, 0, coinbase(0, Amount::from_btc(50)), vec![tx]);
         assert!(matches!(
             connect_block(&block, &mut set, 0, &small),
             Err(ValidationError::OversizedBlock { .. })

@@ -317,7 +317,8 @@ mod tests {
         let mut chain = Chain::new(Params::mainnet());
         let cheat_wallet = Address::from_label("pool:Cheat:0");
         // Seed enough funding outputs, including some to the cheat wallet.
-        let mut fund = Transaction::builder().add_input(cn_chain::TxIn::new(cn_chain::OutPoint::NULL));
+        let mut fund =
+            Transaction::builder().add_input(cn_chain::TxIn::new(cn_chain::OutPoint::NULL));
         for _ in 0..40 {
             fund = fund.pay_to(Address::from_label("u"), Amount::from_sat(2_000_000));
         }
@@ -399,7 +400,8 @@ mod tests {
         // auditing with a huge alpha-proof threshold instead: simpler —
         // build a 6-block honest chain.
         let mut chain = Chain::new(Params::mainnet());
-        let mut fund = Transaction::builder().add_input(cn_chain::TxIn::new(cn_chain::OutPoint::NULL));
+        let mut fund =
+            Transaction::builder().add_input(cn_chain::TxIn::new(cn_chain::OutPoint::NULL));
         for _ in 0..12 {
             fund = fund.pay_to(Address::from_label("u"), Amount::from_sat(2_000_000));
         }
@@ -460,9 +462,14 @@ mod tests {
             }],
         );
         let exp = StreamExpectation::from_run(12_000, 15, 4);
-        let report =
-            audit_with_snapshots(&chain, &index, std::slice::from_ref(&snap), exp, AuditConfig::default())
-                .expect("degrades, not errors");
+        let report = audit_with_snapshots(
+            &chain,
+            &index,
+            std::slice::from_ref(&snap),
+            exp,
+            AuditConfig::default(),
+        )
+        .expect("degrades, not errors");
         let cov = report.coverage.expect("coverage present");
         assert!(cov.confidence() < 1.0);
         assert!(report.render().contains("coverage:"));

@@ -42,9 +42,7 @@ pub fn fee_rates_by_congestion(
         for entry in snap.rows() {
             // The first snapshot containing the tx defines its bin.
             if first.get(&entry.txid).copied() == Some(entry.received) {
-                assigned
-                    .entry(entry.txid)
-                    .or_insert((bin, entry.fee_rate().btc_per_kb()));
+                assigned.entry(entry.txid).or_insert((bin, entry.fee_rate().btc_per_kb()));
             }
         }
     }

@@ -259,7 +259,11 @@ impl StreamExpectation {
     /// Derives the expectation from a run's schedule: snapshots at
     /// `interval_secs`, `2·interval_secs`, … strictly before
     /// `duration_secs`, every `detail_every`-th one detailed.
-    pub fn from_run(duration_secs: u64, interval_secs: u64, detail_every: u64) -> StreamExpectation {
+    pub fn from_run(
+        duration_secs: u64,
+        interval_secs: u64,
+        detail_every: u64,
+    ) -> StreamExpectation {
         let windows = duration_secs.div_ceil(interval_secs.max(1)).saturating_sub(1);
         let detailed = windows.div_ceil(detail_every.max(1));
         StreamExpectation { windows, detailed, min_coverage: 0.0 }
@@ -313,7 +317,8 @@ mod tests {
 
     #[test]
     fn complete_stream_scores_full_confidence() {
-        let snaps = vec![detailed(15, &[1]), MempoolSnapshot::light(30, 1, 100), detailed(45, &[1, 2])];
+        let snaps =
+            vec![detailed(15, &[1]), MempoolSnapshot::light(30, 1, 100), detailed(45, &[1, 2])];
         let cov = SnapshotCoverage::assess(&snaps, 3, 2);
         assert!(cov.is_complete());
         assert_eq!(cov.window_fraction(), 1.0);
@@ -343,7 +348,8 @@ mod tests {
 
     #[test]
     fn coverage_monotone_under_window_removal() {
-        let full: Vec<MempoolSnapshot> = (0..20).map(|i| detailed(15 * (i + 1), &[i as u8])).collect();
+        let full: Vec<MempoolSnapshot> =
+            (0..20).map(|i| detailed(15 * (i + 1), &[i as u8])).collect();
         let mut last = f64::INFINITY;
         for removed in 0..full.len() {
             let stream = &full[..full.len() - removed];

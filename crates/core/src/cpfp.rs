@@ -31,9 +31,7 @@ mod tests {
     use cn_chain::{Address, Amount, BlockHash, CoinbaseBuilder, Transaction, TxOut};
 
     fn coinbase() -> Transaction {
-        CoinbaseBuilder::new(0)
-            .reward(Address::from_label("p"), Amount::from_btc(6))
-            .build()
+        CoinbaseBuilder::new(0).reward(Address::from_label("p"), Amount::from_btc(6)).build()
     }
 
     fn tx(seed: u8) -> Transaction {
@@ -55,7 +53,8 @@ mod tests {
         let a = tx(1);
         let b = child_of(&a);
         let c = tx(2);
-        let block = Block::assemble(2, BlockHash::ZERO, 0, 0, coinbase(), vec![a.clone(), b.clone(), c]);
+        let block =
+            Block::assemble(2, BlockHash::ZERO, 0, 0, coinbase(), vec![a.clone(), b.clone(), c]);
         let cpfp = cpfp_txids_in_block(&block);
         assert_eq!(cpfp, FastSet::from_iter([b.txid()]));
         assert!((cpfp_fraction(&block) - 1.0 / 3.0).abs() < 1e-12);
@@ -75,8 +74,14 @@ mod tests {
         let a = tx(1);
         let b = child_of(&a);
         let c = child_of(&b);
-        let block =
-            Block::assemble(2, BlockHash::ZERO, 0, 0, coinbase(), vec![a.clone(), b.clone(), c.clone()]);
+        let block = Block::assemble(
+            2,
+            BlockHash::ZERO,
+            0,
+            0,
+            coinbase(),
+            vec![a.clone(), b.clone(), c.clone()],
+        );
         let cpfp = cpfp_txids_in_block(&block);
         assert!(!cpfp.contains(&a.txid()));
         assert!(cpfp.contains(&b.txid()));
@@ -94,7 +99,8 @@ mod tests {
 
     #[test]
     fn empty_block_fraction_zero() {
-        let block = Block::assemble(2, BlockHash::ZERO, 0, 0, coinbase(), Vec::<Transaction>::new());
+        let block =
+            Block::assemble(2, BlockHash::ZERO, 0, 0, coinbase(), Vec::<Transaction>::new());
         assert_eq!(cpfp_fraction(&block), 0.0);
     }
 }

@@ -121,7 +121,8 @@ mod tests {
         // A compact helper: single block, four txs with chosen fees.
         use cn_chain::{Address, Block, Chain, CoinbaseBuilder, Params, PoolMarker, Transaction};
         let mut chain = Chain::new(Params::mainnet());
-        let mut fund = Transaction::builder().add_input(cn_chain::TxIn::new(cn_chain::OutPoint::NULL));
+        let mut fund =
+            Transaction::builder().add_input(cn_chain::TxIn::new(cn_chain::OutPoint::NULL));
         for _ in 0..4 {
             fund = fund.pay_to(Address::from_label("f"), Amount::from_sat(10_000_000));
         }
@@ -162,12 +163,7 @@ mod tests {
         let index = handmade_index();
         let leader = detect_accelerated(&index, "M", 70.0)[0];
         let truth: HashSet<Txid> = HashSet::from([leader]);
-        let rows = sppe_threshold_table(
-            &index,
-            "M",
-            &[70.0, 0.0, -100.0],
-            &|t| truth.contains(t),
-        );
+        let rows = sppe_threshold_table(&index, "M", &[70.0, 0.0, -100.0], &|t| truth.contains(t));
         assert_eq!(rows[0].total, 1);
         assert_eq!(rows[0].accelerated, 1);
         assert!((rows[0].precision() - 1.0).abs() < 1e-12);

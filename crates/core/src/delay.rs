@@ -110,9 +110,7 @@ pub fn delays_by_fee_band(records: &[DelayRecord]) -> HashMap<FeeBand, Vec<u64>>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cn_chain::{
-        Address, Amount, Block, Chain, CoinbaseBuilder, Params, Transaction,
-    };
+    use cn_chain::{Address, Amount, Block, Chain, CoinbaseBuilder, Params, Transaction};
     use cn_mempool::SnapshotEntry;
 
     fn snapshot(time: Timestamp, entries: &[(Txid, Timestamp)]) -> MempoolSnapshot {
@@ -164,8 +162,7 @@ mod tests {
                 .reward(Address::from_label("p"), Amount::from_btc(50) + Amount::from_sat(100_000))
                 .extra_nonce(h)
                 .build();
-            let block =
-                Block::assemble(2, chain.tip_hash(), (h + 1) * 600, h as u32, cb, vec![tx]);
+            let block = Block::assemble(2, chain.tip_hash(), (h + 1) * 600, h as u32, cb, vec![tx]);
             chain.connect(block).expect("valid");
         }
         (chain, txids)
@@ -227,9 +224,24 @@ mod tests {
     #[test]
     fn banded_delays_partition_records() {
         let records = vec![
-            DelayRecord { txid: Txid::from([1; 32]), first_seen: 0, blocks: 5, fee_rate: FeeRate::from_sat_per_vb(2) },
-            DelayRecord { txid: Txid::from([2; 32]), first_seen: 0, blocks: 2, fee_rate: FeeRate::from_sat_per_vb(50) },
-            DelayRecord { txid: Txid::from([3; 32]), first_seen: 0, blocks: 1, fee_rate: FeeRate::from_sat_per_vb(500) },
+            DelayRecord {
+                txid: Txid::from([1; 32]),
+                first_seen: 0,
+                blocks: 5,
+                fee_rate: FeeRate::from_sat_per_vb(2),
+            },
+            DelayRecord {
+                txid: Txid::from([2; 32]),
+                first_seen: 0,
+                blocks: 2,
+                fee_rate: FeeRate::from_sat_per_vb(50),
+            },
+            DelayRecord {
+                txid: Txid::from([3; 32]),
+                first_seen: 0,
+                blocks: 1,
+                fee_rate: FeeRate::from_sat_per_vb(500),
+            },
         ];
         let by_band = delays_by_fee_band(&records);
         assert_eq!(by_band[&FeeBand::Low], vec![5]);

@@ -31,12 +31,8 @@ pub fn block_displacement(block: &BlockInfo) -> BlockDisplacement {
     if n < 2 {
         return BlockDisplacement::default();
     }
-    let subset: Vec<(usize, u64, u64)> = block
-        .txs
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (i, t.fee.to_sat(), t.vsize.max(1)))
-        .collect();
+    let subset: Vec<(usize, u64, u64)> =
+        block.txs.iter().enumerate().map(|(i, t)| (i, t.fee.to_sat(), t.vsize.max(1))).collect();
     let predicted = predicted_positions(&subset);
     let mut out = BlockDisplacement::default();
     let top_decile = n / 10;
@@ -87,12 +83,8 @@ pub fn displacement_fee_gap(block: &BlockInfo) -> u64 {
     if n < 2 {
         return 0;
     }
-    let subset: Vec<(usize, u64, u64)> = block
-        .txs
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (i, t.fee.to_sat(), t.vsize.max(1)))
-        .collect();
+    let subset: Vec<(usize, u64, u64)> =
+        block.txs.iter().enumerate().map(|(i, t)| (i, t.fee.to_sat(), t.vsize.max(1))).collect();
     let predicted = predicted_positions(&subset);
     let mut gap = 0u64;
     for (observed, tx) in block.txs.iter().enumerate() {
@@ -101,15 +93,13 @@ pub fn displacement_fee_gap(block: &BlockInfo) -> u64 {
         }
         // The rate the position "deserved": the tx whose predicted rank is
         // the observed position.
-        if let Some(deserving) = block.txs.iter().enumerate().find(|(i, _)| predicted[*i] == observed)
+        if let Some(deserving) =
+            block.txs.iter().enumerate().find(|(i, _)| predicted[*i] == observed)
         {
             let deserved_rate = deserving.1.fee_rate();
             let actual_rate = FeeRate::from_fee_and_vsize(tx.fee, tx.vsize);
             if deserved_rate > actual_rate {
-                gap += deserved_rate
-                    .fee_for_vsize(tx.vsize)
-                    .saturating_sub(tx.fee)
-                    .to_sat();
+                gap += deserved_rate.fee_for_vsize(tx.vsize).saturating_sub(tx.fee).to_sat();
             }
         }
     }

@@ -116,21 +116,15 @@ impl ChainIndex {
     /// # Panics
     /// Panics when `tx_fees` does not line up with the block body.
     pub fn push_block(&mut self, block: &Block, tx_fees: &[Amount]) {
-        assert_eq!(
-            tx_fees.len(),
-            block.body().len(),
-            "chain record out of sync with block body"
-        );
+        assert_eq!(tx_fees.len(), block.body().len(), "chain record out of sync with block body");
         let height = self.base + self.blocks.len() as u64;
         let cpfp = cpfp_txids_in_block(block);
         let miner = block
             .coinbase()
             .and_then(PoolMarker::from_coinbase)
             .map(|m| m.0.trim_matches('/').to_string());
-        let coinbase_wallets = block
-            .coinbase()
-            .map(|cb| cb.output_addresses().collect())
-            .unwrap_or_default();
+        let coinbase_wallets =
+            block.coinbase().map(|cb| cb.output_addresses().collect()).unwrap_or_default();
         let txs = block
             .body()
             .iter()
@@ -455,14 +449,7 @@ mod tests {
             .marker(cn_chain::PoolMarker::new("/PoolB/"))
             .reward(Address::from_label("pool:B:0"), Amount::from_btc(50) + fees)
             .build();
-        let b1 = Block::assemble(
-            2,
-            chain.tip_hash(),
-            1_200,
-            1,
-            cb1,
-            vec![parent, child, other],
-        );
+        let b1 = Block::assemble(2, chain.tip_hash(), 1_200, 1, cb1, vec![parent, child, other]);
         chain.connect(b1).expect("valid");
         chain
     }

@@ -88,8 +88,8 @@ pub use auditor::{
     audit_attributed, audit_chain, audit_with_snapshots, AuditConfig, AuditReport, Finding,
 };
 pub use coverage::{SnapshotCoverage, StreamExpectation};
-pub use error::AuditError;
 pub use darkfee::{sppe_threshold_table, SppeThresholdRow};
+pub use error::AuditError;
 pub use index::{BlockInfo, ChainIndex, TxRecord};
 pub use pairs::{count_cross_block, count_violations, BlockPairSet, PairObservation, PairStats};
 pub use ppe::{block_ppe, chain_ppe, ppe_by_miner};
@@ -97,8 +97,8 @@ pub use prioritization::{differential_prioritization, windowed_prioritization, D
 pub use reconcile::{
     audit_with_fleet, reconcile, reconcile_with_pool, FirstSeenStats, FleetView, ObserverView,
 };
-pub use sppe::sppe_for_miner;
 pub use spill::{SpillError, SpilledAuditor};
+pub use sppe::sppe_for_miner;
 pub use streaming::{
     interleave, RollingMiner, RollingVerdict, StreamCounters, StreamEvent, StreamingAuditor,
     StreamingConfig,

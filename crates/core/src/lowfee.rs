@@ -70,7 +70,9 @@ pub fn low_fee_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cn_chain::{Address, Amount, Block, BlockHash, Chain, CoinbaseBuilder, Params, PoolMarker, Transaction};
+    use cn_chain::{
+        Address, Amount, Block, BlockHash, Chain, CoinbaseBuilder, Params, PoolMarker, Transaction,
+    };
     use cn_mempool::SnapshotEntry;
 
     fn entry(txid: Txid, fee: u64, vsize: u64) -> SnapshotEntry {
@@ -100,8 +102,7 @@ mod tests {
             .marker(PoolMarker::new("/F2Pool/"))
             .reward(Address::from_label("p"), Amount::from_btc(50))
             .build();
-        let block =
-            Block::assemble(2, BlockHash::ZERO, 600, 0, cb, vec![zero_fee_tx.clone()]);
+        let block = Block::assemble(2, BlockHash::ZERO, 600, 0, cb, vec![zero_fee_tx.clone()]);
         chain.connect(block).expect("valid");
         let index = ChainIndex::build(&chain);
 
@@ -109,8 +110,8 @@ mod tests {
         let snaps = vec![MempoolSnapshot::from_entries(
             0,
             vec![
-                entry(zero_fee_tx.txid(), 0, 200),    // zero fee, confirmed
-                entry(never_confirmed, 100, 200),      // 0.5 sat/vB, stuck
+                entry(zero_fee_tx.txid(), 0, 200),      // zero fee, confirmed
+                entry(never_confirmed, 100, 200),       // 0.5 sat/vB, stuck
                 entry(Txid::from([8; 32]), 5_000, 200), // healthy fee, ignored
             ],
         )];

@@ -166,7 +166,12 @@ pub fn count_violations(obs: &[PairObservation], epsilon: u64) -> Result<PairSta
             fee: o.fee_rate,
             height_rank: rank(o.height),
         });
-        ops.push(Op { time: o.received, is_insert: false, fee: o.fee_rate, height_rank: rank(o.height) });
+        ops.push(Op {
+            time: o.received,
+            is_insert: false,
+            fee: o.fee_rate,
+            height_rank: rank(o.height),
+        });
     }
     // Queries first at equal time: `t_i + ε < t_j` is strict.
     ops.sort_by(|a, b| a.time.cmp(&b.time).then_with(|| a.is_insert.cmp(&b.is_insert)));
@@ -376,11 +381,7 @@ mod tests {
     use super::*;
 
     fn obs(t: u64, rate: u64, h: u64) -> PairObservation {
-        PairObservation {
-            received: t,
-            fee_rate: FeeRate::from_sat_per_kvb(rate),
-            height: h,
-        }
+        PairObservation { received: t, fee_rate: FeeRate::from_sat_per_kvb(rate), height: h }
     }
 
     /// [`count_violations`] over a non-empty set.
@@ -465,9 +466,8 @@ mod tests {
             state >> 33
         };
         for n in [1usize, 2, 3, 10, 64, 257] {
-            let data: Vec<PairObservation> = (0..n)
-                .map(|_| obs(next() % 1_000, next() % 50, next() % 20))
-                .collect();
+            let data: Vec<PairObservation> =
+                (0..n).map(|_| obs(next() % 1_000, next() % 50, next() % 20)).collect();
             for eps in [0u64, 5, 50] {
                 let reference = count_violations_reference(&data, eps);
                 let cdq = counted(&data, eps);
@@ -538,8 +538,7 @@ mod tests {
     fn cdq_handles_epsilon_saturation() {
         // `t + ε` saturates instead of wrapping: with ε = u64::MAX no pair
         // can satisfy the strict inequality, however the times tie.
-        let data =
-            [obs(0, 100, 5), obs(u64::MAX - 1, 50, 4), obs(u64::MAX, 70, 3), obs(3, 60, 2)];
+        let data = [obs(0, 100, 5), obs(u64::MAX - 1, 50, 4), obs(u64::MAX, 70, 3), obs(3, 60, 2)];
         for eps in [u64::MAX, u64::MAX - 1, u64::MAX / 2] {
             let reference = count_violations_reference(&data, eps);
             assert_eq!(counted(&data, eps), reference, "eps={eps}");
@@ -639,9 +638,13 @@ mod tests {
         for eps in [0u64, 1, 7] {
             for (nl, ne) in [(1usize, 1usize), (3, 2), (17, 5), (64, 129)] {
                 let mk = |n: usize, next: &mut dyn FnMut() -> u64| {
-                    rows(&(0..n)
-                        .map(|_| ((next() % 4) * eps.max(1), [10, 10, 20, 30][(next() % 4) as usize]))
-                        .collect::<Vec<_>>())
+                    rows(
+                        &(0..n)
+                            .map(|_| {
+                                ((next() % 4) * eps.max(1), [10, 10, 20, 30][(next() % 4) as usize])
+                            })
+                            .collect::<Vec<_>>(),
+                    )
                 };
                 let later = mk(nl, &mut next);
                 let earlier = mk(ne, &mut next);

@@ -56,9 +56,7 @@ pub fn block_ppe(block: &BlockInfo) -> Option<f64> {
     }
     let n = subset.len();
     let predicted = predicted_positions(&subset);
-    let total: f64 = (0..n)
-        .map(|i| (percentile(predicted[i], n) - percentile(i, n)).abs())
-        .sum();
+    let total: f64 = (0..n).map(|i| (percentile(predicted[i], n) - percentile(i, n)).abs()).sum();
     Some(total / n as f64)
 }
 
@@ -160,11 +158,7 @@ mod tests {
     #[test]
     fn ppe_bounded_by_fifty() {
         // Worst case mean displacement is n/2 positions -> 50pp.
-        for perm in [
-            vec![1u64, 2, 3, 4, 5, 6],
-            vec![6, 5, 4, 3, 2, 1],
-            vec![3, 1, 4, 1, 5, 9],
-        ] {
+        for perm in [vec![1u64, 2, 3, 4, 5, 6], vec![6, 5, 4, 3, 2, 1], vec![3, 1, 4, 1, 5, 9]] {
             let b = block_with_rates(&perm, &[]);
             let ppe = block_ppe(&b).expect("non-empty");
             assert!((0.0..=50.0).contains(&ppe), "ppe = {ppe}");

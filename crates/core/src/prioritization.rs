@@ -42,10 +42,8 @@ impl DifferentialTest {
 
 /// Heights of blocks containing at least one c-transaction.
 fn c_block_heights(index: &ChainIndex, c_txids: &FastSet<Txid>) -> Vec<u64> {
-    let mut heights: Vec<u64> = c_txids
-        .iter()
-        .filter_map(|t| index.locate(t).map(|(h, _)| h))
-        .collect();
+    let mut heights: Vec<u64> =
+        c_txids.iter().filter_map(|t| index.locate(t).map(|(h, _)| h)).collect();
     heights.sort_unstable();
     heights.dedup();
     heights
@@ -64,11 +62,7 @@ pub fn differential_prioritization(
     let x = heights
         .iter()
         .filter(|&&h| {
-            index
-                .block(h)
-                .and_then(|b| b.miner.as_deref())
-                .map(|m| m == miner)
-                .unwrap_or(false)
+            index.block(h).and_then(|b| b.miner.as_deref()).map(|m| m == miner).unwrap_or(false)
         })
         .count() as u64;
     DifferentialTest {
@@ -118,8 +112,7 @@ pub fn windowed_prioritization(
             })
             .count() as u64;
         let theta = mined_by_m as f64 / blocks_in_window as f64;
-        let in_window: Vec<u64> =
-            heights.iter().copied().filter(|&h| h >= lo && h < hi).collect();
+        let in_window: Vec<u64> = heights.iter().copied().filter(|&h| h >= lo && h < hi).collect();
         let y = in_window.len() as u64;
         if y == 0 {
             continue;
@@ -153,15 +146,15 @@ pub fn windowed_prioritization(
 mod tests {
     use super::*;
     use cn_chain::{
-        Address, Amount, Block, Chain, CoinbaseBuilder, Params, PoolMarker,
-        Transaction,
+        Address, Amount, Block, Chain, CoinbaseBuilder, Params, PoolMarker, Transaction,
     };
 
     /// Builds a chain where every block contains one marked c-transaction,
     /// with `miners[i]` mining block i.
     fn chain_with(miners: &[&str]) -> (Chain, FastSet<Txid>) {
         let mut chain = Chain::new(Params::mainnet());
-        let mut fund = Transaction::builder().add_input(cn_chain::TxIn::new(cn_chain::OutPoint::NULL));
+        let mut fund =
+            Transaction::builder().add_input(cn_chain::TxIn::new(cn_chain::OutPoint::NULL));
         for _ in miners {
             fund = fund.pay_to(Address::from_label("funder"), Amount::from_sat(1_000_000));
         }

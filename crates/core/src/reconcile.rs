@@ -492,16 +492,10 @@ mod tests {
     fn fusion_takes_union_rows_and_min_first_seen() {
         // Observer a sees tx1 at 10 and tx2 at 20; observer b sees tx1
         // later (withheld) and tx3 that a never saw.
-        let a = view(
-            "a",
-            vec![MempoolSnapshot::from_entries(15, vec![entry(1, 10), entry(2, 20)])],
-            1,
-        );
-        let b = view(
-            "b",
-            vec![MempoolSnapshot::from_entries(15, vec![entry(1, 14), entry(3, 12)])],
-            1,
-        );
+        let a =
+            view("a", vec![MempoolSnapshot::from_entries(15, vec![entry(1, 10), entry(2, 20)])], 1);
+        let b =
+            view("b", vec![MempoolSnapshot::from_entries(15, vec![entry(1, 14), entry(3, 12)])], 1);
         let fleet = reconcile(&[a, b]).expect("reconciles");
         assert_eq!(fleet.fused.len(), 1);
         let fused = &fleet.fused[0];
@@ -561,9 +555,8 @@ mod tests {
         let full = MempoolSnapshot::from_entries(15, vec![entry(1, 10), entry(2, 11)]);
         let cut = full.truncate_detail(0.5);
         assert!(cut.is_truncated());
-        let fleet =
-            reconcile(&[view("a", vec![full.clone()], 1), view("b", vec![cut.clone()], 1)])
-                .expect("reconciles");
+        let fleet = reconcile(&[view("a", vec![full.clone()], 1), view("b", vec![cut.clone()], 1)])
+            .expect("reconciles");
         assert!(!fleet.fused[0].is_truncated(), "the full dump heals the cut one");
         let fleet = reconcile(&[view("a", vec![cut.clone()], 1), view("b", vec![cut], 1)])
             .expect("reconciles");

@@ -188,8 +188,7 @@ impl<S: Read + Write + Seek> SpilledAuditor<S> {
     pub fn push_block(&mut self, block: &Block) -> Result<(), SpillError> {
         self.auditor.push_block(block)?;
         if self.epoch_blocks > 0
-            && self.auditor.sealed_blocks().saturating_sub(self.spilled_blocks)
-                >= self.epoch_blocks
+            && self.auditor.sealed_blocks().saturating_sub(self.spilled_blocks) >= self.epoch_blocks
         {
             self.spill()?;
         }
@@ -327,8 +326,7 @@ mod tests {
     fn spilled_verdict_is_bit_identical_to_unspilled() {
         let (chain, snapshots) = sample(16);
         for epoch in [1u64, 3, 5] {
-            let mut plain =
-                StreamingAuditor::new(chain.initial_utxos(), config(16, 4));
+            let mut plain = StreamingAuditor::new(chain.initial_utxos(), config(16, 4));
             let mut spilled = SpilledAuditor::new(
                 StreamingAuditor::new(chain.initial_utxos(), config(16, 4)),
                 Cursor::new(Vec::new()),

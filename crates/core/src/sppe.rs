@@ -16,12 +16,8 @@ pub fn block_sppes(block: &BlockInfo) -> Vec<(Txid, f64)> {
     if block.txs.is_empty() {
         return Vec::new();
     }
-    let subset: Vec<(usize, u64, u64)> = block
-        .txs
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (i, t.fee.to_sat(), t.vsize.max(1)))
-        .collect();
+    let subset: Vec<(usize, u64, u64)> =
+        block.txs.iter().enumerate().map(|(i, t)| (i, t.fee.to_sat(), t.vsize.max(1))).collect();
     let n = subset.len();
     let predicted = predicted_positions(&subset);
     block

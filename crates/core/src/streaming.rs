@@ -263,11 +263,7 @@ impl RollingVerdict {
             let _ = writeln!(out, "  fee rate p50 {p50:.1} p90 {p90:.1} sat/vB");
         }
         for m in &self.miners {
-            let _ = write!(
-                out,
-                "  {}: {} blocks, {} txs",
-                m.name, m.stats.blocks, m.stats.txs
-            );
+            let _ = write!(out, "  {}: {} blocks, {} txs", m.name, m.stats.blocks, m.stats.txs);
             if let Some(ppe) = m.stats.mean_ppe() {
                 let _ = write!(out, ", PPE {ppe:.2}%");
             }
@@ -616,9 +612,8 @@ impl StreamingAuditor {
                 RollingMiner { name, stats, fisher_p }
             })
             .collect();
-        miners.sort_by(|a, b| {
-            b.stats.blocks.cmp(&a.stats.blocks).then_with(|| a.name.cmp(&b.name))
-        });
+        miners
+            .sort_by(|a, b| b.stats.blocks.cmp(&a.stats.blocks).then_with(|| a.name.cmp(&b.name)));
         miners.truncate(self.config.audit.top_k);
         let q = |h: &Histogram| Some((h.quantile(0.5)?, h.quantile(0.9)?));
         RollingVerdict {
@@ -703,14 +698,8 @@ mod tests {
                 .reward(Address::from_label("pool:Solo:0"), Amount::from_btc(50) + fees)
                 .extra_nonce(h)
                 .build();
-            let block = Block::assemble(
-                2,
-                chain.tip_hash(),
-                (h + 1) * 600,
-                h as u32,
-                cb,
-                vec![t1, t2],
-            );
+            let block =
+                Block::assemble(2, chain.tip_hash(), (h + 1) * 600, h as u32, cb, vec![t1, t2]);
             chain.connect(block).expect("valid");
         }
         (chain, snapshots)

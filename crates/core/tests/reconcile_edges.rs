@@ -6,11 +6,11 @@
 use cn_chain::{
     Address, Amount, Block, Chain, CoinbaseBuilder, Params, PoolMarker, Transaction, Txid,
 };
+use cn_core::reconcile::ObserverView;
 use cn_core::{
     audit_with_fleet, audit_with_snapshots, reconcile, reconcile_with_pool, AuditConfig,
     AuditError, ChainIndex, StreamExpectation,
 };
-use cn_core::reconcile::ObserverView;
 use cn_mempool::{MempoolSnapshot, SnapshotEntry};
 use cn_stats::Pool;
 
@@ -72,8 +72,7 @@ fn sample_world() -> (Chain, Vec<MempoolSnapshot>) {
             .reward(Address::from_label("pool:Solo:0"), Amount::from_btc(50) + fees)
             .extra_nonce(h)
             .build();
-        let block =
-            Block::assemble(2, chain.tip_hash(), (h + 1) * 600, h as u32, cb, vec![t1, t2]);
+        let block = Block::assemble(2, chain.tip_hash(), (h + 1) * 600, h as u32, cb, vec![t1, t2]);
         chain.connect(block).expect("valid");
     }
     (chain, snapshots)
@@ -139,9 +138,8 @@ fn solo_fast_path_preserves_stream_and_stamps() {
 
     // An observer dropped for total blindness does not knock the fleet off
     // the fast path.
-    let fleet =
-        reconcile(&[view("solo", snaps.clone(), 4), view("blind", Vec::new(), 4)])
-            .expect("reconciles");
+    let fleet = reconcile(&[view("solo", snaps.clone(), 4), view("blind", Vec::new(), 4)])
+        .expect("reconciles");
     assert_eq!(fleet.fused, snaps);
     assert_eq!(fleet.dropped, vec!["blind".to_string()]);
 }
@@ -158,8 +156,7 @@ fn duplicated_observer_fuses_to_the_solo_stream() {
         MempoolSnapshot::light(45, 9, 900),
     ];
     let solo = reconcile(&[view("a", snaps.clone(), 3)]).expect("reconciles");
-    let twin =
-        reconcile(&[view("a", snaps.clone(), 3), view("b", snaps, 3)]).expect("reconciles");
+    let twin = reconcile(&[view("a", snaps.clone(), 3), view("b", snaps, 3)]).expect("reconciles");
     assert_eq!(solo.fused, twin.fused);
     assert_eq!(solo.coverage, twin.coverage);
     assert_eq!(solo.first_seen.txs_union, twin.first_seen.txs_union);
@@ -171,11 +168,7 @@ fn n1_fleet_audit_equals_single_stream_audit() {
     let (chain, snapshots) = sample_world();
     let index = ChainIndex::build(&chain);
     let expectation = StreamExpectation { windows: 6, detailed: 6, min_coverage: 0.0 };
-    let solo = ObserverView {
-        label: "solo".into(),
-        snapshots: snapshots.clone(),
-        expectation,
-    };
+    let solo = ObserverView { label: "solo".into(), snapshots: snapshots.clone(), expectation };
     let (fleet_report, fleet) =
         audit_with_fleet(&chain, &index, &[solo], AuditConfig::default()).expect("audits");
     let single =
@@ -223,8 +216,7 @@ fn empty_detailed_beats_light_in_the_same_window() {
     // light count alone cannot say what was in it.
     let detailed = vec![MempoolSnapshot::from_entries(15, Vec::new())];
     let light = vec![MempoolSnapshot::light(15, 3, 300)];
-    let fleet =
-        reconcile(&[view("d", detailed, 1), view("l", light, 1)]).expect("reconciles");
+    let fleet = reconcile(&[view("d", detailed, 1), view("l", light, 1)]).expect("reconciles");
     let fused = &fleet.fused[0];
     assert!(fused.is_detailed());
     assert!(fused.is_empty());

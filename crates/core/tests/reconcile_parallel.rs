@@ -48,8 +48,7 @@ fn reference_assess(
     expected_detailed: u64,
 ) -> SnapshotCoverage {
     let detailed: Vec<&MempoolSnapshot> = snapshots.iter().filter(|s| s.is_detailed()).collect();
-    let observed: FastSet<Txid> =
-        detailed.iter().flat_map(|s| s.rows().map(|e| e.txid)).collect();
+    let observed: FastSet<Txid> = detailed.iter().flat_map(|s| s.rows().map(|e| e.txid)).collect();
     SnapshotCoverage {
         expected_windows,
         present_windows: snapshots.len() as u64,
@@ -121,10 +120,7 @@ fn reference_first_seen(live: &[&ObserverView]) -> FirstSeenStats {
         let mut first: FastMap<Txid, Timestamp> = FastMap::default();
         for snap in view.snapshots.iter().filter(|s| s.is_detailed()) {
             for e in snap.rows() {
-                first
-                    .entry(e.txid)
-                    .and_modify(|t| *t = (*t).min(e.received))
-                    .or_insert(e.received);
+                first.entry(e.txid).and_modify(|t| *t = (*t).min(e.received)).or_insert(e.received);
             }
         }
         for (txid, t) in first {
@@ -215,13 +211,7 @@ fn entry_strategy() -> impl Strategy<Value = SnapshotEntry> {
 /// `truncate_detail` at 0, ¼, ½, ¾ or all of its rows; any of them
 /// possibly degraded.
 fn snapshot_strategy() -> impl Strategy<Value = MempoolSnapshot> {
-    (
-        0u64..8,
-        proptest::collection::vec(entry_strategy(), 0..40),
-        0u8..7,
-        0usize..60,
-        any::<bool>(),
-    )
+    (0u64..8, proptest::collection::vec(entry_strategy(), 0..40), 0u8..7, 0usize..60, any::<bool>())
         .prop_map(|(w, rows, kind, light_count, degraded)| {
             let time = w * 600 + 300;
             let snap = match kind {
@@ -269,8 +259,8 @@ fn record(backlog: u32, steps: &[(u8, u32)]) -> Vec<MempoolSnapshot> {
     let mut stream = Vec::new();
     for (step, &(kind, pick)) in steps.iter().enumerate() {
         let now = step as u64 + 1;
-        let resident =
-            (!pool.is_empty()).then(|| pool.iter().nth(pick as usize % pool.len()).map(|e| e.txid()));
+        let resident = (!pool.is_empty())
+            .then(|| pool.iter().nth(pick as usize % pool.len()).map(|e| e.txid()));
         let time = u64::from(pick % 8) * 600 + 300;
         match kind {
             0 | 1 => {
@@ -301,12 +291,7 @@ fn record(backlog: u32, steps: &[(u8, u32)]) -> Vec<MempoolSnapshot> {
 /// expectation; an observer with no snapshots is dropped. On one fleet
 /// in four, the first observer's stream is recorded from a `Mempool`.
 fn fleet_strategy() -> impl Strategy<Value = Vec<ObserverView>> {
-    let view_s = (
-        proptest::collection::vec(snapshot_strategy(), 0..8),
-        0u64..12,
-        0u64..12,
-        0u8..3,
-    );
+    let view_s = (proptest::collection::vec(snapshot_strategy(), 0..8), 0u64..12, 0u64..12, 0u8..3);
     (proptest::collection::vec(view_s, 1..=6), 0u8..4, recorded_stream_strategy()).prop_map(
         |(views, recorded, stream)| {
             let mut views: Vec<ObserverView> = views

@@ -78,13 +78,8 @@ pub const PAPER_ACCEL_FEE_MEAN_MULTIPLE: f64 = 566.3;
 pub const PAPER_ACCEL_FEE_MEDIAN_MULTIPLE: f64 = 116.64;
 
 /// Table 5: per-year fee share of miner revenue (mean %, 2016–2020).
-pub const PAPER_FEE_SHARE_BY_YEAR: [(u32, f64); 5] = [
-    (2016, 2.48),
-    (2017, 11.77),
-    (2018, 3.19),
-    (2019, 2.75),
-    (2020, 6.29),
-];
+pub const PAPER_FEE_SHARE_BY_YEAR: [(u32, f64); 5] =
+    [(2016, 2.48), (2017, 11.77), (2018, 3.19), (2019, 2.75), (2020, 6.29)];
 
 #[cfg(test)]
 mod tests {

@@ -309,7 +309,10 @@ mod tests {
             .behaviors
             .iter()
             .any(|b| matches!(b, PoolBehavior::DarkFee { .. })));
-        assert!(by_name("AntPool").behaviors.iter().all(|b| !matches!(b, PoolBehavior::SelfInterest)));
+        assert!(by_name("AntPool")
+            .behaviors
+            .iter()
+            .all(|b| !matches!(b, PoolBehavior::SelfInterest)));
         assert!(by_name("F2Pool").accepts_low_fee);
         assert!(!by_name("Poolin").accepts_low_fee);
         assert!(c.scam.is_some());

@@ -7,8 +7,8 @@
 //! afterwards. This module synthesizes blocks under both regimes so the
 //! experiment harness can reproduce that contrast.
 
-use cn_core::index::{BlockInfo, TxRecord};
 use cn_chain::{Amount, BlockHash, Txid};
+use cn_core::index::{BlockInfo, TxRecord};
 use cn_stats::{LogNormal, SimRng};
 
 /// Which ordering rule a block's miner used.
@@ -56,9 +56,8 @@ pub fn synthetic_blocks(
             })
             .collect();
         match era {
-            EraOrdering::CoinAgePriority => candidates.sort_by(|a, b| {
-                b.priority.partial_cmp(&a.priority).expect("finite priorities")
-            }),
+            EraOrdering::CoinAgePriority => candidates
+                .sort_by(|a, b| b.priority.partial_cmp(&a.priority).expect("finite priorities")),
             EraOrdering::FeeRate => candidates.sort_by(|a, b| {
                 let lhs = a.fee as u128 * b.vsize as u128;
                 let rhs = b.fee as u128 * a.vsize as u128;
@@ -114,8 +113,7 @@ mod tests {
     fn priority_era_has_large_ppe() {
         let mut rng = SimRng::seed_from_u64(2);
         let blocks = synthetic_blocks(EraOrdering::CoinAgePriority, 20, 80, &mut rng);
-        let mean: f64 =
-            blocks.iter().filter_map(block_ppe).sum::<f64>() / blocks.len() as f64;
+        let mean: f64 = blocks.iter().filter_map(block_ppe).sum::<f64>() / blocks.len() as f64;
         // Independent orderings put the expected displacement near 33%.
         assert!(mean > 20.0, "priority-era mean PPE {mean}");
     }

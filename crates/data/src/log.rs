@@ -43,14 +43,16 @@
 //!
 //! Corruption surfaces as a typed [`LogError`], never a panic.
 
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cn_chain::encode::{
     ensure_remaining, read_compact_size, write_compact_size, DecodeError, MAX_DECODE_LEN,
 };
-use cn_chain::{Amount, Block, Decodable, Encodable, FastMap, Timestamp, Transaction, Txid, UtxoSet};
+use cn_chain::{
+    Amount, Block, Decodable, Encodable, FastMap, Timestamp, Transaction, Txid, UtxoSet,
+};
 use cn_mempool::{MempoolSnapshot, SnapshotEntry};
 use cn_sim::sink::EventSink;
 use cn_sim::SimOutput;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -336,7 +338,8 @@ impl<W: Write> EventSink for LogWriter<W> {
         debug_assert!(self.header_written, "on_start must precede events");
         if snapshot.time < self.last_time {
             let previous = self.last_time;
-            self.error.get_or_insert(LogError::SnapshotOutOfOrder { time: snapshot.time, previous });
+            self.error
+                .get_or_insert(LogError::SnapshotOutOfOrder { time: snapshot.time, previous });
             return;
         }
         // A segment's first record carries its time in full.
@@ -796,7 +799,14 @@ mod tests {
         let coinbase = cn_chain::CoinbaseBuilder::new(0)
             .reward(cn_chain::Address::from_label("pool"), Amount::from_btc(6))
             .build();
-        let block = Block::assemble(1, cn_chain::BlockHash::ZERO, 20, 0, coinbase, Vec::<Transaction>::new());
+        let block = Block::assemble(
+            1,
+            cn_chain::BlockHash::ZERO,
+            20,
+            0,
+            coinbase,
+            Vec::<Transaction>::new(),
+        );
         // With epoch 1 the block closes its segment, so the snapshot would
         // open a new one; the refusal does not depend on segmentation.
         for epoch in [0, 1] {

@@ -65,8 +65,8 @@ fn arb_event() -> impl Strategy<Value = EventSpec> {
             0u8..101,
         ),
     )
-        .prop_map(|((sel, delta, degraded), (nonce, txs), (count, vsize), (rows, keep, frac))| {
-            match sel {
+        .prop_map(
+            |((sel, delta, degraded), (nonce, txs), (count, vsize), (rows, keep, frac))| match sel {
                 0 => EventSpec::Block { delta, nonce, txs },
                 1 => EventSpec::Light { delta, count, vsize: vsize / 2, degraded },
                 _ => EventSpec::Detailed {
@@ -75,8 +75,8 @@ fn arb_event() -> impl Strategy<Value = EventSpec> {
                     keep_frac: if keep { Some(frac) } else { None },
                     degraded,
                 },
-            }
-        })
+            },
+        )
 }
 
 /// Materializes specs into the canonical stream the writer will see.

@@ -31,11 +31,7 @@ impl FeeEstimator {
     /// Panics when `window` is zero.
     pub fn new(window: usize) -> FeeEstimator {
         assert!(window > 0, "window must be positive");
-        FeeEstimator {
-            window,
-            recent: VecDeque::with_capacity(window),
-            pooled_sorted: Vec::new(),
-        }
+        FeeEstimator { window, recent: VecDeque::with_capacity(window), pooled_sorted: Vec::new() }
     }
 
     /// Records the fee rates observed in a newly mined block's body.

@@ -296,7 +296,12 @@ impl Mempool {
     }
 
     /// Attempts to admit `tx` with externally computed `fee` at time `now`.
-    pub fn add(&mut self, tx: Transaction, fee: Amount, now: Timestamp) -> Result<Txid, AcceptError> {
+    pub fn add(
+        &mut self,
+        tx: Transaction,
+        fee: Amount,
+        now: Timestamp,
+    ) -> Result<Txid, AcceptError> {
         self.add_shared(Arc::new(tx), fee, now)
     }
 
@@ -1184,10 +1189,7 @@ mod tests {
 
     #[test]
     fn ancestor_limit_enforced() {
-        let mut p = Mempool::new(MempoolPolicy {
-            max_ancestors: 2,
-            ..MempoolPolicy::default()
-        });
+        let mut p = Mempool::new(MempoolPolicy { max_ancestors: 2, ..MempoolPolicy::default() });
         let t0 = tx_with(1, 0, 90_000);
         let t1 = child_of(&t0, 80_000);
         let t2 = child_of(&t1, 70_000);
@@ -1198,10 +1200,7 @@ mod tests {
 
     #[test]
     fn descendant_limit_enforced() {
-        let mut p = Mempool::new(MempoolPolicy {
-            max_descendants: 2,
-            ..MempoolPolicy::default()
-        });
+        let mut p = Mempool::new(MempoolPolicy { max_descendants: 2, ..MempoolPolicy::default() });
         // One parent with two outputs; attach children until refused.
         let parent = Transaction::builder()
             .add_input_with_sizes([7; 32].into(), 0, 107, 0)

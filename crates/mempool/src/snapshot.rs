@@ -661,10 +661,8 @@ mod tests {
 
     #[test]
     fn truncation_keeps_prefix_and_marks_snapshot() {
-        let snap = MempoolSnapshot::from_entries(
-            15,
-            (1..=10).map(|i| entry(i, 100, 1_000)).collect(),
-        );
+        let snap =
+            MempoolSnapshot::from_entries(15, (1..=10).map(|i| entry(i, 100, 1_000)).collect());
         let cut = snap.truncate_detail(0.5);
         assert!(cut.is_truncated());
         assert!(cut.is_detailed());
@@ -680,10 +678,8 @@ mod tests {
 
     #[test]
     fn degraded_stamp_round_trips_and_survives_truncation() {
-        let snap = MempoolSnapshot::from_entries(
-            15,
-            (1..=4).map(|i| entry(i, 100, 1_000)).collect(),
-        );
+        let snap =
+            MempoolSnapshot::from_entries(15, (1..=4).map(|i| entry(i, 100, 1_000)).collect());
         assert!(!snap.is_degraded());
         let stamped = snap.clone().mark_degraded();
         assert!(stamped.is_degraded());
@@ -760,9 +756,8 @@ mod tests {
     #[test]
     fn a_merge_refuses_unsorted_changes_and_a_light_base() {
         let a = MempoolSnapshot::from_entries(10, (1..=8).map(|i| entry(i, 100, 1_000)).collect());
-        let merge = |changes: &[(Txid, Option<SnapshotEntry>)]| {
-            MempoolSnapshot::merged(&a, 20, changes)
-        };
+        let merge =
+            |changes: &[(Txid, Option<SnapshotEntry>)]| MempoolSnapshot::merged(&a, 20, changes);
         assert!(merge(&[change(5, None), change(3, None)]).is_none(), "descending");
         assert!(merge(&[change(5, None), change(5, None)]).is_none(), "repeated");
         assert!(merge(&[change(5, Some(entry(6, 100, 1)))]).is_none(), "a row under another txid");
@@ -779,8 +774,8 @@ mod tests {
         let mut rows: Vec<SnapshotEntry> = (1..=200).map(|i| entry(i, 100, 1)).collect();
         rows.push(entry(2, 300, 2));
         let a = MempoolSnapshot::from_entries(10, rows);
-        let b = MempoolSnapshot::merged(&a, 20, &[change(2, Some(entry(2, 50, 5)))])
-            .expect("sorted");
+        let b =
+            MempoolSnapshot::merged(&a, 20, &[change(2, Some(entry(2, 50, 5)))]).expect("sorted");
         assert_eq!((b.len(), b.total_vsize()), (200, 199 * 100 + 50));
         // The delta names the txid once; a cursor finds both of a's rows.
         assert_eq!(b.delta_from(&a), Some(vec![change(2, Some(entry(2, 50, 5)))]));

@@ -31,9 +31,7 @@ impl MiningPool {
     /// so scenario builders can reference a pool's wallets (e.g. to wire a
     /// collusion policy) before or without constructing the pool.
     pub fn derive_wallets(name: &str, wallet_count: usize) -> Vec<Address> {
-        (0..wallet_count)
-            .map(|i| Address::from_label(&format!("pool:{name}:{i}")))
-            .collect()
+        (0..wallet_count).map(|i| Address::from_label(&format!("pool:{name}:{i}"))).collect()
     }
 
     /// Creates a norm-following pool with `wallet_count` deterministic
@@ -109,8 +107,7 @@ impl MiningPool {
         time: Timestamp,
         resolve_input: &dyn Fn(&OutPoint) -> Option<Address>,
     ) -> Block {
-        let assembler =
-            self.assembler.get_or_insert_with(|| BlockAssembler::new(params.clone()));
+        let assembler = self.assembler.get_or_insert_with(|| BlockAssembler::new(params.clone()));
         let wants_inputs = self.policy.wants_input_addresses();
         let policy = self.policy.as_ref();
         let template: BlockTemplate = if policy.always_normal() {
@@ -118,12 +115,7 @@ impl MiningPool {
         } else {
             assembler.assemble(mempool, |entry| {
                 let input_addresses: Vec<Address> = if wants_inputs {
-                    entry
-                        .tx()
-                        .inputs()
-                        .iter()
-                        .filter_map(|i| resolve_input(&i.prevout))
-                        .collect()
+                    entry.tx().inputs().iter().filter_map(|i| resolve_input(&i.prevout)).collect()
                 } else {
                     Vec::new()
                 };
@@ -188,8 +180,7 @@ mod tests {
         let mut pool = MiningPool::new("F2Pool", 0.17, 3);
         let mempool = Mempool::new(MempoolPolicy::default());
         let params = Params::mainnet();
-        let block =
-            pool.build_block(&mempool, &params, BlockHash::ZERO, 630_000, 0, &|_| None);
+        let block = pool.build_block(&mempool, &params, BlockHash::ZERO, 630_000, 0, &|_| None);
         assert_eq!(
             PoolMarker::from_coinbase(block.coinbase().expect("coinbase")),
             Some(PoolMarker::new("/F2Pool/"))

@@ -184,9 +184,7 @@ impl BlockAssembler {
 
     /// The body weight budget (block limit minus coinbase reservation).
     pub fn weight_budget(&self) -> u64 {
-        self.params
-            .max_block_weight
-            .saturating_sub(self.params.coinbase_reserved_weight)
+        self.params.max_block_weight.saturating_sub(self.params.coinbase_reserved_weight)
     }
 
     /// Builds a template from `mempool`, classifying each candidate with
@@ -293,11 +291,8 @@ impl BlockAssembler {
         }
         // Exclusion propagates downward: a descendant of an excluded
         // transaction cannot be mined (its input would be missing).
-        let excluded_seeds: Vec<Txid> = priorities
-            .iter()
-            .filter(|(_, p)| **p == Priority::Exclude)
-            .map(|(t, _)| *t)
-            .collect();
+        let excluded_seeds: Vec<Txid> =
+            priorities.iter().filter(|(_, p)| **p == Priority::Exclude).map(|(t, _)| *t).collect();
         for seed in excluded_seeds {
             for d in mempool.descendants(&seed) {
                 priorities.insert(d, Priority::Exclude);
@@ -403,10 +398,8 @@ impl BlockAssembler {
                 .filter(|a| !selected_set.contains(a))
                 .collect();
             package.push(item.txid);
-            let weight: u64 = package
-                .iter()
-                .map(|t| mempool.get(t).expect("resident").tx().weight())
-                .sum();
+            let weight: u64 =
+                package.iter().map(|t| mempool.get(t).expect("resident").tx().weight()).sum();
             if *used_weight + weight > budget {
                 continue; // does not fit; try the next-best package
             }
@@ -846,8 +839,7 @@ mod tests {
         let mid = add_at_rate(&mut pool, tx_with(9, 1_000), 20, 2);
 
         let mut small = params();
-        small.max_block_weight =
-            4_000 + parent.weight() + child.weight(); // no room for mid
+        small.max_block_weight = 4_000 + parent.weight() + child.weight(); // no room for mid
         let tpl = BlockAssembler::new(small).assemble(&pool, |_| Priority::Normal);
         let order: Vec<Txid> = tpl.transactions.iter().map(|t| t.txid()).collect();
         // Package rate 40 sat/vB beats mid's 20; parent must precede child.

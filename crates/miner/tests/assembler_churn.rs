@@ -161,8 +161,7 @@ impl Churn {
             // its descendants, or size-limit trimming.
             _ => {
                 if self.rng.next_bool(0.5) {
-                    let oldest =
-                        self.mempool.iter().min_by_key(|e| (e.received(), e.sequence()));
+                    let oldest = self.mempool.iter().min_by_key(|e| (e.received(), e.sequence()));
                     if let Some(oldest) = oldest.map(|e| e.txid()) {
                         self.mempool.remove_with_descendants(&oldest);
                     }
@@ -179,7 +178,11 @@ impl Churn {
 /// same transactions in the same order (checked through the merkle-rooted
 /// block hash, so any body divergence flips it), same fee vector, same
 /// totals.
-fn assert_identical(fast: &cn_miner::BlockTemplate, reference: &cn_miner::BlockTemplate, tag: &str) {
+fn assert_identical(
+    fast: &cn_miner::BlockTemplate,
+    reference: &cn_miner::BlockTemplate,
+    tag: &str,
+) {
     let seal = |template: &cn_miner::BlockTemplate| {
         let coinbase = CoinbaseBuilder::new(1)
             .marker(PoolMarker::new("churn"))
@@ -281,12 +284,11 @@ fn churn_accelerate_only_matches_reference_every_block() {
     params.max_block_weight = 150_000;
     let mut rebuilds = 0;
     for (seed, intensity) in [(21u64, 0.0), (22, 0.4), (23, 0.85)] {
-        let stats = run_churn(seed, intensity, 8, params.clone(), |txid| {
-            match txid.0.as_bytes()[0] % 5 {
+        let stats =
+            run_churn(seed, intensity, 8, params.clone(), |txid| match txid.0.as_bytes()[0] % 5 {
                 0 => Priority::Accelerate,
                 _ => Priority::Normal,
-            }
-        });
+            });
         assert_eq!(
             stats.rebuilds_with_accelerate, stats.full_rebuilds,
             "accelerate-only churn: every rebuild must be acceleration-driven"

@@ -236,7 +236,11 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// A fully inert plan: no fault draw ever happens under it.
     pub fn none() -> FaultPlan {
-        FaultPlan { link: LinkFaults::none(), observer: ObserverFaults::none(), stale_tip_prob: 0.0 }
+        FaultPlan {
+            link: LinkFaults::none(),
+            observer: ObserverFaults::none(),
+            stale_tip_prob: 0.0,
+        }
     }
 
     /// True when any fault can fire anywhere.
@@ -719,8 +723,7 @@ mod tests {
             ..AdversaryPlan::none()
         };
         let mut rng = SimRng::seed_from_u64(17);
-        let hits =
-            (0..10_000).filter(|_| plan.withholds_delivery(2, false, 0, &mut rng)).count();
+        let hits = (0..10_000).filter(|_| plan.withholds_delivery(2, false, 0, &mut rng)).count();
         let rate = hits as f64 / 10_000.0;
         assert!((rate - 0.6).abs() < 0.03, "withhold rate {rate}");
         // A non-target observer is never withheld (and draws nothing).

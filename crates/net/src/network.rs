@@ -323,14 +323,7 @@ mod tests {
         let cb = cn_chain::CoinbaseBuilder::new(1)
             .reward(Address::from_label("p"), Amount::from_btc(6))
             .build();
-        let block = Block::assemble(
-            2,
-            cn_chain::BlockHash::ZERO,
-            600,
-            0,
-            cb,
-            vec![(*t).clone()],
-        );
+        let block = Block::assemble(2, cn_chain::BlockHash::ZERO, 600, 0, cb, vec![(*t).clone()]);
         let mut net = network(MempoolPolicy::default());
         for node in [0, 5] {
             let view = net.mempool_mut(node).expect("stakeholder");

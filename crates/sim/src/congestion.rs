@@ -61,8 +61,8 @@ impl CongestionProfile {
 
     /// λ(t): instantaneous arrivals per second.
     pub fn rate_at(&self, t: Timestamp) -> f64 {
-        let phase =
-            2.0 * std::f64::consts::PI * (t % self.diurnal_period) as f64 / self.diurnal_period as f64;
+        let phase = 2.0 * std::f64::consts::PI * (t % self.diurnal_period) as f64
+            / self.diurnal_period as f64;
         let mut rate = self.base_rate * (1.0 + self.diurnal_amplitude * phase.sin());
         for b in &self.bursts {
             if t >= b.start && t < b.end {
@@ -111,9 +111,7 @@ mod tests {
 
     #[test]
     fn overlapping_bursts_compound() {
-        let p = CongestionProfile::flat(1.0)
-            .with_burst(0, 100, 2.0)
-            .with_burst(50, 150, 3.0);
+        let p = CongestionProfile::flat(1.0).with_burst(0, 100, 2.0).with_burst(50, 150, 3.0);
         assert_eq!(p.rate_at(75), 6.0);
         assert_eq!(p.rate_at(25), 2.0);
         assert_eq!(p.rate_at(125), 3.0);
@@ -121,9 +119,8 @@ mod tests {
 
     #[test]
     fn max_rate_dominates_everywhere() {
-        let p = CongestionProfile::diurnal(2.0, 0.4)
-            .with_burst(10, 20, 3.0)
-            .with_burst(15, 30, 2.0);
+        let p =
+            CongestionProfile::diurnal(2.0, 0.4).with_burst(10, 20, 3.0).with_burst(15, 30, 2.0);
         let max = p.max_rate();
         for t in 0..200 {
             assert!(p.rate_at(t) <= max + 1e-12, "t={t}");

@@ -410,7 +410,8 @@ mod tests {
         let mut s = Scenario::base("t", 1);
         s.adversaries.eclipses.push(EclipseWindow { observer: 3, start_secs: 0, end_secs: 60 });
         assert!(s.validate().is_err(), "eclipse targets a non-existent observer");
-        s.observers = (0..4).map(|i| ObserverConfig::default_node().named(format!("o{i}"))).collect();
+        s.observers =
+            (0..4).map(|i| ObserverConfig::default_node().named(format!("o{i}"))).collect();
         assert_eq!(s.validate(), Ok(()));
     }
 

@@ -40,7 +40,12 @@ impl GroundTruth {
     }
 
     /// Records a dark-fee acceleration purchase.
-    pub fn record_acceleration(&mut self, txid: Txid, provider: impl Into<String>, dark_fee: Amount) {
+    pub fn record_acceleration(
+        &mut self,
+        txid: Txid,
+        provider: impl Into<String>,
+        dark_fee: Amount,
+    ) {
         self.accelerated.insert(txid, (provider.into(), dark_fee));
     }
 
@@ -95,11 +100,7 @@ impl GroundTruth {
 
     /// All scam-donation txids.
     pub fn scam_txids(&self) -> FastSet<Txid> {
-        self.kinds
-            .iter()
-            .filter(|(_, k)| **k == TxKind::Scam)
-            .map(|(t, _)| *t)
-            .collect()
+        self.kinds.iter().filter(|(_, k)| **k == TxKind::Scam).map(|(t, _)| *t).collect()
     }
 
     /// Total number of recorded transactions.

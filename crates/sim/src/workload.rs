@@ -7,9 +7,9 @@
 //! but only once the parent was accepted by every stakeholder node —
 //! otherwise a miner that never saw the parent could mine an orphan child.
 
+use cn_chain::FastMap;
 use cn_chain::{Address, Amount, Block, Chain, FeeRate, OutPoint, Transaction, TxIn, TxOut, Txid};
 use cn_stats::{LogNormal, SimRng};
-use cn_chain::FastMap;
 use std::sync::Arc;
 
 /// Dust threshold below which change is folded into the fee.
@@ -152,10 +152,7 @@ impl Workload {
 
     /// Number of currently spendable (confirmed or pending-ok) outputs.
     pub fn spendable_count(&self) -> usize {
-        self.outputs
-            .values()
-            .filter(|m| m.state != OutState::PendingLocked)
-            .count()
+        self.outputs.values().filter(|m| m.state != OutState::PendingLocked).count()
     }
 
     /// Seeds `per_address` outputs of `value` each for every user plus
@@ -395,8 +392,8 @@ impl Workload {
             .vsize();
         let fee = fee_rate.fee_for_vsize(vsize);
 
-        let available = source.value.to_sat()
-            + extras.iter().map(|(_, meta)| meta.value.to_sat()).sum::<u64>();
+        let available =
+            source.value.to_sat() + extras.iter().map(|(_, meta)| meta.value.to_sat()).sum::<u64>();
         if available <= fee.to_sat() + 2 * DUST {
             if self.consolidate_above.is_some() {
                 // Put everything back: silently consuming outputs the
@@ -539,8 +536,15 @@ mod tests {
     #[test]
     fn payments_are_consensus_valid() {
         let (mut wl, chain, mut rng) = setup();
-        let built = pay(&mut wl, &mut rng, None, PaymentTarget::RandomUser, FeeRate::from_sat_per_vb(10), false)
-            .expect("source available");
+        let built = pay(
+            &mut wl,
+            &mut rng,
+            None,
+            PaymentTarget::RandomUser,
+            FeeRate::from_sat_per_vb(10),
+            false,
+        )
+        .expect("source available");
         // The fee claimed must equal what the UTXO set computes.
         let fee = chain.utxos().fee(&built.tx).expect("spendable inputs");
         assert_eq!(fee, built.fee);
@@ -567,8 +571,7 @@ mod tests {
         assert_eq!(wl.spendable_count(), before);
         // Once universally accepted, they unlock.
         wl.mark_broadcast_ok(&first.tx.txid());
-        let unblocked =
-            pay(&mut wl, &mut rng, Some(owner), PaymentTarget::To(owner), rate, true);
+        let unblocked = pay(&mut wl, &mut rng, Some(owner), PaymentTarget::To(owner), rate, true);
         assert!(unblocked.is_some());
         assert!(unblocked.expect("built").spends_unconfirmed);
     }
@@ -582,9 +585,9 @@ mod tests {
             .expect("confirmed source");
         wl.mark_broadcast_ok(&parent.tx.txid());
         // Exhaust remaining confirmed outputs for this owner.
-        while pay(&mut wl, &mut rng, Some(owner), PaymentTarget::RandomUser, rate, false)
-            .is_some()
-        {}
+        while pay(&mut wl, &mut rng, Some(owner), PaymentTarget::RandomUser, rate, false).is_some()
+        {
+        }
         let child = pay(&mut wl, &mut rng, Some(owner), PaymentTarget::RandomUser, rate, true)
             .expect("pending-ok source");
         assert!(child.spends_unconfirmed);
@@ -593,12 +596,17 @@ mod tests {
     #[test]
     fn confirmation_promotes_outputs_and_coinbase() {
         let (mut wl, _, mut rng) = setup();
-        let built = pay(&mut wl, &mut rng, None, PaymentTarget::RandomUser, FeeRate::from_sat_per_vb(5), false)
-            .expect("built");
+        let built = pay(
+            &mut wl,
+            &mut rng,
+            None,
+            PaymentTarget::RandomUser,
+            FeeRate::from_sat_per_vb(5),
+            false,
+        )
+        .expect("built");
         let pool_wallet = Address::from_label("pool:X:0");
-        let cb = cn_chain::CoinbaseBuilder::new(0)
-            .reward(pool_wallet, Amount::from_btc(6))
-            .build();
+        let cb = cn_chain::CoinbaseBuilder::new(0).reward(pool_wallet, Amount::from_btc(6)).build();
         let block = cn_chain::Block::assemble(
             2,
             cn_chain::BlockHash::ZERO,
@@ -675,8 +683,7 @@ mod tests {
         let mut body = vec![(*built.tx).clone()];
         for _ in 0..60 {
             let draws = wl.draw_payment(&mut rng);
-            if let Some(b) =
-                wl.build_payment(&draws, None, PaymentTarget::RandomUser, rate, false)
+            if let Some(b) = wl.build_payment(&draws, None, PaymentTarget::RandomUser, rate, false)
             {
                 body.push((*b.tx).clone());
             }
@@ -693,19 +700,21 @@ mod tests {
             }
         }
         let tracked = wl.spendable_count();
-        assert!(
-            tracked <= 3 * (threshold + 2),
-            "population should stay bounded, got {tracked}"
-        );
+        assert!(tracked <= 3 * (threshold + 2), "population should stay bounded, got {tracked}");
     }
 
     #[test]
     fn consolidation_off_is_single_input() {
         let (mut wl, _, mut rng) = setup();
         for _ in 0..10 {
-            if let Some(b) =
-                pay(&mut wl, &mut rng, None, PaymentTarget::RandomUser, FeeRate::from_sat_per_vb(3), false)
-            {
+            if let Some(b) = pay(
+                &mut wl,
+                &mut rng,
+                None,
+                PaymentTarget::RandomUser,
+                FeeRate::from_sat_per_vb(3),
+                false,
+            ) {
                 assert_eq!(b.tx.inputs().len(), 1);
             }
         }

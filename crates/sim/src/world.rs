@@ -12,8 +12,8 @@
 
 use crate::event::{EventQueue, SimMillis};
 use crate::profile::SimProfile;
-use crate::sink::EventSink;
 use crate::scenario::{PoolBehavior, Scenario};
+use crate::sink::EventSink;
 use crate::truth::{GroundTruth, TxKind};
 use crate::workload::{BuiltTx, PaymentDraws, PaymentTarget, Workload};
 use cn_chain::{Address, Amount, Chain, FastMap, FeeRate, Timestamp, Txid};
@@ -512,8 +512,7 @@ impl World {
                     // nothing: the window is simply missing from the
                     // stream. The detail-stride counter still advances so
                     // the cadence realigns once the daemon is back.
-                    let down =
-                        self.downtime_ms.iter().any(|&(s, e)| now_ms >= s && now_ms < e);
+                    let down = self.downtime_ms.iter().any(|&(s, e)| now_ms >= s && now_ms < e);
                     let detailed =
                         self.snapshot_counter.is_multiple_of(self.scenario.snapshot_detail_every);
                     self.snapshot_counter += 1;
@@ -630,11 +629,8 @@ impl World {
         // Live-backlog pressure: how many block-capacities are pending
         // right now at the observer.
         let cap = self.scenario.params.max_block_vsize().max(1) as f64;
-        let backlog = self
-            .network
-            .mempool(self.observer)
-            .map(|m| m.total_vsize() as f64)
-            .unwrap_or(0.0);
+        let backlog =
+            self.network.mempool(self.observer).map(|m| m.total_vsize() as f64).unwrap_or(0.0);
         let pressure = (backlog / cap).min(30.0);
         // Calm pools discount the history slightly; deep congestion scales
         // bids up logarithmically.
@@ -702,11 +698,8 @@ impl World {
             self.user_fee_rate(draws.q_idx, draws.noise, draws.wtp)
         };
 
-        let target = if is_scam {
-            PaymentTarget::To(self.scam_address)
-        } else {
-            PaymentTarget::RandomUser
-        };
+        let target =
+            if is_scam { PaymentTarget::To(self.scam_address) } else { PaymentTarget::RandomUser };
         let allow_pending = draws.allow_pending_u < self.scenario.cpfp_prob;
         let Some(built) =
             self.workload.build_payment(&draws.payment, None, target, fee_rate, allow_pending)
@@ -834,10 +827,8 @@ impl World {
             let obs_idx = (node >= self.observer && node < self.observer + self.observer_count)
                 .then(|| node - self.observer);
             let delay_ms = match obs_idx {
-                Some(j) => {
-                    (arrivals[node] * self.scenario.observers[j].latency_factor * 1_000.0).round()
-                        as SimMillis
-                }
+                Some(j) => (arrivals[node] * self.scenario.observers[j].latency_factor * 1_000.0)
+                    .round() as SimMillis,
                 None => (arrivals[node] * 1_000.0).round() as SimMillis,
             };
             let mut at = now_ms + delay_ms.max(1);
@@ -862,8 +853,7 @@ impl World {
                     // valid — only *observation* is damaged. (The drop
                     // still shrinks `expected`, so users who pace CPFP on
                     // full propagation may unlock marginally earlier.)
-                    if adv.withholds_delivery(j, miner_origin, fee_rate_kvb, &mut self.rng_fault)
-                    {
+                    if adv.withholds_delivery(j, miner_origin, fee_rate_kvb, &mut self.rng_fault) {
                         continue;
                     }
                     // Spy-resistant diffusion: the first hop toward an
@@ -989,15 +979,12 @@ impl World {
         };
         let utxos = chain.utxos();
         let resolve = |op: &cn_chain::OutPoint| -> Option<Address> {
-            utxos
-                .get(op)
-                .and_then(|o| o.address())
-                .or_else(|| {
-                    hub_mempool
-                        .get(&op.txid)
-                        .and_then(|e| e.tx().outputs().get(op.vout as usize))
-                        .and_then(|o| o.address())
-                })
+            utxos.get(op).and_then(|o| o.address()).or_else(|| {
+                hub_mempool
+                    .get(&op.txid)
+                    .and_then(|e| e.tx().outputs().get(op.vout as usize))
+                    .and_then(|o| o.address())
+            })
         };
         let block = pools[idx].build_block(
             hub_mempool,
@@ -1118,8 +1105,7 @@ impl StreamTap<'_> {
 
 impl RunTap for StreamTap<'_> {
     fn block_connected(&mut self, world: &mut World) {
-        let block =
-            world.chain.blocks().last().expect("a block was just connected").clone();
+        let block = world.chain.blocks().last().expect("a block was just connected").clone();
         let cutoff = block.header.time;
         self.pending_blocks.push_back(block);
         self.drain_older_than(cutoff);
@@ -1199,10 +1185,7 @@ mod tests {
         for w in stamps.windows(2) {
             assert!(w[0].0 <= w[1].0, "stream stamps regressed: {w:?}");
             if w[0].0 == w[1].0 {
-                assert!(
-                    !w[1].1 || w[0].1,
-                    "snapshot emitted before a same-second block: {w:?}"
-                );
+                assert!(!w[1].1 || w[0].1, "snapshot emitted before a same-second block: {w:?}");
             }
         }
     }
@@ -1241,11 +1224,8 @@ mod tests {
         s.self_interest_rate = 0.01;
         s.duration = 4 * 3_600;
         let out = World::new(s).run();
-        let self_txs: usize = out
-            .pool_names
-            .iter()
-            .map(|n| out.truth.self_interest_txids(n).len())
-            .sum();
+        let self_txs: usize =
+            out.pool_names.iter().map(|n| out.truth.self_interest_txids(n).len()).sum();
         assert!(self_txs > 0, "no self-interest txs issued");
     }
 

@@ -9,9 +9,7 @@
 
 use cn_net::FaultPlan;
 use cn_sim::scenario::ObserverConfig;
-use cn_sim::{
-    CongestionProfile, PoolBehavior, PoolConfig, ScamConfig, Scenario, SimOutput, World,
-};
+use cn_sim::{CongestionProfile, PoolBehavior, PoolConfig, ScamConfig, Scenario, SimOutput, World};
 use proptest::prelude::*;
 
 fn scenario(seed: u64) -> Scenario {
@@ -29,8 +27,8 @@ fn scenario(seed: u64) -> Scenario {
 /// self-transfers.
 fn full_feature_scenario(seed: u64) -> Scenario {
     let mut s = scenario(seed);
-    s.pools[1] = PoolConfig::honest("Beta", 0.35, 1)
-        .with_behavior(PoolBehavior::DarkFee { premium: 1.5 });
+    s.pools[1] =
+        PoolConfig::honest("Beta", 0.35, 1).with_behavior(PoolBehavior::DarkFee { premium: 1.5 });
     s.acceleration_demand = 0.05;
     s.zero_fee_prob = 0.02;
     s.self_interest_rate = 0.01;

@@ -180,33 +180,17 @@ mod tests {
     #[test]
     fn fair_coin_exact_values() {
         // Pr(B >= 8 | n=10, p=0.5) = (45 + 10 + 1)/1024
-        assert_close(
-            binomial_test(8, 10, 0.5, Tail::Upper).p_value,
-            56.0 / 1024.0,
-            1e-12,
-        );
+        assert_close(binomial_test(8, 10, 0.5, Tail::Upper).p_value, 56.0 / 1024.0, 1e-12);
         // Pr(B <= 2 | n=10, p=0.5) symmetric
-        assert_close(
-            binomial_test(2, 10, 0.5, Tail::Lower).p_value,
-            56.0 / 1024.0,
-            1e-12,
-        );
+        assert_close(binomial_test(2, 10, 0.5, Tail::Lower).p_value, 56.0 / 1024.0, 1e-12);
     }
 
     #[test]
     fn boundary_cases() {
         assert_eq!(binomial_test(0, 10, 0.3, Tail::Upper).p_value, 1.0);
         assert_eq!(binomial_test(10, 10, 0.3, Tail::Lower).p_value, 1.0);
-        assert_close(
-            binomial_test(10, 10, 0.5, Tail::Upper).p_value,
-            1.0 / 1024.0,
-            1e-15,
-        );
-        assert_close(
-            binomial_test(0, 10, 0.5, Tail::Lower).p_value,
-            1.0 / 1024.0,
-            1e-15,
-        );
+        assert_close(binomial_test(10, 10, 0.5, Tail::Upper).p_value, 1.0 / 1024.0, 1e-15);
+        assert_close(binomial_test(0, 10, 0.5, Tail::Lower).p_value, 1.0 / 1024.0, 1e-15);
     }
 
     #[test]
@@ -249,12 +233,9 @@ mod tests {
 
     #[test]
     fn normal_approx_close_to_exact_in_validity_region() {
-        for &(x, y, theta) in &[
-            (120u64, 1000u64, 0.1f64),
-            (320, 1000, 0.3),
-            (5100, 10000, 0.5),
-            (80, 1000, 0.1),
-        ] {
+        for &(x, y, theta) in
+            &[(120u64, 1000u64, 0.1f64), (320, 1000, 0.3), (5100, 10000, 0.5), (80, 1000, 0.1)]
+        {
             for tail in [Tail::Upper, Tail::Lower] {
                 let exact = binomial_test(x, y, theta, tail).p_value;
                 let approx = binomial_test_normal_approx(x, y, theta, tail).p_value;

@@ -109,7 +109,13 @@ impl Histogram {
     pub fn new(lo: f64, hi: f64, bins: usize) -> Histogram {
         assert!(hi > lo, "empty range");
         assert!(bins > 0, "need at least one bin");
-        Histogram { lo, width: (hi - lo) / bins as f64, counts: vec![0; bins], overflow: 0, underflow: 0 }
+        Histogram {
+            lo,
+            width: (hi - lo) / bins as f64,
+            counts: vec![0; bins],
+            overflow: 0,
+            underflow: 0,
+        }
     }
 
     /// Records one observation.

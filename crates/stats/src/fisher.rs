@@ -59,7 +59,7 @@ mod tests {
         // χ²(2): sf(x) = exp(-x/2)
         assert_close(chi2_sf_even(2.0, 1), (-1.0f64).exp(), 1e-12);
         assert_close(chi2_sf_even(5.991, 1), 0.05, 1e-3); // 95th pct of χ²(2)
-        // χ²(4): sf(x) = exp(-x/2)(1 + x/2)
+                                                          // χ²(4): sf(x) = exp(-x/2)(1 + x/2)
         assert_close(chi2_sf_even(4.0, 2), (-2.0f64).exp() * 3.0, 1e-12);
         assert_close(chi2_sf_even(9.488, 2), 0.05, 1e-3); // 95th pct of χ²(4)
     }

@@ -8,7 +8,7 @@
 /// W. J. Cody (1969), absolute error below 1e-15 across the real line.
 pub fn erfc(x: f64) -> f64 {
     let ax = x.abs();
-    
+
     if ax < 0.5 {
         1.0 - erf_series(x)
     } else {
@@ -75,12 +75,11 @@ fn erfc_mid(x: f64) -> f64 {
         1.176_939_508_913_124_6e2,
         1.574_492_611_070_983_3e1,
     ];
-    let num = ((((((((P[8] * x + P[7]) * x + P[6]) * x + P[5]) * x + P[4]) * x + P[3]) * x
-        + P[2])
-        * x
-        + P[1])
-        * x)
-        + P[0];
+    let num =
+        ((((((((P[8] * x + P[7]) * x + P[6]) * x + P[5]) * x + P[4]) * x + P[3]) * x + P[2]) * x
+            + P[1])
+            * x)
+            + P[0];
     let den = ((((((((x + Q[7]) * x + Q[6]) * x + Q[5]) * x + Q[4]) * x + Q[3]) * x + Q[2]) * x
         + Q[1])
         * x)

@@ -274,10 +274,7 @@ mod tests {
         let width = h.bucket_width();
         for (q, exact) in [(0.1, 10.0), (0.5, 50.0), (0.9, 90.0)] {
             let approx = h.quantile(q).unwrap();
-            assert!(
-                (approx - exact).abs() <= width + 1e-9,
-                "q={q}: {approx} vs {exact}"
-            );
+            assert!((approx - exact).abs() <= width + 1e-9, "q={q}: {approx} vs {exact}");
         }
         assert_eq!(h.min(), Some(0.0));
         assert_eq!(h.max(), Some(99.9));

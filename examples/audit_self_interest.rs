@@ -25,7 +25,10 @@ fn main() {
         self_map.total_flagged()
     );
 
-    println!("{:<18} {:<18} {:>7} {:>5} {:>5} {:>12} {:>9}", "transactions of", "miner m", "theta0", "x", "y", "p(accel)", "SPPE");
+    println!(
+        "{:<18} {:<18} {:>7} {:>5} {:>5} {:>12} {:>9}",
+        "transactions of", "miner m", "theta0", "x", "y", "p(accel)", "SPPE"
+    );
     for owner in attribution.top(12) {
         let Some(c_txids) = self_map.of(&owner.name) else { continue };
         if c_txids.len() < 5 {

@@ -29,15 +29,9 @@ fn main() {
 
     // How expensive is acceleration? (Figure 14.)
     let service = out.services[1].as_ref().expect("Accelerator sells").lock();
-    let snapshot = out.observer_streams[0]
-        .iter()
-        .max_by_key(|s| s.total_vsize())
-        .expect("snapshots exist");
-    let top = snapshot
-        .rows()
-        .map(|e| e.fee_rate())
-        .max()
-        .unwrap_or(FeeRate::MIN_RELAY);
+    let snapshot =
+        out.observer_streams[0].iter().max_by_key(|s| s.total_vsize()).expect("snapshots exist");
+    let top = snapshot.rows().map(|e| e.fee_rate()).max().unwrap_or(FeeRate::MIN_RELAY);
     let multiples: Vec<f64> = snapshot
         .rows()
         .filter_map(|e| fee_multiple(e.fee, service.quote(e.vsize, e.fee, top)))

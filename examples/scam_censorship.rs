@@ -38,10 +38,7 @@ fn report(label: &str, out: &SimOutput, index: &ChainIndex) {
     let attribution = attribute(index);
     let scam_txids = out.truth.scam_txids();
     let confirmed = scam_txids.iter().filter(|t| index.locate(t).is_some()).count();
-    println!(
-        "\n[{label}] scam donations: {} issued, {confirmed} confirmed",
-        scam_txids.len()
-    );
+    println!("\n[{label}] scam donations: {} issued, {confirmed} confirmed", scam_txids.len());
     println!(
         "{:<12} {:>7} {:>4} {:>4} {:>12} {:>12}",
         "pool", "theta0", "x", "y", "p(accel)", "p(decel)"

@@ -58,8 +58,8 @@ pub mod prelude {
         Address, Amount, Block, BlockHash, Chain, FeeRate, Params, Transaction, TxOut, Txid,
     };
     pub use cn_core::{
-        attribute, audit_chain, block_ppe, chain_ppe, differential_prioritization,
-        sppe_for_miner, AuditConfig, AuditReport, ChainIndex,
+        attribute, audit_chain, block_ppe, chain_ppe, differential_prioritization, sppe_for_miner,
+        AuditConfig, AuditReport, ChainIndex,
     };
     pub use cn_data::{dataset_a, dataset_b, dataset_c, Scale};
     pub use cn_mempool::{Mempool, MempoolPolicy, MempoolSnapshot};

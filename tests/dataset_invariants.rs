@@ -44,15 +44,11 @@ fn dataset_b_is_more_congested_and_sees_zero_fee_txs() {
     assert!(cb > ca, "B ({cb}) must be more congested than A ({ca})");
     // The no-floor observer records zero-fee transactions that a default
     // observer would refuse.
-    let zero_fee_seen = b.observer_streams[0]
-        .iter()
-        .flat_map(|s| s.rows())
-        .any(|e| e.fee == Amount::ZERO);
+    let zero_fee_seen =
+        b.observer_streams[0].iter().flat_map(|s| s.rows()).any(|e| e.fee == Amount::ZERO);
     assert!(zero_fee_seen, "dataset B's observer accepts zero-fee txs");
-    let zero_fee_seen_a = a.observer_streams[0]
-        .iter()
-        .flat_map(|s| s.rows())
-        .any(|e| e.fee == Amount::ZERO);
+    let zero_fee_seen_a =
+        a.observer_streams[0].iter().flat_map(|s| s.rows()).any(|e| e.fee == Amount::ZERO);
     assert!(!zero_fee_seen_a, "dataset A's default observer filters them");
 }
 
@@ -98,8 +94,7 @@ fn low_fee_transactions_only_mined_by_low_fee_pools() {
     let index = ChainIndex::build(&out.chain);
     // §4.2.3: below-floor txs can only be confirmed by pools that accept
     // them (F2Pool, ViaBTC, BTC.com in dataset B).
-    let low_fee_miners: std::collections::HashSet<&str> =
-        ["F2Pool", "ViaBTC", "BTC.com"].into();
+    let low_fee_miners: std::collections::HashSet<&str> = ["F2Pool", "ViaBTC", "BTC.com"].into();
     for block in index.blocks() {
         for tx in &block.txs {
             if tx.fee_rate() < FeeRate::MIN_RELAY {

@@ -7,7 +7,9 @@ use chain_neutrality::audit::congestion::{congested_fraction, size_series};
 use chain_neutrality::audit::coverage::SnapshotCoverage;
 use chain_neutrality::audit::delay::first_seen_times;
 use chain_neutrality::audit::error::AuditError;
-use chain_neutrality::audit::pairs::{count_violations, count_violations_reference, PairObservation};
+use chain_neutrality::audit::pairs::{
+    count_violations, count_violations_reference, PairObservation,
+};
 use chain_neutrality::prelude::*;
 use cn_mempool::SnapshotEntry;
 use proptest::prelude::*;
@@ -18,7 +20,10 @@ fn arb_snapshot() -> impl Strategy<Value = MempoolSnapshot> {
     (
         0u64..50_000,
         any::<bool>(),
-        proptest::collection::vec((0u8..24, 0u64..50_000, 1u64..2_000_000, 50u64..5_000, any::<bool>()), 0..12),
+        proptest::collection::vec(
+            (0u8..24, 0u64..50_000, 1u64..2_000_000, 50u64..5_000, any::<bool>()),
+            0..12,
+        ),
         0usize..500,
         0u64..1_000_000,
         0.0f64..=1.0,

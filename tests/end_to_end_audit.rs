@@ -59,11 +59,7 @@ fn self_acceleration_detected_and_null_respected() {
         .unwrap_or_default();
     let theta0 = attribution.hash_rate("Target").expect("attributed");
     let test = differential_prioritization(&index, &c_txids, "Target", theta0);
-    assert!(
-        test.p_accelerate > 0.01,
-        "honest pool must not be flagged: p = {}",
-        test.p_accelerate
-    );
+    assert!(test.p_accelerate > 0.01, "honest pool must not be flagged: p = {}", test.p_accelerate);
     if let Some(sppe) = sppe_for_miner(&index, &c_txids, "Target") {
         assert!(sppe.abs() < 40.0, "honest SPPE should be modest: {sppe}");
     }
@@ -142,7 +138,8 @@ fn censoring_pool_flagged_by_deceleration_test() {
         donation_prob: 0.05,
     });
     scenario.pools = vec![
-        PoolConfig::honest("Censor", 0.5, 1).with_behavior(PoolBehavior::CensorScam { exclude: true }),
+        PoolConfig::honest("Censor", 0.5, 1)
+            .with_behavior(PoolBehavior::CensorScam { exclude: true }),
         PoolConfig::honest("Neutral", 0.5, 1),
     ];
     let out = World::new(scenario).run();

@@ -123,10 +123,8 @@ fn eclipsed_observer_degrades_to_coverage_stamped_verdicts() {
     // must refuse under a coverage floor rather than panic, and the fleet
     // audit must recover through the healthy second observer.
     let mut s = short_scenario(0xEC12);
-    s.observers = vec![
-        ObserverConfig::default_node(),
-        ObserverConfig::default_node().named("backup"),
-    ];
+    s.observers =
+        vec![ObserverConfig::default_node(), ObserverConfig::default_node().named("backup")];
     s.adversaries = AdversaryPlan {
         eclipses: vec![EclipseWindow { observer: 0, start_secs: 0, end_secs: s.duration }],
         ..AdversaryPlan::none()
@@ -150,7 +148,8 @@ fn eclipsed_observer_degrades_to_coverage_stamped_verdicts() {
     // typed error — never a panic.
     let mut solo = all_views[0].clone();
     solo.expectation = solo.expectation.with_min_coverage(0.5);
-    let err = audit_with_fleet(&out.chain, &index, std::slice::from_ref(&solo), AuditConfig::default());
+    let err =
+        audit_with_fleet(&out.chain, &index, std::slice::from_ref(&solo), AuditConfig::default());
     assert!(
         matches!(err, Err(AuditError::InsufficientCoverage { .. })),
         "expected coverage refusal, got {err:?}"
@@ -162,8 +161,8 @@ fn eclipsed_observer_degrades_to_coverage_stamped_verdicts() {
     for v in &mut floored {
         v.expectation = v.expectation.with_min_coverage(0.5);
     }
-    let (report, fleet) =
-        audit_with_fleet(&out.chain, &index, &floored, AuditConfig::default()).expect("fleet recovers");
+    let (report, fleet) = audit_with_fleet(&out.chain, &index, &floored, AuditConfig::default())
+        .expect("fleet recovers");
     assert_eq!(fleet.labels.len(), 2);
     assert_eq!(fleet.coverage.degraded_windows, 0, "healthy eye heals every window");
     let cov = report.coverage.expect("fleet audits carry coverage");
@@ -172,8 +171,16 @@ fn eclipsed_observer_degrades_to_coverage_stamped_verdicts() {
     // A fleet that is blind in every eye still refuses with the typed
     // empty-stream error.
     let blind = [
-        ObserverView { label: "a".into(), snapshots: Vec::new(), expectation: expectation(&out.scenario) },
-        ObserverView { label: "b".into(), snapshots: Vec::new(), expectation: expectation(&out.scenario) },
+        ObserverView {
+            label: "a".into(),
+            snapshots: Vec::new(),
+            expectation: expectation(&out.scenario),
+        },
+        ObserverView {
+            label: "b".into(),
+            snapshots: Vec::new(),
+            expectation: expectation(&out.scenario),
+        },
     ];
     assert_eq!(reconcile(&blind).expect_err("no eyes"), AuditError::EmptySnapshotStream);
 }

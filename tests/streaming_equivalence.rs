@@ -3,7 +3,9 @@
 //! to the batch `audit_with_snapshots` over the finished run — including
 //! its refusal behavior — and its windowed state must stay bounded.
 
-use chain_neutrality::audit::streaming::{interleave, StreamEvent, StreamingAuditor, StreamingConfig};
+use chain_neutrality::audit::streaming::{
+    interleave, StreamEvent, StreamingAuditor, StreamingConfig,
+};
 use chain_neutrality::audit::{audit_with_snapshots, AuditError, StreamExpectation};
 use chain_neutrality::net::{AdversaryPlan, EclipseWindow};
 use chain_neutrality::prelude::*;
@@ -175,8 +177,7 @@ fn refusal_parity_with_batch() {
     // A strict coverage floor over a decimated stream: identical refusal,
     // including the measured coverage payload.
     let strict = exp.with_min_coverage(0.95);
-    let kept: Vec<MempoolSnapshot> =
-        out.observer_streams[0].iter().step_by(5).cloned().collect();
+    let kept: Vec<MempoolSnapshot> = out.observer_streams[0].iter().step_by(5).cloned().collect();
     let mut auditor =
         StreamingAuditor::new(out.chain.initial_utxos(), StreamingConfig::new(strict));
     for b in out.chain.blocks() {
@@ -185,8 +186,7 @@ fn refusal_parity_with_batch() {
     for s in &kept {
         auditor.push_snapshot(s);
     }
-    let batch =
-        audit_with_snapshots(&out.chain, &index, &kept, strict, AuditConfig::default());
+    let batch = audit_with_snapshots(&out.chain, &index, &kept, strict, AuditConfig::default());
     assert!(matches!(batch, Err(AuditError::InsufficientCoverage { .. })));
     assert_eq!(auditor.verdict(), batch);
 }
