@@ -277,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_block_collects_fees() {
+    fn connect_collects_fees() {
         let mut set = UtxoSet::new();
         let fund1 = funding_tx(100_000);
         let fund2 = Transaction::builder()

@@ -11,15 +11,16 @@
 //! children of one or two parents, children that arrive before their
 //! parent, conflicting spends (refused, or admitted after the resident
 //! spender's subtree is removed), blocks confirming whole ancestor
-//! packages or a resident without its resident ancestors, subtree removals
-//! and, in half the histories, size caps. At random steps one of the pools is read, and
-//! each read must equal a reference built from the resident transactions
-//! alone: the snapshot equals `MempoolSnapshot::from_entries` over the
-//! resident rows, the package scores equal sums over ancestors and
-//! descendants found by following prevouts, and the best-first keys equal
-//! the keys of those scores, sorted. `eager` builds its eviction order
-//! before the history starts and `late` at its first `limit_size` over the
-//! cap; every step must return the same result in both pools.
+//! packages or a resident without its resident ancestors, subtree
+//! removals and, in half the histories, size caps. At random steps one of
+//! the pools is read, and each read must equal a reference built from the
+//! resident transactions alone: the snapshot equals
+//! `MempoolSnapshot::from_entries` over the resident rows, the package
+//! scores equal sums over ancestors and descendants found by following
+//! prevouts, and the best-first keys equal the keys of those scores,
+//! sorted. `eager` builds its eviction order before the history starts
+//! and `late` at its first `limit_size` over the cap; every step must
+//! return the same result in both pools.
 //!
 //! A view's snapshots share the rows its row store holds, so three more
 //! checks guard that sharing. Every snapshot taken is kept, and at the end

@@ -129,8 +129,8 @@ impl Churn {
             }
             // Displacement: a resident transaction leaves with its
             // descendants, and a new spend of its first input takes the
-            // freed outpoint, outbidding the displaced package by a margin
-            // that also covers its own relay.
+            // freed outpoint. Its fee tops the displaced package's plus its
+            // own relay fee, as a fee-bumping replacement would pay.
             7..=8 => {
                 let Some(&victim) = self.rng.choose(resident) else { return };
                 let Some(entry) = self.mempool.get(&victim) else { return };
