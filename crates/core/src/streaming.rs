@@ -354,11 +354,6 @@ impl StreamingAuditor {
         self.counters
     }
 
-    /// Blocks ingested so far.
-    pub fn tip_blocks(&self) -> u64 {
-        self.digest.index.len() as u64
-    }
-
     /// Heights whose rolling state has sealed — everything below this is
     /// settled and eligible for a digest drain (see [`crate::spill`]).
     pub fn sealed_blocks(&self) -> u64 {

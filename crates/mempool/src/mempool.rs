@@ -200,11 +200,6 @@ impl Mempool {
         Mempool { policy, ..Mempool::default() }
     }
 
-    /// The acceptance policy.
-    pub fn policy(&self) -> &MempoolPolicy {
-        &self.policy
-    }
-
     /// Number of resident transactions.
     pub fn len(&self) -> usize {
         self.lookup.len()
